@@ -141,7 +141,7 @@ class DqnAgent:
         self.rng = np.random.default_rng(seed)
         self.spec = MlpSpec((obs_dim, *hyper.hidden, n_actions))
         self.params = init_params(self.spec, self.rng, dtype=self.dtype)
-        self.target_params = [(w.copy(), b.copy()) for w, b in self.params]
+        self.target_params = self.params.copy()
         self.adam = AdamState.for_params(self.params, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim,
                                    dtype=self.dtype)
@@ -181,10 +181,10 @@ class DqnAgent:
         grad_out = np.zeros_like(q)
         grad_out[rows, idx] = 2.0 * err / len(idx)
         grads, _ = backward(self.spec, self.params, cache, grad_out)
-        self.params, self.adam = adam_step(self.params, grads, self.adam)
+        adam_step(self.params, grads, self.adam)
         self.grad_steps += 1
         if self.grad_steps % h.target_update_interval == 0:
-            self.target_params = [(w.copy(), b.copy()) for w, b in self.params]
+            np.copyto(self.target_params.flat, self.params.flat)
         return float(np.mean(err ** 2))
 
     # -- persistence --------------------------------------------------------
@@ -240,8 +240,11 @@ class SacHyper:
 
 
 def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
-    return [((1.0 - tau) * tw + tau * w, (1.0 - tau) * tb + tau * b)
-            for (tw, tb), (w, b) in zip(target, online)]
+    """target <- (1 - tau) * target + tau * online, in place; returns target."""
+    t = target.flat
+    t *= 1.0 - tau
+    t += tau * online.flat
+    return target
 
 
 class SacAgent:
@@ -263,8 +266,7 @@ class SacAgent:
         self.critics = [init_params(self.critic_spec, self.rng,
                                     dtype=self.dtype)
                         for _ in range(2)]
-        self.targets = [[(w.copy(), b.copy()) for w, b in c]
-                        for c in self.critics]
+        self.targets = [c.copy() for c in self.critics]
         self.actor_adam = AdamState.for_params(self.actor, lr=h.lr)
         self.critic_adams = [AdamState.for_params(c, lr=h.lr)
                              for c in self.critics]
@@ -352,12 +354,14 @@ class SacAgent:
 
         # critic regression
         xin = self._critic_input(obs, t_stored)
+        critic_mse = []
         for i in range(2):
             q, cache = forward_cached(self.critic_spec, self.critics[i], xin)
-            gout = 2.0 * (q[:, 0] - y)[:, None] / len(y)
+            err = q[:, 0] - y
+            critic_mse.append(np.mean(err ** 2))
+            gout = 2.0 * err[:, None] / len(y)
             grads, _ = backward(self.critic_spec, self.critics[i], cache, gout)
-            self.critics[i], self.critic_adams[i] = adam_step(
-                self.critics[i], grads, self.critic_adams[i])
+            adam_step(self.critics[i], grads, self.critic_adams[i])
 
         # actor: reparameterized gradient of alpha*logpi - min Q
         out, actor_cache = forward_cached(self.actor_spec, self.actor, obs)
@@ -401,8 +405,7 @@ class SacAgent:
         actor_gout = np.stack([dl_dmu, dl_dlogstd], axis=1)
         grads, _ = backward(self.actor_spec, self.actor, actor_cache,
                             actor_gout)
-        self.actor, self.actor_adam = adam_step(self.actor, grads,
-                                                self.actor_adam)
+        adam_step(self.actor, grads, self.actor_adam)
 
         # temperature
         if h.alpha is None:
@@ -416,10 +419,10 @@ class SacAgent:
 
         # Polyak-averaged targets
         for i in range(2):
-            self.targets[i] = polyak_update(self.targets[i], self.critics[i],
-                                            h.tau)
+            polyak_update(self.targets[i], self.critics[i], h.tau)
         self.updates += 1
-        return float(np.mean((q_pi[0] - y) ** 2))
+        # the critics' regression loss, before their step
+        return float(np.mean(critic_mse))
 
     # -- persistence ----------------------------------------------------------
 

@@ -118,8 +118,9 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
         if value is not None:
             kwargs[attr] = value
     if "scenario.latest_harvest_doy" in cfg:
-        raw = cfg["scenario.latest_harvest_doy"].strip().lower()
-        kwargs["latest_harvest_doy"] = None if raw == "none" else int(raw)
+        kwargs["latest_harvest_doy"] = _get(
+            cfg, "scenario.latest_harvest_doy",
+            lambda raw: None if raw.lower() == "none" else int(raw))
     depth = _get(cfg, "scenario.soil_depth_cm", float)
     if depth is not None:
         kwargs["soil"] = replace(scen.soil, depth_cm=depth)
@@ -156,7 +157,7 @@ def build_agent_hyper(cfg: dict[str, str], location: str):
         if value is not None:
             common[attr] = value
     if "agent.hidden" in cfg:
-        common["hidden"] = tuple(_int_tuple(cfg["agent.hidden"]))
+        common["hidden"] = _get(cfg, "agent.hidden", _int_tuple)
 
     if kind == "dqn":
         kwargs = dict(common)
@@ -179,24 +180,21 @@ def build_agent_hyper(cfg: dict[str, str], location: str):
         if value is not None:
             kwargs[attr] = value
     if "agent.alpha" in cfg:
-        raw = cfg["agent.alpha"].strip().lower()
-        kwargs["alpha"] = None if raw == "auto" else float(raw)
+        kwargs["alpha"] = _get(
+            cfg, "agent.alpha",
+            lambda raw: None if raw.lower() == "auto" else float(raw))
     return kind, SacHyper(**kwargs)
 
 
 def build_run_settings(cfg: dict[str, str]) -> dict:
     trials = _get(cfg, "run.trials", int, 5)
-    if "run.seeds" in cfg:
-        seeds = _int_tuple(cfg["run.seeds"])
-    else:
-        seeds = tuple(range(1, trials + 1))
+    seeds = _get(cfg, "run.seeds", _int_tuple, tuple(range(1, trials + 1)))
     if len(seeds) != trials:
         raise ConfigError(f"trials={trials} but {len(seeds)} seeds given")
     observation = cfg.get("run.observation", "full").strip().lower()
     if observation not in ("full", "partial"):
         raise ConfigError(f"run.observation must be full or partial")
-    grid = (_float_tuple(cfg["run.baseline_grid"])
-            if "run.baseline_grid" in cfg else DEFAULT_BASELINE_GRID)
+    grid = _get(cfg, "run.baseline_grid", _float_tuple, DEFAULT_BASELINE_GRID)
     if any(g < 0 for g in grid):
         raise ConfigError("baseline amounts must be nonnegative")
     return {"trials": trials, "seeds": seeds, "observation": observation,

@@ -6,16 +6,40 @@ instead of pulling in an autodiff framework. ``backward`` returns the exact
 gradient of the forward map for a given upstream gradient, summed over the
 batch; callers divide by the batch size when optimizing a mean loss.
 
-Parameters are a list of (W, b) pairs with W of shape (fan_in, fan_out).
-``adam_step`` is functional: it returns fresh arrays and never mutates its
-inputs. Checkpoints are versioned JSON; float round-tripping through JSON is
-exact, so save/load reproduces parameters bit for bit.
+Layout. A net's parameters are a ``ParamSet``: one contiguous vector
+``flat`` holding W0, b0, W1, b1, ... in that order (each W row-major, of
+shape (fan_in, fan_out)), and the (W, b) pairs, which are views into it.
+``backward`` returns its gradients in the same layout, and Adam's first and
+second moments are flat vectors in that layout too. The optimizer, the DQN
+target copy and the SAC Polyak average therefore each run a few ufuncs over
+one array. ``forward`` and ``backward`` read any sequence of (W, b) pairs.
+
+In place. ``adam_step`` writes the new values into ``params.flat``,
+``state.m`` and ``state.v``, advances ``state.step`` and returns the same
+two objects. Take ``params.copy()`` first to keep the old values. A
+non-finite gradient raises ``FloatingPointError`` before anything changes.
+
+Subnormal flush. After each step, every first moment smaller in magnitude
+than ``np.finfo(dtype).tiny`` is set to 0. A unit whose gradient is exactly
+zero (a dead relu) sees its moment decay by beta1 a step; after roughly 700
+steps it is subnormal, and on x86 every operation that reads a subnormal
+takes a microcode assist. Without the flush, the Adam step of a 20-episode
+DQN run grew about 3x slower from the first tenth of the run to the last.
+The flush leaves parameter bits unchanged in practice: the step it drops is
+lr * |m| / (c1 * denom) with |m| < tiny, c1 >= 1 - beta1 and denom >= eps,
+so below lr * tiny / ((1 - beta1) * eps), about 6e-34 for float32 at the
+default lr. That is under half an ulp of any parameter larger in magnitude
+than about 1e-26.
+
+Checkpoints are versioned JSON, one list per (W, b) array; float
+round-tripping through JSON is exact, so save/load reproduces parameters bit
+for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +47,44 @@ from .errors import ConfigError, ShapeError
 
 CHECKPOINT_VERSION = 1
 
-ParamSet = list[tuple[np.ndarray, np.ndarray]]
+
+class ParamSet(tuple):
+    """A net's (W, b) pairs, each a view into one contiguous vector ``flat``.
+
+    ``shapes`` gives each W's (fan_in, fan_out); b has fan_out entries.
+    """
+
+    def __new__(cls, flat: np.ndarray, shapes):
+        if flat.ndim != 1 or not flat.flags.c_contiguous:
+            raise ShapeError("a ParamSet needs a contiguous 1-D vector")
+        pairs, at = [], 0
+        for n_in, n_out in shapes:
+            w = flat[at:at + n_in * n_out].reshape(n_in, n_out)
+            at += n_in * n_out
+            pairs.append((w, flat[at:at + n_out]))
+            at += n_out
+        if at != flat.size:
+            raise ShapeError(f"{flat.size} values do not fit layers {shapes}")
+        self = super().__new__(cls, pairs)
+        self.flat = flat
+        return self
+
+    @classmethod
+    def of(cls, pairs) -> "ParamSet":
+        """Copy (W, b) pairs into a new flat vector."""
+        pairs = list(pairs)
+        return cls(np.concatenate([np.ravel(a) for pair in pairs for a in pair]),
+                   [np.shape(w) for w, _ in pairs])
+
+    def like(self, flat: np.ndarray) -> "ParamSet":
+        """This layout over another vector."""
+        return ParamSet(flat, [w.shape for w, _ in self])
+
+    def copy(self) -> "ParamSet":
+        return self.like(self.flat.copy())
+
+    def __getnewargs__(self):  # lets pickle and deepcopy rebuild the views
+        return self.flat, [w.shape for w, _ in self]
 
 
 @dataclass(frozen=True)
@@ -52,13 +113,13 @@ class MlpSpec:
 def init_params(spec: MlpSpec, rng: np.random.Generator,
                 dtype=np.float64) -> ParamSet:
     """Uniform fan-in/fan-out scaling, deterministic for a seeded generator."""
-    params: ParamSet = []
+    pairs = []
     for n_in, n_out in zip(spec.sizes[:-1], spec.sizes[1:]):
         bound = np.sqrt(6.0 / (n_in + n_out))
         w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
         b = np.zeros(n_out, dtype=dtype)
-        params.append((w, b))
-    return params
+        pairs.append((w, b))
+    return ParamSet.of(pairs)
 
 
 def _check_input(spec: MlpSpec, x: np.ndarray, dtype) -> np.ndarray:
@@ -103,12 +164,11 @@ def forward_cached(spec: MlpSpec, params: ParamSet, x: np.ndarray
 
 
 def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
-             grad_out: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]],
-                                            np.ndarray]:
+             grad_out: np.ndarray) -> tuple[ParamSet, np.ndarray]:
     """Exact reverse-mode gradients for a cached forward pass.
 
     ``grad_out`` is dL/d(output), shape (batch, n_out). Returns per-parameter
-    gradients (summed over the batch) and dL/d(input).
+    gradients (summed over the batch) as a new ``ParamSet``, and dL/d(input).
     """
     g = np.asarray(grad_out, dtype=params[0][0].dtype)
     if g.ndim == 1:
@@ -116,7 +176,10 @@ def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
     if g.shape != (cache[0].shape[0], spec.n_out):
         raise ShapeError(f"upstream gradient shape {g.shape} mismatch")
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore
+    shapes = [w.shape for w, _ in params]
+    grads = ParamSet(np.empty(sum(n_in * n_out + n_out
+                                  for n_in, n_out in shapes), dtype=g.dtype),
+                     shapes)
     delta = g
     for i in range(len(params) - 1, -1, -1):
         w, _ = params[i]
@@ -128,7 +191,9 @@ def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
             else:
                 h_act = cache[2 * i + 2]
                 delta = np.multiply(delta, 1.0 - np.square(h_act))
-        grads[i] = (layer_in.T @ delta, delta.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(layer_in.T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         delta = delta @ w.T
     return grads, delta
 
@@ -139,62 +204,62 @@ def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
 
 @dataclass
 class AdamState:
+    """Adam settings, step count, and flat moments in the params' layout."""
     lr: float = 5e-5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
     def for_params(cls, params: ParamSet, lr: float = 5e-5, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
         return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params],
-                   v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params])
-
-
-def _update_array(x, g, m, v, lr, b1, b2, eps, c1, c2):
-    m_new = np.empty_like(m)
-    np.multiply(m, b1, out=m_new)
-    m_new += (1 - b1) * g
-    v_new = np.empty_like(v)
-    np.multiply(v, b2, out=v_new)
-    v_new += (1 - b2) * np.square(g)
-    denom = np.sqrt(v_new / c2)
-    denom += eps
-    x_new = m_new / c1
-    x_new /= denom
-    x_new *= -lr
-    x_new += x
-    return x_new, m_new, v_new
+                   m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: ParamSet, grads, state: AdamState
               ) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    for gw, gb in grads:
-        # a NaN or paired-infinity anywhere poisons the sum
-        if not (np.isfinite(gw.sum()) and np.isfinite(gb.sum())):
-            raise FloatingPointError("non-finite gradient in adam_step")
-    t = state.step + 1
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
+
+    ``grads`` are (W, b) pairs in the layout of ``params``; a ``ParamSet``
+    (what ``backward`` returns) is read without a copy. Returns the same
+    ``params`` and ``state`` objects.
+    """
+    if not isinstance(params, ParamSet):
+        raise TypeError("adam_step updates a ParamSet in place")
+    g = (grads if isinstance(grads, ParamSet) else ParamSet.of(grads)).flat
+    x, m, v = params.flat, state.m, state.v
+    if g.shape != x.shape:
+        raise ShapeError(f"gradient of {g.size} values for {x.size} params")
+    # a NaN or paired-infinity anywhere poisons the sum
+    if not np.isfinite(g.sum()):
+        raise FloatingPointError("non-finite gradient in adam_step")
+    state.step += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_params: ParamSet = []
-    new_m, new_v = [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(params, grads, state.m,
-                                                    state.v):
-        w, mw, vw = _update_array(w, gw, mw, vw, state.lr, b1, b2, state.eps,
-                                  c1, c2)
-        b, mb, vb = _update_array(b, gb, mb, vb, state.lr, b1, b2, state.eps,
-                                  c1, c2)
-        new_params.append((w, b))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    return new_params, AdamState(lr=state.lr, beta1=b1, beta2=b2,
-                                 eps=state.eps, step=t, m=new_m, v=new_v)
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    tmp = np.empty_like(x)
+    denom = np.empty_like(x)
+    # m*b1 + (1-b1)*g; v*b2 + (1-b2)*g^2; x + (-lr)*(m/c1)/(sqrt(v/c2) + eps)
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=tmp)
+    v *= b2
+    np.square(g, out=tmp)
+    tmp *= 1 - b2
+    v += tmp
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, c1, out=tmp)
+    tmp /= denom
+    tmp *= -state.lr
+    x += tmp
+    # flush subnormal first moments (see the module docstring)
+    np.copyto(m, 0.0, where=np.abs(m, out=tmp) < np.finfo(m.dtype).tiny)
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +282,9 @@ def net_to_dict(spec: MlpSpec, params: ParamSet,
             "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
             "eps": adam.eps, "step": adam.step,
             "m": [{"w": mw.ravel().tolist(), "b": mb.tolist()}
-                  for mw, mb in adam.m],
+                  for mw, mb in params.like(adam.m)],
             "v": [{"w": vw.ravel().tolist(), "b": vb.tolist()}
-                  for vw, vb in adam.v],
+                  for vw, vb in params.like(adam.v)],
         }
     return out
 
@@ -231,23 +296,21 @@ def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet, AdamState | None]:
                    hidden_activation=data["spec"]["hidden_activation"],
                    output_activation=data["spec"]["output_activation"])
     dtype = np.dtype(data.get("dtype", "float64"))
-    params: ParamSet = []
-    for entry in data["params"]:
-        shape = tuple(entry["shape"])
-        params.append((np.asarray(entry["w"], dtype=dtype).reshape(shape),
-                       np.asarray(entry["b"], dtype=dtype)))
+
+    def unpack(entries) -> np.ndarray:
+        return np.concatenate([np.asarray(e[k], dtype=dtype)
+                               for e in entries for k in ("w", "b")])
+
+    params = ParamSet(unpack(data["params"]),
+                      [tuple(e["shape"]) for e in data["params"]])
     adam = None
     if "adam" in data:
         a = data["adam"]
-        adam = AdamState(
-            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            step=a["step"],
-            m=[(np.asarray(e["w"], dtype=dtype).reshape(p[0].shape),
-                np.asarray(e["b"], dtype=dtype))
-               for e, p in zip(a["m"], params)],
-            v=[(np.asarray(e["w"], dtype=dtype).reshape(p[0].shape),
-                np.asarray(e["b"], dtype=dtype))
-               for e, p in zip(a["v"], params)])
+        m, v = unpack(a["m"]), unpack(a["v"])
+        if m.shape != params.flat.shape or v.shape != params.flat.shape:
+            raise ConfigError("Adam moments do not match the parameters")
+        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+                         eps=a["eps"], step=a["step"], m=m, v=v)
     return spec, params, adam
 
 

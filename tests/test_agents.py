@@ -11,7 +11,7 @@ from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
                            epsilon_schedule, polyak_update)
 from croprl.env import DISCRETE_ACTIONS_KG
 from croprl.errors import ConfigError, ShapeError
-from croprl.net import MlpSpec, forward, init_params
+from croprl.net import MlpSpec, ParamSet, forward, init_params
 
 from test_state import make_state
 
@@ -248,9 +248,10 @@ def test_dqn_checkpoint_reproduces_greedy_policy(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_polyak_rule_arithmetic():
-    target = [(np.zeros((1, 1)), np.zeros(1))]
-    online = [(np.ones((1, 1)), np.ones(1))]
+    target = ParamSet.of([(np.zeros((1, 1)), np.zeros(1))])
+    online = ParamSet.of([(np.ones((1, 1)), np.ones(1))])
     out = polyak_update(target, online, tau=0.001)
+    assert out is target
     assert out[0][0][0, 0] == pytest.approx(0.001)
     assert out[0][1][0] == pytest.approx(0.001)
 
@@ -259,7 +260,7 @@ def test_sac_targets_move_only_by_polyak():
     hyper = SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3, tau=0.01)
     agent = SacAgent(2, hyper, seed=0)
     rng = np.random.default_rng(2)
-    before_target = [(w.copy(), b.copy()) for w, b in agent.targets[0]]
+    before_target = agent.targets[0].copy()
     for _ in range(9):
         agent.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
                           float(rng.normal()), rng.uniform(size=2), True)
@@ -270,6 +271,109 @@ def test_sac_targets_move_only_by_polyak():
     for (ew, eb), (tw, tb) in zip(expected, agent.targets[0]):
         assert np.allclose(ew, tw, atol=1e-12)
         assert np.allclose(eb, tb, atol=1e-12)
+
+
+def test_target_sync_and_polyak_match_the_per_array_rules():
+    """The flat DQN sync and SAC Polyak give the bits of the per-array copy
+    and expression, into target buffers that never alias the online ones."""
+    rng = np.random.default_rng(7)
+    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4, target_update_interval=5,
+                               hidden=(8,), lr=1e-3), seed=0, n_actions=3)
+    target_buffer = dqn.target_params.flat
+    synced = 0
+    for _ in range(14):  # 11 gradient steps: syncs after steps 5 and 10
+        dqn.buffer.push(rng.uniform(size=2), int(rng.integers(3)),
+                        float(rng.normal()), rng.uniform(size=2), False)
+        dqn.update()
+        assert dqn.target_params.flat is target_buffer
+        assert not np.shares_memory(target_buffer, dqn.params.flat)
+        if dqn.grad_steps and dqn.grad_steps % 5 == 0:
+            expected = [(w.copy(), b.copy()) for w, b in dqn.params]
+            for (ew, eb), (tw, tb) in zip(expected, dqn.target_params):
+                assert ew.tobytes() == tw.tobytes()
+                assert eb.tobytes() == tb.tobytes()
+            synced += 1
+    assert synced == 2
+
+    tau = 0.01
+    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3,
+                               tau=tau), seed=0)
+    for _ in range(7):
+        sac.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
+                        float(rng.normal()), rng.uniform(size=2), False)
+    for _ in range(3):
+        sac.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
+                        float(rng.normal()), rng.uniform(size=2), False)
+        before = [[(w.copy(), b.copy()) for w, b in t] for t in sac.targets]
+        assert sac.update() is not None
+        for i in range(2):
+            expected = [((1.0 - tau) * tw + tau * w, (1.0 - tau) * tb + tau * b)
+                        for (tw, tb), (w, b) in zip(before[i], sac.critics[i])]
+            for (ew, eb), (tw, tb) in zip(expected, sac.targets[i]):
+                assert ew.tobytes() == tw.tobytes()
+                assert eb.tobytes() == tb.tobytes()
+            assert not np.shares_memory(sac.targets[i].flat,
+                                        sac.critics[i].flat)
+        assert not np.shares_memory(sac.targets[0].flat, sac.targets[1].flat)
+
+
+def test_sac_update_returns_the_critics_regression_loss():
+    """With one repeated terminal transition y = r, so the returned loss is
+    the mean of the two critics' squared errors before their step."""
+    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,),
+                                 lr=1e-3), seed=0)
+    obs = np.array([0.25, 0.75])
+    for _ in range(8):
+        agent.buffer.push(obs, 150.0, -3.0, obs, True)
+    # 150 on the default 0-200 range is 0.5 on the squashed scale
+    xin = np.array([[0.25, 0.75, 0.5]])
+    before = [float(forward(agent.critic_spec, c, xin)[0, 0])
+              for c in agent.critics]
+    expected = 0.5 * ((before[0] + 3.0) ** 2 + (before[1] + 3.0) ** 2)
+    assert agent.update() == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["dqn", "sac"])
+def test_checkpoint_round_trip_keeps_the_flat_layout(tmp_path, kind):
+    """A loaded agent's nets share one buffer per net, its Adam moments
+    match it, and it can keep training."""
+    if kind == "dqn":
+        agent = DqnAgent(3, DqnHyper(batch_size=4, warmup=4, hidden=(8,)),
+                         seed=2)
+    else:
+        agent = SacAgent(3, SacHyper(batch_size=4, warmup=4, hidden=(8,)),
+                         seed=2)
+    rng = np.random.default_rng(4)
+
+    def fill(a):
+        for _ in range(4):
+            a.buffer.push(rng.uniform(size=3), float(rng.integers(2)),
+                          float(rng.normal()), rng.uniform(size=3), False)
+
+    fill(agent)
+    assert agent.update() is not None
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(agent.to_dict()))
+    clone = type(agent).from_dict(json.loads(path.read_text()))
+    assert clone.to_dict() == agent.to_dict()
+    if kind == "dqn":
+        nets = [(clone.params, clone.adam), (clone.target_params, None)]
+    else:
+        nets = ([(clone.actor, clone.actor_adam)]
+                + list(zip(clone.critics, clone.critic_adams))
+                + [(t, None) for t in clone.targets])
+    for params, adam in nets:
+        assert isinstance(params, ParamSet)
+        for w, b in params:
+            assert np.shares_memory(w, params.flat)
+            assert np.shares_memory(b, params.flat)
+        if adam is not None:
+            assert adam.m.shape == adam.v.shape == params.flat.shape
+    flats = [p.flat for p, _ in nets]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats)
+                   for b in flats[i + 1:])
+    fill(clone)
+    assert clone.update() is not None
 
 
 def test_sac_actions_respect_bounds_and_discretization():

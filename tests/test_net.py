@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from croprl.errors import ConfigError, ShapeError
-from croprl.net import (AdamState, MlpSpec, adam_step, backward, forward,
-                        forward_cached, init_params, load_net, save_net)
+from croprl.net import (AdamState, MlpSpec, ParamSet, adam_step, backward,
+                        forward, forward_cached, init_params, load_net,
+                        save_net)
 
 
 def fd_gradients(spec, params, x, upstream, h=1e-5):
@@ -156,18 +159,20 @@ class TestAdam:
         self.state = AdamState.for_params(self.params, lr=1e-3)
 
     def test_zero_gradient_leaves_params_unchanged(self):
+        before = self.params.copy()
         zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in self.params]
         new_params, new_state = adam_step(self.params, zero, self.state)
         assert new_state.step == 1
-        for (w0, b0), (w1, b1) in zip(self.params, new_params):
+        for (w0, b0), (w1, b1) in zip(before, new_params):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
 
     def test_first_step_moves_by_lr_against_gradient_sign(self):
+        before = self.params.copy()
         grads = [(np.sign(np.ones_like(w)) * 0.1, np.full_like(b, -0.5))
                  for w, b in self.params]
         new_params, _ = adam_step(self.params, grads, self.state)
-        for (w0, b0), (w1, b1) in zip(self.params, new_params):
+        for (w0, b0), (w1, b1) in zip(before, new_params):
             # bias-corrected first step has magnitude ~lr, direction -sign(g)
             assert np.allclose(w1 - w0, -1e-3, rtol=1e-6)
             assert np.allclose(b1 - b0, +1e-3, rtol=1e-6)
@@ -182,10 +187,99 @@ class TestAdam:
             prev = params[0][0].copy()
 
     def test_nonfinite_gradients_raise(self):
+        before = self.params.copy()
         grads = [(np.full_like(w, np.nan), np.zeros_like(b))
                  for w, b in self.params]
         with pytest.raises(FloatingPointError):
             adam_step(self.params, grads, self.state)
+        # nothing was updated
+        assert self.state.step == 0
+        assert np.array_equal(self.params.flat, before.flat)
+        assert not np.any(self.state.m) and not np.any(self.state.v)
+
+    def test_step_is_in_place_and_returns_its_inputs(self):
+        flat, m, v = self.params.flat, self.state.m, self.state.v
+        before = flat.copy()
+        grads = self.params.like(np.linspace(-1.0, 1.0, flat.size))
+        new_params, new_state = adam_step(self.params, grads, self.state)
+        assert new_params is self.params and new_state is self.state
+        assert new_params.flat is flat
+        assert new_state.m is m and new_state.v is v
+        for w, b in new_params:
+            assert np.shares_memory(w, flat) and np.shares_memory(b, flat)
+        assert not np.array_equal(flat, before)
+
+
+def _reference_update_array(x, g, m, v, lr, b1, b2, eps, c1, c2):
+    """Per-array functional Adam, as it was before the flat layout."""
+    m_new = np.empty_like(m)
+    np.multiply(m, b1, out=m_new)
+    m_new += (1 - b1) * g
+    v_new = np.empty_like(v)
+    np.multiply(v, b2, out=v_new)
+    v_new += (1 - b2) * np.square(g)
+    denom = np.sqrt(v_new / c2)
+    denom += eps
+    x_new = m_new / c1
+    x_new /= denom
+    x_new *= -lr
+    x_new += x
+    return x_new, m_new, v_new
+
+
+def _subnormal(a: np.ndarray) -> np.ndarray:
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+def test_flat_adam_matches_per_array_reference_without_subnormals():
+    """Coordinates whose gradient is zero after the first step let the
+    reference's first moments decay into subnormals; the flat step flushes
+    them and still reproduces the reference's parameters bit for bit."""
+    rng = np.random.default_rng(8)
+    spec = MlpSpec((6, 16, 3))
+    params = init_params(spec, rng, dtype=np.float32)
+    state = AdamState.for_params(params, lr=1e-3)
+    ref_x = [a.copy() for pair in params for a in pair]
+    ref_m = [np.zeros_like(a) for a in ref_x]
+    ref_v = [np.zeros_like(a) for a in ref_x]
+    n = params.flat.size
+    scale = 10.0 ** rng.uniform(-3.0, 1.0, size=n)
+    dead = rng.random(n) < 0.3
+    reference_had_subnormals = False
+    for t in range(1, 1501):
+        g = (rng.normal(size=n) * scale).astype(np.float32)
+        if t > 1:
+            g[dead] = 0.0
+        grads = params.like(g)
+        adam_step(params, grads, state)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        g_arrays = [a for pair in grads for a in pair]
+        for i in range(len(ref_x)):
+            ref_x[i], ref_m[i], ref_v[i] = _reference_update_array(
+                ref_x[i], g_arrays[i], ref_m[i], ref_v[i], 1e-3, 0.9, 0.999,
+                1e-8, c1, c2)
+        expected = np.concatenate([a.ravel() for a in ref_x])
+        assert params.flat.tobytes() == expected.tobytes(), f"step {t}"
+        assert not np.any(_subnormal(state.m)), f"step {t}"
+        reference_had_subnormals |= any(np.any(_subnormal(m)) for m in ref_m)
+    assert reference_had_subnormals
+
+
+def test_param_set_views_share_one_vector():
+    params = init_params(MlpSpec((3, 4, 2)), np.random.default_rng(9))
+    assert params.flat.size == 3 * 4 + 4 + 4 * 2 + 2
+    params.flat[:] = np.arange(params.flat.size)
+    (w0, b0), (w1, b1) = params
+    assert w0[0, 1] == 1 and b0[0] == 12 and w1[0, 0] == 16 and b1[-1] == 25
+    clone = params.copy()
+    assert not np.shares_memory(clone.flat, params.flat)
+    assert clone.flat.tobytes() == params.flat.tobytes()
+    with pytest.raises(ShapeError):
+        params.like(np.zeros(params.flat.size + 1))
+    # pickling (and so deepcopy) rebuilds the views over the copied vector
+    loaded = pickle.loads(pickle.dumps(params))
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert all(np.shares_memory(w, loaded.flat) for w, _ in loaded)
 
 
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
@@ -204,9 +298,13 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
         assert w.tobytes() == w2.tobytes()
         assert b.tobytes() == b2.tobytes()
     assert adam2.step == adam.step
-    for (mw, mb), (mw2, mb2) in zip(adam.m, adam2.m):
-        assert mw.tobytes() == mw2.tobytes()
-        assert mb.tobytes() == mb2.tobytes()
+    assert adam.m.tobytes() == adam2.m.tobytes()
+    assert adam.v.tobytes() == adam2.v.tobytes()
+    # the loaded net keeps the flat layout, so it can keep training
+    assert isinstance(params2, ParamSet)
+    assert all(np.shares_memory(w, params2.flat) for w, _ in params2)
+    adam_step(params2, grads, adam2)
+    assert adam2.step == 2
 
 
 def test_float32_checkpoint_round_trip(tmp_path):
