@@ -1,4 +1,4 @@
-"""Learning agents and fixed policies for the fertilizer environment.
+"""Learning agents for the fertilizer environment.
 
 Two trainable agents:
 
@@ -10,14 +10,14 @@ Two trainable agents:
   The continuous action is snapped to the discrete set at the environment
   boundary only; the stored and regressed action stays continuous.
 
-Both store normalized observations. A fixed reference policy applies a single
-dose the first time the crop reaches five expanded leaves (``vstage_policy``).
+Both store normalized observations. The fixed single-dose reference policy
+is ``harness.baseline_policy``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import ConfigError, ShapeError
 from .net import (AdamState, MlpSpec, ParamSet, adam_step, backward, forward,
                   forward_cached, init_params, net_from_dict, net_to_dict)
 from .replay import ReplayBuffer
-from .state import StateVector
 
 
 def epsilon_schedule(episode: int, decay: float) -> float:
@@ -53,34 +52,6 @@ def discretize_action(a: float,
         if d < best_d:
             best, best_d = cand, d
     return best
-
-
-def baseline_vstage5(state: StateVector, amount: float,
-                     already_fired: bool) -> float:
-    """Single-application reference rule: ``amount`` on the first day with
-    vstage >= 5, zero otherwise."""
-    if amount < 0:
-        raise ConfigError("baseline amount must be nonnegative")
-    if not already_fired and state.vstage >= 5.0:
-        return amount
-    return 0.0
-
-
-class VStagePolicy:
-    """Stateful wrapper around ``baseline_vstage5`` for episode rollouts."""
-
-    def __init__(self, amount: float):
-        self.amount = amount
-        self.fired = False
-
-    def reset(self):
-        self.fired = False
-
-    def __call__(self, state: StateVector, obs=None) -> float:
-        a = baseline_vstage5(state, self.amount, self.fired)
-        if a > 0:
-            self.fired = True
-        return a
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +131,10 @@ class DqnAgent:
         return dqn_select_action(self.spec, self.params, obs, 0.0, self.rng,
                                  self.n_actions)
 
+    def dose(self, action_index: int) -> float:
+        """The amount in kg/ha that an action index applies."""
+        return DISCRETE_ACTIONS_KG[action_index]
+
     def observe(self, obs, action_index, reward, next_obs, done) -> None:
         self.buffer.push(obs, action_index, reward, next_obs, done)
         for _ in range(self.hyper.grad_steps_per_day):
@@ -197,6 +172,12 @@ class DqnAgent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DqnAgent":
+        """Rebuild the networks, target and Adam moments from ``to_dict``.
+
+        Policy-only: the rng is reseeded to 0, and ``grad_steps`` (which
+        times the next target sync), epsilon and the replay buffer are not
+        restored.
+        """
         hyper_kw = dict(data["hyper"])
         hyper_kw["hidden"] = tuple(hyper_kw["hidden"])
         hyper = DqnHyper(**hyper_kw)
@@ -303,12 +284,18 @@ class SacAgent:
                 - math.log(self._half * (1.0 - t * t) + 1e-6))
         return self._mid + self._half * t, float(logp)
 
-    def mean_action(self, obs: np.ndarray) -> float:
+    def greedy_action(self, obs: np.ndarray) -> float:
+        """The policy's mean action, raw (not yet snapped to a dose)."""
         mu, _ = self._policy_head(obs)
         return float(self._mid + self._half * math.tanh(mu))
 
     def act(self, obs: np.ndarray) -> float:
         return self.sample_action(obs, self.rng)[0]
+
+    def dose(self, raw_action: float) -> float:
+        """The amount in kg/ha that a raw action applies: the nearest
+        discrete one."""
+        return discretize_action(raw_action)
 
     def observe(self, obs, raw_action, reward, next_obs, done) -> None:
         self.buffer.push(obs, raw_action, reward, next_obs, done)
@@ -439,6 +426,13 @@ class SacAgent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SacAgent":
+        """Rebuild the actor, critics, targets, their Adam moments and
+        log-alpha from ``to_dict``.
+
+        Policy-only: the rng is reseeded to 0, and ``updates``, the
+        temperature's Adam moments and step count, and the replay buffer
+        are not restored.
+        """
         hyper_kw = dict(data["hyper"])
         hyper_kw["hidden"] = tuple(hyper_kw["hidden"])
         hyper = SacHyper(**hyper_kw)

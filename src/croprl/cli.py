@@ -90,22 +90,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.overrides)
-    scenario = build_scenario(cfg)
-    run = build_run_settings(cfg)
-    from .state import ObservationMask
-    mask = ObservationMask.of_kind(run["observation"])
+    config = _experiment_from_args(args)
     if args.checkpoint:
         policy, meta = load_checkpoint(args.checkpoint)
-        if meta.get("observation") and meta["observation"] != run["observation"]:
+        if meta.get("observation") and meta["observation"] != config.observation:
             raise ConfigError(
                 f"checkpoint expects {meta['observation']} observations, "
-                f"config requests {run['observation']}")
+                f"config requests {config.observation}")
         label = f"checkpoint:{args.checkpoint}"
     else:
         policy = baseline_policy(args.baseline)
         label = f"baseline:{args.baseline:g}"
-    mean, per_episode = evaluate_policy(policy, scenario, mask,
+    mean, per_episode = evaluate_policy(policy, config.scenario, config.mask,
                                         n_episodes=args.episodes)
     result = {"policy": label, "episodes": args.episodes,
               "mean": mean.as_dict(),

@@ -39,9 +39,7 @@ from pathlib import Path
 from .agents import DqnHyper, SacHyper
 from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
-from .reward import RewardConfig
-
-DEFAULT_BASELINE_GRID = tuple(float(x) for x in range(0, 321, 40))
+from .harness import BASELINE_GRID
 
 # Iowa and Florida trained with different exploration decay rates
 PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
@@ -187,16 +185,12 @@ def build_agent_hyper(cfg: dict[str, str], location: str):
 
 
 def build_run_settings(cfg: dict[str, str]) -> dict:
+    """Parse the [run] section; ``ExperimentConfig`` validates the values."""
     trials = _get(cfg, "run.trials", int, 5)
-    seeds = _get(cfg, "run.seeds", _int_tuple, tuple(range(1, trials + 1)))
-    if len(seeds) != trials:
-        raise ConfigError(f"trials={trials} but {len(seeds)} seeds given")
-    observation = cfg.get("run.observation", "full").strip().lower()
-    if observation not in ("full", "partial"):
-        raise ConfigError(f"run.observation must be full or partial")
-    grid = _get(cfg, "run.baseline_grid", _float_tuple, DEFAULT_BASELINE_GRID)
-    if any(g < 0 for g in grid):
-        raise ConfigError("baseline amounts must be nonnegative")
-    return {"trials": trials, "seeds": seeds, "observation": observation,
-            "baseline_grid": grid,
+    return {"trials": trials,
+            "seeds": _get(cfg, "run.seeds", _int_tuple,
+                          tuple(range(1, trials + 1))),
+            "observation": cfg.get("run.observation", "full").strip().lower(),
+            "baseline_grid": _get(cfg, "run.baseline_grid", _float_tuple,
+                                  BASELINE_GRID),
             "out_dir": Path(cfg.get("run.out_dir", "run_output"))}

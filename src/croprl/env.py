@@ -21,16 +21,17 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError
 from .reward import RewardBreakdown, RewardConfig, daily_reward
 from .simulator import (CropParams, CropState, NitrogenParams, SoilProfile,
-                        SoilState, SOWN, MATURE, advance_day,
-                        initial_soil_state, thermal_time)
-from .state import ObservationMask, StateVector, observe
+                        SOWN, MATURE, advance_day, initial_soil_state,
+                        thermal_time)
+from .state import StateVector
 from .weather import (MONTH_LENGTHS, MonthlyClimate, WeatherModel,
                       load_preset_climate)
 
@@ -43,11 +44,6 @@ def day_of_year(month: int, day: int) -> int:
     if not 1 <= month <= 12 or not 1 <= day <= MONTH_LENGTHS[month - 1]:
         raise ConfigError(f"invalid calendar date {month}/{day}")
     return sum(MONTH_LENGTHS[: month - 1]) + day
-
-
-@dataclass(frozen=True)
-class Action:
-    n_applied: float  # kg/ha
 
 
 @dataclass(frozen=True)
@@ -142,19 +138,20 @@ SCENARIO_PRESETS = {"iowa": iowa_scenario, "florida": florida_scenario}
 
 @dataclass
 class DayRecord:
-    """One day of the episode log (JSON-lines friendly)."""
+    """One day of the episode log; ``as_dict`` gives its JSON-lines form."""
 
     dap: int
     action_requested: float
     action_applied: float
     reward: float
-    breakdown: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
+    breakdown: RewardBreakdown
+    state: StateVector
 
     def as_dict(self) -> dict:
         return {"dap": self.dap, "action_requested": self.action_requested,
                 "action_applied": self.action_applied, "reward": self.reward,
-                "breakdown": self.breakdown, "state": self.state}
+                "breakdown": asdict(self.breakdown),
+                "state": self.state.as_dict()}
 
 
 class NitrogenEnv:
@@ -191,13 +188,15 @@ class NitrogenEnv:
         self._state = self._build_state(fluxes=None, indices=None)
         return self._state
 
-    def step(self, action) -> StepResult:
-        """Apply fertilizer to the current day and advance the simulation."""
+    def step(self, dose: float) -> StepResult:
+        """Apply ``dose`` kg/ha of fertilizer to the current day and advance
+        the simulation."""
         if self._done or self._state is None:
             raise EpisodeFinishedError("episode is finished; call reset()")
-        requested = float(action.n_applied if isinstance(action, Action) else action)
-        if requested < 0:
-            raise ValueError("fertilizer action must be nonnegative")
+        requested = float(dose)
+        if not 0.0 <= requested < math.inf:
+            raise ValueError(
+                f"fertilizer dose must be finite and nonnegative: {requested}")
 
         cfg = self.config
         applied = requested if self._day % cfg.action_frequency == 0 else 0.0
@@ -232,11 +231,7 @@ class NitrogenEnv:
         self.records.append(DayRecord(
             dap=self._day - 1, action_requested=requested,
             action_applied=applied, reward=breakdown.total,
-            breakdown={"yield_term": breakdown.yield_term,
-                       "fert_term": breakdown.fert_term,
-                       "leach_term": breakdown.leach_term,
-                       "overage_term": breakdown.overage_term},
-            state=self._state.as_dict()))
+            breakdown=breakdown, state=self._state))
         return StepResult(self._state, breakdown.total, breakdown, self._done)
 
     # -- views ---------------------------------------------------------------
@@ -254,13 +249,6 @@ class NitrogenEnv:
     @property
     def n_layers(self) -> int:
         return self.config.soil.n_layers
-
-    def observation_size(self, mask: ObservationMask) -> int:
-        return mask.size(self.n_layers)
-
-    def observe(self, mask: ObservationMask,
-                state: StateVector | None = None) -> np.ndarray:
-        return observe(state if state is not None else self.state, mask)
 
     # -- internals -----------------------------------------------------------
 

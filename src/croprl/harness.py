@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .agents import (DqnAgent, DqnHyper, SacAgent, SacHyper, VStagePolicy,
-                     discretize_action)
-from .env import DISCRETE_ACTIONS_KG, NitrogenEnv, ScenarioConfig
+from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper
+from .env import DayRecord, NitrogenEnv, ScenarioConfig
 from .errors import ConfigError
 from .reward import RewardConfig, daily_reward
 from .state import ObservationMask, normalize_observation, observe
@@ -40,6 +40,9 @@ CURVE_COLUMNS = ("episode", "epsilon", "cumulative_reward", "total_N",
                  "total_leach", "topwt")
 TABLE_COLUMNS = ("method", "n_input", "leaching", "uptake", "topwt",
                  "cumulative_reward")
+AGENTS = {"dqn": DqnAgent, "sac": SacAgent}
+#: single doses the reference sweep applies at V5, kg/ha
+BASELINE_GRID = tuple(float(x) for x in range(0, 321, 40))
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,18 @@ class ExperimentConfig:
     trials: int = 5
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     observation: str = "full"
-    baseline_grid: tuple[float, ...] = tuple(float(x) for x in range(0, 321, 40))
+    baseline_grid: tuple[float, ...] = BASELINE_GRID
     out_dir: Path = Path("run_output")
 
     def __post_init__(self):
         if self.trials != len(self.seeds):
-            raise ConfigError("trials must equal the number of seeds")
-        if any(b < 0 for b in self.baseline_grid):
-            raise ConfigError("baseline amounts must be nonnegative")
-        if self.agent_kind not in ("dqn", "sac"):
+            raise ConfigError(
+                f"trials={self.trials} but {len(self.seeds)} seeds given")
+        if self.observation not in ("full", "partial"):
+            raise ConfigError("run.observation must be full or partial")
+        if not all(0.0 <= b < math.inf for b in self.baseline_grid):
+            raise ConfigError("baseline amounts must be finite and nonnegative")
+        if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
 
     @property
@@ -82,6 +88,11 @@ class EpisodeSummary:
                 "cumulative_reward": self.cumulative_reward,
                 "terminal_dap": self.terminal_dap,
                 "applications": [list(a) for a in self.applications]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EpisodeSummary":
+        return cls(**{**data, "applications": [tuple(a) for a in
+                                               data["applications"]]})
 
 
 @dataclass
@@ -132,47 +143,58 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def run_episode(env: NitrogenEnv, policy, mask: ObservationMask,
-                seed: int = 0) -> tuple[EpisodeSummary, list[dict]]:
-    """Roll out one episode under ``policy(state, normalized_obs) -> kg``."""
+                seed: int = 0, on_step=None
+                ) -> tuple[EpisodeSummary, list[DayRecord]]:
+    """Roll out one episode; every episode in the package runs through here.
+
+    ``policy(state, normalized_obs)`` returns ``(dose_kg, action)``: the
+    dose goes to ``env.step`` and the action is what a learner stores (the
+    DQN action index, or SAC's raw continuous action; fixed policies return
+    the dose twice). ``on_step(obs, action, reward, next_obs, done)`` runs
+    after every step; training passes the agent's ``observe``. Returns the
+    summary and the episode's day records.
+    """
     state = env.reset(seed=seed)
     obs = normalize_observation(observe(state, mask), mask)
     total = 0.0
-    applications = []
     while not env.done:
-        amount = policy(state, obs)
-        result = env.step(amount)
-        total += result.reward
+        dose, action = policy(state, obs)
+        result = env.step(dose)
         state = result.next_state
-        obs = normalize_observation(observe(state, mask), mask)
-        rec = env.records[-1]
-        if rec.action_applied > 0:
-            applications.append((rec.dap, rec.action_applied))
+        next_obs = normalize_observation(observe(state, mask), mask)
+        if on_step is not None:
+            on_step(obs, action, result.reward, next_obs, result.done)
+        obs = next_obs
+        total += result.reward
     summary = EpisodeSummary(
         total_n=state.cumsumfert, total_leach=state.cleach,
         total_uptake=state.wtnup, topwt=state.topwt,
         cumulative_reward=total, terminal_dap=state.dap,
-        applications=applications)
-    return summary, [r.as_dict() for r in env.records]
+        applications=[(r.dap, r.action_applied) for r in env.records
+                      if r.action_applied > 0])
+    return summary, env.records
 
 
-def verify_reward_identity(records: list[dict], reward_cfg: RewardConfig,
+def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
                            tol: float = 1e-9) -> float:
     """Recompute every day's reward from the logged actions and fluxes.
 
-    Returns the maximum absolute discrepancy; raises if it exceeds ``tol``.
-    Used by reports as an internal consistency check.
+    Returns the maximum absolute discrepancy; raises if one exceeds ``tol``
+    or is NaN. Used by reports as an internal consistency check.
     """
     worst = 0.0
     for i, rec in enumerate(records):
-        st = rec["state"]
+        st = rec.state
         again = daily_reward(
-            a_t=rec["action_applied"], tleachd=st["tleachd"],
-            cumsumfert_incl_today=st["cumsumfert"],
+            a_t=rec.action_applied, tleachd=st.tleachd,
+            cumsumfert_incl_today=st.cumsumfert,
             is_harvest=i == len(records) - 1,
-            y=st["topwt"], cfg=reward_cfg)
-        worst = max(worst, abs(again.total - rec["reward"]))
-    if worst > tol:
-        raise AssertionError(f"reward identity violated by {worst}")
+            y=st.topwt, cfg=reward_cfg)
+        gap = abs(again.total - rec.reward)
+        if not gap <= tol:
+            raise AssertionError(
+                f"reward identity violated by {gap} on day {rec.dap}")
+        worst = max(worst, gap)
     return worst
 
 
@@ -181,21 +203,38 @@ def verify_reward_identity(records: list[dict], reward_cfg: RewardConfig,
 # ---------------------------------------------------------------------------
 
 def baseline_policy(amount: float):
-    pol = VStagePolicy(float(amount))
+    """Single-dose reference practice: ``amount`` kg/ha on the first day the
+    crop has five expanded leaves (V5), nothing on any other day.
+
+    The policy remembers that it has fired; ``reset()`` rearms it.
+    """
+    amount = float(amount)
+    if not 0.0 <= amount < math.inf:
+        raise ConfigError(
+            f"baseline amount must be finite and nonnegative: {amount}")
+    fired = False
 
     def call(state, obs):
-        return pol(state)
-    call.reset = pol.reset  # type: ignore[attr-defined]
+        nonlocal fired
+        dose = 0.0
+        if not fired and state.vstage >= 5.0:
+            fired, dose = True, amount
+        return dose, dose
+
+    def reset():
+        nonlocal fired
+        fired = False
+
+    call.reset = reset  # type: ignore[attr-defined]
     return call
 
 
-def greedy_policy_from_agent(agent, agent_kind: str):
-    if agent_kind == "dqn":
-        def call(state, obs):
-            return DISCRETE_ACTIONS_KG[agent.greedy_action(obs)]
-    else:
-        def call(state, obs):
-            return discretize_action(agent.mean_action(obs))
+def agent_policy(agent, choose):
+    """A policy that takes ``choose(obs)``, the agent's ``act`` or
+    ``greedy_action``, as its action and applies the agent's dose for it."""
+    def call(state, obs):
+        action = choose(obs)
+        return agent.dose(action), action
     return call
 
 
@@ -203,67 +242,47 @@ def load_checkpoint(path) -> tuple:
     """Load an agent checkpoint; returns (policy, metadata dict)."""
     with open(path) as fh:
         data = json.load(fh)
-    kind = data["agent"]["kind"]
-    agent = (DqnAgent if kind == "dqn" else SacAgent).from_dict(data["agent"])
+    agent = AGENTS[data["agent"]["kind"]].from_dict(data["agent"])
     meta = {k: v for k, v in data.items() if k != "agent"}
-    return greedy_policy_from_agent(agent, kind), meta
+    return agent_policy(agent, agent.greedy_action), meta
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
-def _make_agent(config: ExperimentConfig, obs_dim: int, seed: int):
-    if config.agent_kind == "dqn":
-        return DqnAgent(obs_dim, config.hyper, seed=seed)
-    return SacAgent(obs_dim, config.hyper, seed=seed)
-
-
-def train_trial(config: ExperimentConfig, seed: int) -> tuple[TrialResult, object]:
-    """Train one seed; returns the trial record and the trained agent."""
+def train_trial(config: ExperimentConfig, seed: int
+                ) -> tuple[TrialResult, object, list[DayRecord]]:
+    """Train one seed; returns the trial record, the trained agent and the
+    day records of its final greedy episode (empty if the trial failed)."""
     mask = config.mask
     env = NitrogenEnv(config.scenario)
-    obs_dim = mask.size(env.n_layers)
-    agent = _make_agent(config, obs_dim, seed)
+    agent = AGENTS[config.agent_kind](mask.size(env.n_layers), config.hyper,
+                                      seed=seed)
     trial = TrialResult(seed=seed)
-    is_dqn = config.agent_kind == "dqn"
+    explore = agent_policy(agent, agent.act)
 
     try:
         for ep in range(config.hyper.episodes):
-            epsilon = agent.begin_episode(ep) if is_dqn else 0.0
-            state = env.reset(seed=ep)
-            obs = normalize_observation(observe(state, mask), mask)
-            total = 0.0
-            while not env.done:
-                if is_dqn:
-                    idx = agent.act(obs)
-                    raw = DISCRETE_ACTIONS_KG[idx]
-                    stored, amount = idx, raw
-                else:
-                    raw = agent.act(obs)
-                    stored, amount = raw, discretize_action(raw)
-                result = env.step(amount)
-                nobs = normalize_observation(observe(result.next_state, mask),
-                                             mask)
-                agent.observe(obs, stored, result.reward, nobs, result.done)
-                obs = nobs
-                total += result.reward
-            last = env.state
+            epsilon = (agent.begin_episode(ep) if config.agent_kind == "dqn"
+                       else 0.0)
+            summary, _ = run_episode(env, explore, mask, seed=ep,
+                                     on_step=agent.observe)
+            total = summary.cumulative_reward
             if not np.isfinite(total):
                 raise FloatingPointError(f"non-finite return at episode {ep}")
-            trial.curve.append((ep, epsilon, total, last.cumsumfert,
-                                last.cleach, last.topwt))
+            trial.curve.append((ep, epsilon, total, summary.total_n,
+                                summary.total_leach, summary.topwt))
     except FloatingPointError as exc:
         trial.failed = True
         trial.error = str(exc)
-        return trial, agent
+        return trial, agent, []
 
     trial.convergence_episode = convergence_episode(
         [row[2] for row in trial.curve])
-    summary, _ = run_episode(env, greedy_policy_from_agent(agent, config.agent_kind),
-                             mask, seed=0)
-    trial.summary = summary
-    return trial, agent
+    trial.summary, records = run_episode(
+        env, agent_policy(agent, agent.greedy_action), mask, seed=0)
+    return trial, agent, records
 
 
 def convergence_episode(rewards, window: int = 50, rel_tol: float = 0.01):
@@ -303,16 +322,12 @@ def run_training(config: ExperimentConfig) -> RunReport:
 
     episodes_log = []
     for seed in config.seeds:
-        trial, agent = train_trial(config, seed)
+        trial, agent, records = train_trial(config, seed)
         report.trials.append(trial)
         _write_csv(out / f"trial_{seed}_curve.csv", CURVE_COLUMNS, trial.curve)
         if not trial.failed:
             _write_checkpoint(out / f"trial_{seed}_checkpoint.json", config,
                               agent, seed)
-            env = NitrogenEnv(config.scenario)
-            _, records = run_episode(
-                env, greedy_policy_from_agent(agent, config.agent_kind),
-                config.mask, seed=0)
             verify_reward_identity(records, config.scenario.reward)
             episodes_log.append({"method": f"{config.agent_kind}_seed{seed}",
                                  "records": records})
@@ -344,6 +359,8 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
 
     Returns (mean summary, per-episode summaries).
     """
+    if n_episodes < 1:
+        raise ConfigError(f"need at least one episode, got {n_episodes}")
     env = NitrogenEnv(scenario)
     per_episode = []
     for k in range(n_episodes):
@@ -455,46 +472,46 @@ def _write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_tables(report: RunReport, out: Path) -> list[Path]:
+    """Write curves.csv and tables.csv."""
+    curves = out / "curves.csv"
+    _write_csv(curves, ("episode", "mean_reward", "var_reward",
+                        "mean_total_N", "mean_total_leach", "mean_topwt"),
+               report.mean_variance_curves())
+
+    rows = []
+    for amount in sorted(report.baselines):
+        s = report.baselines[amount]
+        rows.append((f"baseline_{int(amount)}", s.total_n, s.total_leach,
+                     s.total_uptake, s.topwt, s.cumulative_reward))
+    for trial in report.successful():
+        if trial.summary is None:
+            continue
+        s = trial.summary
+        rows.append((f"{report.agent_kind}_seed{trial.seed}", s.total_n,
+                     s.total_leach, s.total_uptake, s.topwt,
+                     s.cumulative_reward))
+    tables = out / "tables.csv"
+    _write_csv(tables, TABLE_COLUMNS, rows)
+    return [curves, tables]
+
+
 def emit_report(report: RunReport, out_dir, episodes_log=None,
-                config: ExperimentConfig | None = None,
-                formats=("csv", "jsonl")) -> list[Path]:
+                config: ExperimentConfig | None = None) -> list[Path]:
     """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
     if not report.trials:
         raise ConfigError("cannot emit a report with no trials")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = _write_tables(report, out)
 
-    if "csv" in formats:
-        curves = report.mean_variance_curves()
-        path = out / "curves.csv"
-        _write_csv(path, ("episode", "mean_reward", "var_reward",
-                          "mean_total_N", "mean_total_leach", "mean_topwt"),
-                   curves)
-        written.append(path)
-
-        rows = []
-        for amount in sorted(report.baselines):
-            s = report.baselines[amount]
-            rows.append((f"baseline_{int(amount)}", s.total_n, s.total_leach,
-                         s.total_uptake, s.topwt, s.cumulative_reward))
-        for trial in report.successful():
-            if trial.summary is None:
-                continue
-            s = trial.summary
-            rows.append((f"{report.agent_kind}_seed{trial.seed}", s.total_n,
-                         s.total_leach, s.total_uptake, s.topwt,
-                         s.cumulative_reward))
-        path = out / "tables.csv"
-        _write_csv(path, TABLE_COLUMNS, rows)
-        written.append(path)
-
-    if "jsonl" in formats and episodes_log is not None:
+    if episodes_log is not None:
         path = out / "episodes.jsonl"
         with open(path, "w") as fh:
             for entry in episodes_log:
                 for rec in entry["records"]:
-                    fh.write(json.dumps({"method": entry["method"], **rec},
+                    fh.write(json.dumps({"method": entry["method"],
+                                         **rec.as_dict()},
                                         sort_keys=True) + "\n")
         written.append(path)
 
@@ -521,7 +538,8 @@ def emit_report(report: RunReport, out_dir, episodes_log=None,
 
 
 def reaggregate(run_dir) -> list[Path]:
-    """Rebuild curves.csv and tables.csv from stored per-trial files."""
+    """Rebuild curves.csv and tables.csv from the manifest and the per-trial
+    curve files; the manifest itself is left as it is."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -537,13 +555,7 @@ def reaggregate(run_dir) -> list[Path]:
                             error=entry.get("error", ""),
                             convergence_episode=entry.get("convergence_episode"))
         if entry.get("summary"):
-            s = entry["summary"]
-            trial.summary = EpisodeSummary(
-                total_n=s["total_n"], total_leach=s["total_leach"],
-                total_uptake=s["total_uptake"], topwt=s["topwt"],
-                cumulative_reward=s["cumulative_reward"],
-                terminal_dap=s["terminal_dap"],
-                applications=[tuple(a) for a in s["applications"]])
+            trial.summary = EpisodeSummary.from_dict(entry["summary"])
         curve_path = run_dir / f"trial_{trial.seed}_curve.csv"
         if curve_path.is_file():
             rows = curve_path.read_text().strip().split("\n")[1:]
@@ -551,11 +563,5 @@ def reaggregate(run_dir) -> list[Path]:
                            for row in rows]
         report.trials.append(trial)
     for amount, s in manifest.get("baselines", {}).items():
-        report.baselines[float(amount)] = EpisodeSummary(
-            total_n=s["total_n"], total_leach=s["total_leach"],
-            total_uptake=s["total_uptake"], topwt=s["topwt"],
-            cumulative_reward=s["cumulative_reward"],
-            terminal_dap=s["terminal_dap"],
-            applications=[tuple(a) for a in s["applications"]])
-    report.elapsed_s = manifest.get("elapsed_s", 0.0)
-    return emit_report(report, run_dir, episodes_log=None, config=None)
+        report.baselines[float(amount)] = EpisodeSummary.from_dict(s)
+    return _write_tables(report, run_dir)

@@ -31,14 +31,13 @@ so below lr * tiny / ((1 - beta1) * eps), about 6e-34 for float32 at the
 default lr. That is under half an ulp of any parameter larger in magnitude
 than about 1e-26.
 
-Checkpoints are versioned JSON, one list per (W, b) array; float
-round-tripping through JSON is exact, so save/load reproduces parameters bit
-for bit.
+Checkpoints: ``net_to_dict`` gives a versioned, JSON-ready dict with one
+list per (W, b) array; float round-tripping through JSON is exact, so
+``net_from_dict`` of its JSON reproduces parameters bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +90,12 @@ class ParamSet(tuple):
 class MlpSpec:
     sizes: tuple[int, ...]
     hidden_activation: str = "relu"
-    output_activation: str = "linear"
 
     def __post_init__(self):
         if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
             raise ConfigError("MlpSpec needs >= 2 layers of positive size")
         if self.hidden_activation not in ("relu", "tanh"):
             raise ConfigError(f"unsupported activation {self.hidden_activation!r}")
-        if self.output_activation != "linear":
-            raise ConfigError("only linear outputs are supported")
 
     @property
     def n_in(self) -> int:
@@ -273,7 +269,7 @@ def net_to_dict(spec: MlpSpec, params: ParamSet,
         "dtype": params[0][0].dtype.name,
         "spec": {"sizes": list(spec.sizes),
                  "hidden_activation": spec.hidden_activation,
-                 "output_activation": spec.output_activation},
+                 "output_activation": "linear"},
         "params": [{"w": w.ravel().tolist(), "b": b.tolist(),
                     "shape": list(w.shape)} for w, b in params],
     }
@@ -292,9 +288,10 @@ def net_to_dict(spec: MlpSpec, params: ParamSet,
 def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet, AdamState | None]:
     if data.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {data.get('version')}")
+    if data["spec"]["output_activation"] != "linear":
+        raise ConfigError("only linear outputs are supported")
     spec = MlpSpec(sizes=tuple(data["spec"]["sizes"]),
-                   hidden_activation=data["spec"]["hidden_activation"],
-                   output_activation=data["spec"]["output_activation"])
+                   hidden_activation=data["spec"]["hidden_activation"])
     dtype = np.dtype(data.get("dtype", "float64"))
 
     def unpack(entries) -> np.ndarray:
@@ -312,17 +309,3 @@ def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet, AdamState | None]:
         adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
                          eps=a["eps"], step=a["step"], m=m, v=v)
     return spec, params, adam
-
-
-def save_net(path, spec: MlpSpec, params: ParamSet,
-             adam: AdamState | None = None, seed: int | None = None) -> None:
-    data = net_to_dict(spec, params, adam)
-    if seed is not None:
-        data["seed"] = seed
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
-def load_net(path) -> tuple[MlpSpec, ParamSet, AdamState | None]:
-    with open(path) as fh:
-        return net_from_dict(json.load(fh))

@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-class Transition(NamedTuple):
-    obs: np.ndarray
-    action: float          # action index (DQN) or raw continuous action (SAC)
-    reward: float
-    next_obs: np.ndarray
-    done: bool
 
 
 class ReplayBuffer:
@@ -36,6 +26,8 @@ class ReplayBuffer:
         return self.size
 
     def push(self, obs, action, reward, next_obs, done) -> None:
+        """``action`` is the action index (DQN) or the raw continuous action
+        (SAC)."""
         i = self._ptr
         self.obs[i] = obs
         self.actions[i] = action
@@ -45,9 +37,6 @@ class ReplayBuffer:
         self._ptr = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def push_transition(self, t: Transition) -> None:
-        self.push(t.obs, t.action, t.reward, t.next_obs, t.done)
-
     def sample(self, batch_size: int, rng: np.random.Generator):
         """Uniform batch as (obs, actions, rewards, next_obs, dones) arrays."""
         if batch_size > self.size:
@@ -55,13 +44,3 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         return (self.obs[idx], self.actions[idx], self.rewards[idx],
                 self.next_obs[idx], self.dones[idx])
-
-    def contents(self):
-        """Stored transitions in insertion order (oldest first); for tests."""
-        if self.size < self.capacity:
-            order = np.arange(self.size)
-        else:
-            order = np.arange(self.capacity)
-            order = (order + self._ptr) % self.capacity
-        return (self.obs[order], self.actions[order], self.rewards[order],
-                self.next_obs[order], self.dones[order])

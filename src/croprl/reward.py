@@ -9,8 +9,7 @@ The per-day reward is
 
 with ``P = max(0, cumulative applied - threshold)`` under the default clamp.
 The unclamped literal form (which turns into a bonus while cumulative input
-is below the threshold) is selectable for fidelity experiments. Episode
-reward is the plain undiscounted sum of daily totals.
+is below the threshold) is selectable for fidelity experiments.
 """
 
 from __future__ import annotations
@@ -76,10 +75,3 @@ def daily_reward(a_t: float, tleachd: float, cumsumfert_incl_today: float,
         leach_term=cfg.w3 * tleachd,
         overage_term=cfg.w4 * overage,
     )
-
-
-def episode_reward(per_day: list[RewardBreakdown]) -> float:
-    """Undiscounted cumulative reward, the reporting metric of the tables."""
-    if not per_day:
-        raise ConfigError("episode_reward needs at least one day")
-    return sum(b.total for b in per_day)

@@ -129,9 +129,6 @@ class SoilState:
     nitrate: tuple[float, ...]   # kg/ha per layer
     organic_n: float             # kg/ha mineralizable pool
 
-    def total_nitrate(self) -> float:
-        return sum(self.nitrate)
-
 
 @dataclass(frozen=True)
 class CropState:

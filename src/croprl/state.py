@@ -99,11 +99,6 @@ class StateVector:
     totaml: float
     sw: tuple[float, ...]
 
-    def value(self, name: str):
-        if name not in STATE_FIELDS:
-            raise MaskError(f"unknown state field: {name!r}")
-        return getattr(self, name)
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
@@ -147,10 +142,13 @@ class ObservationMask:
 
 
 def observe(state: StateVector, mask: ObservationMask) -> np.ndarray:
-    """Flatten the masked fields of ``state`` into a float vector."""
+    """Flatten the masked fields of ``state`` into a float vector.
+
+    The mask checked its field names when it was built.
+    """
     out: list[float] = []
     for name in mask.included:
-        v = state.value(name)
+        v = getattr(state, name)
         if name == "sw":
             out.extend(v)
         else:

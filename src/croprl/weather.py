@@ -4,8 +4,7 @@ Weather follows the classic two-part daily generator design: rain occurrence
 is a first-order Markov chain (wet/dry, monthly transition probabilities),
 wet-day amounts are exponential, and temperature/radiation are normal draws
 around monthly means with a fixed depression on wet days. Parameters are
-monthly and ship as CSV tables (see ``load_climate_csv`` for the column
-contract).
+monthly; the bundled presets are CSV tables read by ``load_climate_csv``.
 
 Two modes:
 
@@ -39,8 +38,6 @@ CLIMATE_COLUMNS = (
     "srad_sd",
     "wet_srad_factor",
 )
-
-TRACE_COLUMNS = ("day", "rain", "srad", "tmax", "tmin")
 
 # day-of-year -> month lookup for a 366-day (leap-layout) year
 MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -159,26 +156,6 @@ class WeatherModel:
                             float(row[3]))
 
 
-def generate_weather(model: WeatherModel, day_of_year: int,
-                     rng: np.random.Generator | None = None,
-                     prev_wet: bool = False) -> DailyWeather:
-    """One-day convenience wrapper around the model.
-
-    Fixed-trace models return the trace value for the day (same value on
-    every call). Stochastic models draw from ``rng``, treating ``prev_wet``
-    as the occurrence-chain state.
-    """
-    if model.mode == "fixed-trace":
-        return model.weather_on(model.fixed_trace(), day_of_year)
-    if rng is None:
-        raise ConfigError("stochastic mode requires an rng")
-    return model.sample_day(day_of_year, rng, prev_wet)[0]
-
-
-# ---------------------------------------------------------------------------
-# CSV interfaces
-# ---------------------------------------------------------------------------
-
 def load_climate_csv(path) -> MonthlyClimate:
     """Read a 12-row monthly parameter table.
 
@@ -199,43 +176,6 @@ def load_climate_csv(path) -> MonthlyClimate:
     values = {name: tuple(float(v) for v in cols[i])
               for i, name in enumerate(CLIMATE_COLUMNS) if name != "month"}
     return MonthlyClimate(**values)
-
-
-def save_climate_csv(climate: MonthlyClimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLIMATE_COLUMNS)
-        for m in range(12):
-            writer.writerow([m + 1] + [
-                repr(getattr(climate, name)[m])
-                for name in CLIMATE_COLUMNS if name != "month"])
-
-
-def save_trace_csv(series: np.ndarray, path) -> None:
-    """Write a 366-day series as day,rain,srad,tmax,tmin rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for doy in range(1, 367):
-            row = series[doy - 1]
-            writer.writerow([doy] + [repr(float(v)) for v in row])
-
-
-def load_trace_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRACE_COLUMNS:
-            raise ConfigError(
-                f"trace CSV header mismatch: expected {TRACE_COLUMNS}, "
-                f"got {header}")
-        rows = [row for row in reader if row]
-    if len(rows) != 366:
-        raise ConfigError("trace CSV must hold 366 rows")
-    out = np.empty((366, 4))
-    for row in rows:
-        out[int(row[0]) - 1] = [float(v) for v in row[1:]]
-    return out
 
 
 def load_preset_climate(name: str) -> MonthlyClimate:

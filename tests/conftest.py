@@ -14,18 +14,6 @@ def florida_env():
     return NitrogenEnv(florida_scenario())
 
 
-def rollout(env, policy=None, seed=0):
-    """Run an episode to completion; returns (total_reward, final_state)."""
-    state = env.reset(seed=seed)
-    total = 0.0
-    while not env.done:
-        amount = policy(state) if policy else 0.0
-        result = env.step(amount)
-        total += result.reward
-        state = result.next_state
-    return total, state
-
-
 @pytest.fixture
 def random_action_sequence():
     rng = np.random.default_rng(1234)

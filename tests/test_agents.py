@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
-                           VStagePolicy, baseline_vstage5, discretize_action,
-                           dqn_select_action, dqn_td_targets,
-                           epsilon_schedule, polyak_update)
+                           discretize_action, dqn_select_action,
+                           dqn_td_targets, epsilon_schedule, polyak_update)
 from croprl.env import DISCRETE_ACTIONS_KG
 from croprl.errors import ConfigError, ShapeError
+from croprl.harness import baseline_policy
 from croprl.net import MlpSpec, ParamSet, forward, init_params
 
 from test_state import make_state
@@ -151,19 +151,19 @@ def test_discretize_agrees_with_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_baseline_waits_for_vstage5():
-    assert baseline_vstage5(make_state(vstage=4.9), 160.0, False) == 0.0
-    assert baseline_vstage5(make_state(vstage=5.0), 160.0, False) == 160.0
-    assert baseline_vstage5(make_state(vstage=6.1), 160.0, True) == 0.0
+    pol = baseline_policy(160.0)
+    assert pol(make_state(vstage=4.9), None) == (0.0, 0.0)
+    assert pol(make_state(vstage=5.0), None) == (160.0, 160.0)
+    assert pol(make_state(vstage=6.1), None) == (0.0, 0.0)
 
 
 def test_vstage_policy_fires_once():
-    pol = VStagePolicy(120.0)
-    assert pol(make_state(vstage=2.0)) == 0.0
-    assert pol(make_state(vstage=5.5)) == 120.0
-    assert pol(make_state(vstage=8.0)) == 0.0
+    pol = baseline_policy(120.0)
+    assert pol(make_state(vstage=2.0), None) == (0.0, 0.0)
+    assert pol(make_state(vstage=5.5), None) == (120.0, 120.0)
+    assert pol(make_state(vstage=8.0), None) == (0.0, 0.0)
     pol.reset()
-    assert pol(make_state(vstage=5.5)) == 120.0
-
+    assert pol(make_state(vstage=5.5), None) == (120.0, 120.0)
 
 # ---------------------------------------------------------------------------
 # DQN learning behavior
@@ -402,7 +402,7 @@ def test_sac_checkpoint_reproduces_mean_action(tmp_path):
     rng = np.random.default_rng(6)
     for _ in range(25):
         obs = rng.uniform(size=3)
-        assert clone.mean_action(obs) == agent.mean_action(obs)
+        assert clone.greedy_action(obs) == agent.greedy_action(obs)
 
 
 def test_sac_bandit_learns_the_optimum_single_seed():
@@ -415,4 +415,4 @@ def test_sac_bandit_learns_the_optimum_single_seed():
     while agent.updates < 1500:
         a = agent.act(obs)
         agent.observe(obs, a, -((a - 120.0) ** 2), obs, True)
-    assert abs(agent.mean_action(obs) - 120.0) <= 15.0
+    assert abs(agent.greedy_action(obs) - 120.0) <= 15.0

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from croprl.errors import ConfigError, ShapeError
 from croprl.net import (AdamState, MlpSpec, ParamSet, adam_step, backward,
-                        forward, forward_cached, init_params, load_net,
-                        save_net)
+                        forward, forward_cached, init_params, net_from_dict,
+                        net_to_dict)
 
 
 def fd_gradients(spec, params, x, upstream, h=1e-5):
@@ -51,6 +52,12 @@ def test_spec_validation():
         MlpSpec((4, 0, 2))
     with pytest.raises(ConfigError):
         MlpSpec((4, 3), hidden_activation="selu")
+    data = net_to_dict(MlpSpec((4, 3)), init_params(MlpSpec((4, 3)),
+                                                    np.random.default_rng(0)))
+    assert data["spec"]["output_activation"] == "linear"
+    data["spec"]["output_activation"] = "softmax"
+    with pytest.raises(ConfigError):
+        net_from_dict(data)
 
 
 def test_zero_parameters_give_zero_output():
@@ -282,7 +289,12 @@ def test_param_set_views_share_one_vector():
     assert all(np.shares_memory(w, loaded.flat) for w, _ in loaded)
 
 
-def test_checkpoint_round_trip_is_bit_identical(tmp_path):
+def json_round_trip(spec, params, adam=None):
+    return net_from_dict(json.loads(json.dumps(net_to_dict(spec, params,
+                                                           adam))))
+
+
+def test_checkpoint_round_trip_is_bit_identical():
     rng = np.random.default_rng(5)
     spec = MlpSpec((6, 32, 4), hidden_activation="tanh")
     params = init_params(spec, rng)
@@ -290,9 +302,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
              for w, b in params]
     params, adam = adam_step(params, grads, adam)
-    path = tmp_path / "net.json"
-    save_net(path, spec, params, adam, seed=5)
-    spec2, params2, adam2 = load_net(path)
+    spec2, params2, adam2 = json_round_trip(spec, params, adam)
     assert spec2 == spec
     for (w, b), (w2, b2) in zip(params, params2):
         assert w.tobytes() == w2.tobytes()
@@ -307,13 +317,12 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert adam2.step == 2
 
 
-def test_float32_checkpoint_round_trip(tmp_path):
+def test_float32_checkpoint_round_trip():
     rng = np.random.default_rng(6)
     spec = MlpSpec((3, 8, 2))
     params = init_params(spec, rng, dtype=np.float32)
-    path = tmp_path / "net32.json"
-    save_net(path, spec, params)
-    _, params2, _ = load_net(path)
+    _, params2, adam2 = json_round_trip(spec, params)
+    assert adam2 is None
     assert params2[0][0].dtype == np.float32
     for (w, b), (w2, b2) in zip(params, params2):
         assert w.tobytes() == w2.tobytes()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from croprl.errors import ConfigError
-from croprl.replay import ReplayBuffer, Transition
+from croprl.replay import ReplayBuffer
 
 
 def test_push_and_length():
@@ -30,23 +30,17 @@ def test_sample_shapes():
     assert actions.shape == rewards.shape == dones.shape == (6,)
 
 
-def test_push_transition_namedtuple():
-    buf = ReplayBuffer(capacity=2, obs_dim=1)
-    buf.push_transition(Transition(np.array([1.0]), 2, 3.0, np.array([4.0]), True))
-    obs, actions, rewards, next_obs, dones = buf.contents()
-    assert obs[0, 0] == 1.0 and actions[0] == 2 and dones[0]
-
-
 @given(capacity=st.integers(1, 32), n_pushes=st.integers(1, 120))
 @settings(max_examples=60, deadline=None)
 def test_fifo_eviction_property(capacity, n_pushes):
-    """After n > capacity pushes the newest `capacity` items remain, oldest
-    first."""
+    """After n > capacity pushes the newest `capacity` items remain, push i
+    in slot i % capacity."""
     buf = ReplayBuffer(capacity=capacity, obs_dim=1)
     for i in range(n_pushes):
         buf.push(np.array([float(i)]), i, float(i), np.array([float(i)]), False)
     assert len(buf) == min(capacity, n_pushes)
-    obs, actions, _, _, _ = buf.contents()
-    first_kept = max(0, n_pushes - capacity)
-    assert list(actions) == list(range(first_kept, n_pushes))
-    assert obs[0, 0] == float(first_kept)
+    kept = range(max(0, n_pushes - capacity), n_pushes)
+    stored = buf.actions[:len(buf)]
+    assert sorted(stored) == list(kept)
+    assert all(stored[i % capacity] == i for i in kept)
+    assert np.array_equal(buf.obs[:len(buf), 0], stored)

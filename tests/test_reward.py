@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from croprl.errors import ConfigError
-from croprl.reward import RewardBreakdown, RewardConfig, daily_reward, episode_reward
+from croprl.reward import RewardBreakdown, RewardConfig, daily_reward
 
 CFG = RewardConfig(w1=0.1, w2=0.1, w3=0.1, w4=1.0, threshold=240.0)
 
@@ -30,7 +30,7 @@ def episode_from_totals(y, n_total, leach_total, threshold=1e9):
     cfg = RewardConfig(threshold=threshold)
     days = [daily_reward(n_total, leach_total, n_total, False, 0.0, cfg),
             daily_reward(0.0, 0.0, n_total, True, y, cfg)]
-    return episode_reward(days)
+    return sum(d.total for d in days)
 
 
 @pytest.mark.parametrize("y,n,leach,expected", IOWA_ROWS + FLORIDA_ROWS)
@@ -84,14 +84,9 @@ def test_negative_inputs_rejected():
         RewardConfig(w2=-0.1)
 
 
-def test_empty_episode_rejected():
-    with pytest.raises(ConfigError):
-        episode_reward([])
-
-
 def test_all_zero_breakdowns_sum_to_zero():
     days = [daily_reward(0.0, 0.0, 0.0, False, 0.0, CFG) for _ in range(10)]
-    assert episode_reward(days) == 0.0
+    assert sum(d.total for d in days) == 0.0
 
 
 def test_breakdown_total_identity_is_exact():
@@ -105,7 +100,8 @@ def test_breakdown_total_identity_is_exact():
        leaches=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=200),
        y=st.floats(0.0, 30000.0))
 def test_linearity_of_episode_reward(actions, leaches, y):
-    """Sum of daily totals equals the closed-form decomposition."""
+    """The episode reward, the sum of daily totals, equals the closed-form
+    decomposition."""
     n = min(len(actions), len(leaches))
     actions, leaches = actions[:n], leaches[:n]
     cfg = RewardConfig(threshold=240.0)
@@ -120,7 +116,8 @@ def test_linearity_of_episode_reward(actions, leaches, y):
             overage_total += max(0.0, cumsum - cfg.threshold)
     expected = (cfg.w1 * y - cfg.w2 * sum(actions) - cfg.w3 * sum(leaches)
                 - cfg.w4 * overage_total)
-    assert episode_reward(days) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+    assert sum(d.total for d in days) == pytest.approx(expected, rel=1e-12,
+                                                       abs=1e-9)
 
 
 @given(leaches=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=50))

@@ -47,7 +47,7 @@ def balance_residuals(profile, soil0, soil1, weather, n_applied, fluxes):
 
     n_in = n_applied + fluxes.mineralized
     n_out = (fluxes.trnu + fluxes.tleachd + fluxes.tnoxd + fluxes.volatilized)
-    n_delta = soil1.total_nitrate() - soil0.total_nitrate()
+    n_delta = sum(soil1.nitrate) - sum(soil0.nitrate)
     n_resid = abs(n_in - (n_delta + n_out))
     n_rel = n_resid / max(1.0, abs(n_in) + abs(n_delta) + abs(n_out))
     return w_rel, n_rel
@@ -178,7 +178,7 @@ def test_more_fertilizer_never_lowers_end_of_day_nitrate(extra):
                                    40.0, PROFILE, CROP, NITRO, PLTPOP)
     _, soil_hi, _, _ = advance_day(active_crop(), soil_at_fc(), weather,
                                    40.0 + extra, PROFILE, CROP, NITRO, PLTPOP)
-    assert soil_hi.total_nitrate() >= soil_lo.total_nitrate() - 1e-12
+    assert sum(soil_hi.nitrate) >= sum(soil_lo.nitrate) - 1e-12
 
 
 @given(rain=st.floats(0.0, 80.0), srad=st.floats(0.0, 33.0),
@@ -206,7 +206,7 @@ def test_random_episode_mass_balance_closes():
     crop, soil = CropState(sown=True, istage=SOWN), soil_at_fc()
     n_in = n_out = 0.0
     w_in = w_out = 0.0
-    n0 = soil.total_nitrate()
+    n0 = sum(soil.nitrate)
     w0 = water_mm(PROFILE, soil)
     for _ in range(160):
         tmin = float(rng.uniform(2, 15))
@@ -222,7 +222,7 @@ def test_random_episode_mass_balance_closes():
                   + fluxes.volatilized)
         w_in += weather.rain
         w_out += fluxes.runoff + fluxes.es + fluxes.drainage
-    assert abs(n_in - n_out - (soil.total_nitrate() - n0)) \
+    assert abs(n_in - n_out - (sum(soil.nitrate) - n0)) \
         / max(1.0, n_in) < 1e-9
     assert abs(w_in - w_out - (water_mm(PROFILE, soil) - w0)) \
         / max(1.0, w_in) < 1e-9

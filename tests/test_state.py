@@ -55,8 +55,6 @@ def test_empty_mask_gives_empty_vector():
 def test_unknown_field_raises_mask_error():
     with pytest.raises(MaskError):
         ObservationMask(("cumsumfert", "no_such_field"))
-    with pytest.raises(MaskError):
-        make_state().value("bogus")
 
 
 def test_mask_size_accounts_for_layers():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from croprl.errors import ConfigError
-from croprl.weather import (MonthlyClimate, WeatherModel, generate_weather,
+from croprl.weather import (CLIMATE_COLUMNS, MonthlyClimate, WeatherModel,
                             load_climate_csv, load_preset_climate,
-                            load_trace_csv, month_of_doy, save_climate_csv,
-                            save_trace_csv)
+                            month_of_doy)
 
 
 def flat_climate(p_wet_dry=0.3, p_wet_wet=0.5, rain_mm=12.0):
@@ -30,8 +29,8 @@ def test_month_lookup():
 
 def test_fixed_trace_same_day_is_identical():
     model = WeatherModel(flat_climate(), mode="fixed-trace", seed=3)
-    a = generate_weather(model, 150)
-    b = generate_weather(model, 150)
+    a = model.weather_on(model.series_for_episode(1), 150)
+    b = model.weather_on(model.series_for_episode(2), 150)
     assert a == b
 
 
@@ -73,12 +72,6 @@ def test_wet_day_rain_matches_exponential_mean():
     assert abs(mean - 12.0) / 12.0 < 0.05
 
 
-def test_stochastic_mode_requires_rng():
-    model = WeatherModel(flat_climate(), mode="stochastic", seed=0)
-    with pytest.raises(ConfigError):
-        generate_weather(model, 100)
-
-
 def test_climate_validation():
     with pytest.raises(ConfigError):
         flat_climate(p_wet_dry=1.5)
@@ -89,20 +82,14 @@ def test_climate_validation():
 
 
 def test_climate_csv_round_trip(tmp_path):
-    climate = load_preset_climate("ames")
+    climate = flat_climate(rain_mm=1 / 3)
+    rows = [",".join(CLIMATE_COLUMNS)]
+    rows += [",".join([str(m + 1)] + [repr(getattr(climate, name)[m])
+                                      for name in CLIMATE_COLUMNS[1:]])
+             for m in range(12)]
     path = tmp_path / "c.csv"
-    save_climate_csv(climate, path)
-    again = load_climate_csv(path)
-    assert again == climate
-
-
-def test_trace_csv_round_trip(tmp_path):
-    model = WeatherModel(flat_climate(), seed=1)
-    series = model.fixed_trace()
-    path = tmp_path / "t.csv"
-    save_trace_csv(series, path)
-    again = load_trace_csv(path)
-    assert np.array_equal(series, again)
+    path.write_text("\n".join(rows) + "\n")
+    assert load_climate_csv(path) == climate
 
 
 def test_climate_csv_header_is_mandatory(tmp_path):
