@@ -24,7 +24,8 @@ import numpy as np
 from .env import DISCRETE_ACTIONS_KG
 from .errors import ConfigError, ShapeError
 from .net import (AdamState, MlpSpec, ParamSet, adam_step, backward, forward,
-                  forward_cached, init_params, net_from_dict, net_to_dict)
+                  forward_cached, init_params, input_gradient, net_from_dict,
+                  net_to_dict)
 from .replay import ReplayBuffer
 
 
@@ -155,7 +156,7 @@ class DqnAgent:
         err = q[rows, idx] - targets
         grad_out = np.zeros_like(q)
         grad_out[rows, idx] = 2.0 * err / len(idx)
-        grads, _ = backward(self.spec, self.params, cache, grad_out)
+        grads = backward(self.spec, self.params, cache, grad_out)
         adam_step(self.params, grads, self.adam)
         self.grad_steps += 1
         if self.grad_steps % h.target_update_interval == 0:
@@ -347,7 +348,7 @@ class SacAgent:
             err = q[:, 0] - y
             critic_mse.append(np.mean(err ** 2))
             gout = 2.0 * err[:, None] / len(y)
-            grads, _ = backward(self.critic_spec, self.critics[i], cache, gout)
+            grads = backward(self.critic_spec, self.critics[i], cache, gout)
             adam_step(self.critics[i], grads, self.critic_adams[i])
 
         # actor: reparameterized gradient of alpha*logpi - min Q
@@ -381,8 +382,8 @@ class SacAgent:
                 continue
             gout = np.zeros((len(mu), 1))
             gout[sel, 0] = 1.0
-            _, gin = backward(self.critic_spec, self.critics[i], caches_pi[i],
-                              gout)
+            gin = input_gradient(self.critic_spec, self.critics[i],
+                                 caches_pi[i], gout)
             dq_da[sel] = gin[sel, -1]
 
         dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / self._half)
@@ -390,8 +391,8 @@ class SacAgent:
         dl_dmu = dl_du
         dl_dlogstd = (dl_du * std * xi - alpha / len(mu)) * clip_mask
         actor_gout = np.stack([dl_dmu, dl_dlogstd], axis=1)
-        grads, _ = backward(self.actor_spec, self.actor, actor_cache,
-                            actor_gout)
+        grads = backward(self.actor_spec, self.actor, actor_cache,
+                         actor_gout)
         adam_step(self.actor, grads, self.actor_adam)
 
         # temperature

@@ -9,8 +9,8 @@ Recognized keys (defaults in parentheses):
 
 [scenario]
     location (iowa | florida)        preset supplying all omitted values
-    start_doy, planting_doy          day-of-year integers
-    latest_harvest_doy               integer or ``none``
+    start_doy, planting_doy          day-of-year integers in 1..366
+    latest_harvest_doy               integer in 1..366 or ``none``
     soil_depth_cm, plant_density, irrigation (0 only)
     weather_mode (fixed-trace | stochastic), weather_seed
     action_frequency (1)             days between permitted applications

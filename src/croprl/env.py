@@ -1,7 +1,8 @@
 """Episodic daily-step nitrogen management environment.
 
-One episode runs from the simulation start date to crop maturity (or to a
-configured latest harvest date). Each step applies a fertilizer mass to the
+One episode runs from the simulation start date to crop maturity, or to a
+configured latest harvest date, or to DOY 366, the end of the weather table,
+whichever comes first. Each step applies a fertilizer mass to the
 current day, advances the process model by exactly one day, and returns the
 new state together with the decomposed reward. The environment is
 deterministic given (config, seed, action sequence).
@@ -12,7 +13,8 @@ Conventions:
   year, so a state's ``rain/srad/tmax/tmin`` are the forcing of the day the
   next step will simulate (the morning view of today's weather).
 * Flux and stress fields (``tleachd``, ``nstres``, ...) describe the most
-  recently simulated day; they are zero in the reset state.
+  recently simulated day; in the reset state fluxes are zero and the stress
+  indices one.
 * ``done`` is returned by the terminal step only; the harvest reward uses the
   top weight reached on that step.
 * With an action frequency ``f`` greater than one, requested amounts on
@@ -28,12 +30,12 @@ import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError
 from .reward import RewardBreakdown, RewardConfig, daily_reward
-from .simulator import (CropParams, CropState, NitrogenParams, SoilProfile,
-                        SOWN, MATURE, advance_day, initial_soil_state,
-                        thermal_time)
+from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
+                        NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
+                        initial_soil_state, thermal_time)
 from .state import StateVector
-from .weather import (MONTH_LENGTHS, MonthlyClimate, WeatherModel,
-                      load_preset_climate)
+from .weather import (MONTH_LENGTHS, DailyWeather, MonthlyClimate,
+                      WeatherModel, load_preset_climate)
 
 #: Discrete fertilizer amounts available to the agents, kg/ha.
 DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
@@ -76,6 +78,11 @@ class ScenarioConfig:
     action_frequency: int = 1       # days between permitted applications
 
     def __post_init__(self):
+        for name in ("start_doy", "planting_doy", "latest_harvest_doy"):
+            doy = getattr(self, name)
+            if doy is not None and not 1 <= doy <= 366:
+                raise ConfigError(f"{name} must be a day of year in 1..366: "
+                                  f"{doy}")
         if self.planting_doy <= self.start_doy:
             raise ConfigError("planting date must come after simulation start")
         if self.latest_harvest_doy is not None \
@@ -164,6 +171,9 @@ class NitrogenEnv:
         self._series: np.ndarray | None = None
         self._state: StateVector | None = None
         self._done = True
+        # the latest date of a terminal state; the weather table ends on
+        # DOY 366, so no episode wraps it
+        self._last_doy = config.latest_harvest_doy or 366
         self.records: list[DayRecord] = []
 
     # -- episode control ----------------------------------------------------
@@ -185,7 +195,7 @@ class NitrogenEnv:
         self._totaml = 0.0
         self._done = False
         self.records = []
-        self._state = self._build_state(fluxes=None, indices=None)
+        self._state = self._build_state(DailyFluxes(), GrowthIndices())
         return self._state
 
     def step(self, dose: float) -> StepResult:
@@ -201,14 +211,13 @@ class NitrogenEnv:
         cfg = self.config
         applied = requested if self._day % cfg.action_frequency == 0 else 0.0
 
-        weather = self._weather_on_day(self._day)
         date = cfg.start_doy + self._day
         if date >= cfg.planting_doy and not self._crop.sown:
             self._crop = replace(self._crop, sown=True, istage=SOWN)
 
         self._crop, self._soil, fluxes, indices = advance_day(
-            self._crop, self._soil, weather, applied, cfg.soil, cfg.crop,
-            cfg.nitro, cfg.plant_density)
+            self._crop, self._soil, self._weather, applied, cfg.soil,
+            cfg.crop, cfg.nitro, cfg.plant_density)
 
         self._day += 1
         self._cumsumfert += applied
@@ -217,22 +226,21 @@ class NitrogenEnv:
         self._wtnup += fluxes.trnu
         self._totaml += fluxes.volatilized
 
-        mature = self._crop.istage >= MATURE
-        past_window = (cfg.latest_harvest_doy is not None
-                       and cfg.start_doy + self._day >= cfg.latest_harvest_doy)
-        self._done = mature or past_window
+        self._done = (self._crop.istage >= MATURE
+                      or cfg.start_doy + self._day >= self._last_doy)
 
         breakdown = daily_reward(
             a_t=applied, tleachd=fluxes.tleachd,
             cumsumfert_incl_today=self._cumsumfert,
             is_harvest=self._done, y=self._crop.topwt, cfg=cfg.reward)
 
+        reward = breakdown.total
         self._state = self._build_state(fluxes, indices)
         self.records.append(DayRecord(
             dap=self._day - 1, action_requested=requested,
-            action_applied=applied, reward=breakdown.total,
+            action_applied=applied, reward=reward,
             breakdown=breakdown, state=self._state))
-        return StepResult(self._state, breakdown.total, breakdown, self._done)
+        return StepResult(self._state, reward, breakdown, self._done)
 
     # -- views ---------------------------------------------------------------
 
@@ -252,13 +260,13 @@ class NitrogenEnv:
 
     # -- internals -----------------------------------------------------------
 
-    def _weather_on_day(self, day_index: int):
-        doy = self.config.start_doy + day_index
-        return self.weather_model.weather_on(self._series, doy)
-
-    def _build_state(self, fluxes, indices) -> StateVector:
+    def _build_state(self, fluxes: DailyFluxes,
+                     indices: GrowthIndices) -> StateVector:
+        """The state after ``fluxes`` and ``indices``; it also fetches the
+        weather of the day the next step simulates."""
         cfg = self.config
-        weather = self._weather_on_day(self._day)
+        self._weather = weather = DailyWeather(
+            *self._series[cfg.start_doy + self._day - 1].tolist())
         crop, soil = self._crop, self._soil
         return StateVector(
             cumsumfert=self._cumsumfert,
@@ -271,20 +279,20 @@ class NitrogenEnv:
             srad=weather.srad,
             tmax=weather.tmax,
             tmin=weather.tmin,
-            nstres=indices.nstres if indices else 1.0,
+            nstres=indices.nstres,
             pcngrn=crop.pcngrn,
-            swfac=indices.swfac if indices else 1.0,
-            tleachd=fluxes.tleachd if fluxes else 0.0,
+            swfac=indices.swfac,
+            tleachd=fluxes.tleachd,
             grnwt=crop.grnwt,
             cleach=self._cleach,
             cnox=self._cnox,
-            tnoxd=fluxes.tnoxd if fluxes else 0.0,
-            trnu=fluxes.trnu if fluxes else 0.0,
+            tnoxd=fluxes.tnoxd,
+            trnu=fluxes.trnu,
             wtnup=self._wtnup,
             xlai=crop.xlai,
             topwt=crop.topwt,
-            es=fluxes.es if fluxes else 0.0,
-            runoff=fluxes.runoff if fluxes else 0.0,
+            es=fluxes.es,
+            runoff=fluxes.runoff,
             wtdep=cfg.soil.depth_cm,
             rtdep=crop.rtdep_cm,
             totaml=self._totaml,

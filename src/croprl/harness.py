@@ -79,7 +79,7 @@ class EpisodeSummary:
     total_uptake: float
     topwt: float
     cumulative_reward: float
-    terminal_dap: int
+    terminal_dap: float  # an int per episode; a mean may be fractional
     applications: list  # (dap, applied) for nonzero applications
 
     def as_dict(self) -> dict:
@@ -345,7 +345,33 @@ def _write_checkpoint(path, config: ExperimentConfig, agent, seed: int):
             "episodes": config.hyper.episodes,
             "config_digest": config_digest(config)}
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        _dump_json(data, fh)
+
+
+def _dump_json(obj, fh) -> None:
+    """Write ``json.dumps(obj)`` to ``fh`` (string keys only), at most 1024
+    list items per ``json.dumps`` call. ``json.dump`` runs the pure-Python
+    encoder, and on Python 3.11 ``json.dumps`` of a whole SAC checkpoint
+    holds a string per number: 7 to 15 MB more peak memory."""
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _dump_json(value, fh)
+        fh.write("}")
+    elif isinstance(obj, list):
+        nested = obj and isinstance(obj[0], (dict, list))
+        step = 1 if nested else 1024
+        fh.write("[")
+        for at in range(0, len(obj), step):
+            fh.write(", " if at else "")
+            if nested:
+                _dump_json(obj[at], fh)
+            else:
+                fh.write(json.dumps(obj[at:at + step])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +383,10 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
                     ) -> tuple[EpisodeSummary, list[EpisodeSummary]]:
     """Greedy evaluation; with fixed-trace weather one episode suffices.
 
-    Returns (mean summary, per-episode summaries).
+    Returns (mean summary, per-episode summaries). Every field of the mean
+    is the mean over episodes; its ``applications`` list each DAP on which
+    any episode applied N, with the amount summed over episodes and divided
+    by ``n_episodes``.
     """
     if n_episodes < 1:
         raise ConfigError(f"need at least one episode, got {n_episodes}")
@@ -369,15 +398,16 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
         summary, records = run_episode(env, policy, mask, seed=base_seed + k)
         verify_reward_identity(records, scenario.reward)
         per_episode.append(summary)
+    applied: dict[int, float] = {}
+    for s in per_episode:
+        for dap, amount in s.applications:
+            applied[dap] = applied.get(dap, 0.0) + amount
     mean = EpisodeSummary(
-        total_n=float(np.mean([s.total_n for s in per_episode])),
-        total_leach=float(np.mean([s.total_leach for s in per_episode])),
-        total_uptake=float(np.mean([s.total_uptake for s in per_episode])),
-        topwt=float(np.mean([s.topwt for s in per_episode])),
-        cumulative_reward=float(np.mean([s.cumulative_reward
-                                         for s in per_episode])),
-        terminal_dap=per_episode[-1].terminal_dap,
-        applications=per_episode[-1].applications)
+        **{name: float(np.mean([getattr(s, name) for s in per_episode]))
+           for name in ("total_n", "total_leach", "total_uptake", "topwt",
+                        "cumulative_reward", "terminal_dap")},
+        applications=[(dap, applied[dap] / n_episodes)
+                      for dap in sorted(applied)])
     return mean, per_episode
 
 

@@ -2,9 +2,10 @@
 
 Small fully-connected nets (relu or tanh hidden layers, linear output) are
 all the agents need, so this module implements them directly on numpy arrays
-instead of pulling in an autodiff framework. ``backward`` returns the exact
-gradient of the forward map for a given upstream gradient, summed over the
-batch; callers divide by the batch size when optimizing a mean loss.
+instead of pulling in an autodiff framework. For a given upstream gradient,
+``backward`` returns the exact parameter gradient of the forward map, summed
+over the batch (callers divide by the batch size when optimizing a mean
+loss), and ``input_gradient`` returns the gradient in the input alone.
 
 Layout. A net's parameters are a ``ParamSet``: one contiguous vector
 ``flat`` holding W0, b0, W1, b1, ... in that order (each W row-major, of
@@ -159,39 +160,54 @@ def forward_cached(spec: MlpSpec, params: ParamSet, x: np.ndarray
     return h, cache
 
 
-def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
-             grad_out: np.ndarray) -> tuple[ParamSet, np.ndarray]:
-    """Exact reverse-mode gradients for a cached forward pass.
-
-    ``grad_out`` is dL/d(output), shape (batch, n_out). Returns per-parameter
-    gradients (summed over the batch) as a new ``ParamSet``, and dL/d(input).
-    """
+def _upstream(spec: MlpSpec, params, cache: list[np.ndarray],
+              grad_out: np.ndarray) -> np.ndarray:
     g = np.asarray(grad_out, dtype=params[0][0].dtype)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != (cache[0].shape[0], spec.n_out):
         raise ShapeError(f"upstream gradient shape {g.shape} mismatch")
+    return g
 
+
+def _below(spec: MlpSpec, params, cache: list[np.ndarray],
+           delta: np.ndarray, i: int) -> np.ndarray:
+    """dL/d(layer i - 1's pre-activation) from dL/d(layer i's), i > 0."""
+    delta = delta @ params[i][0].T
+    if spec.hidden_activation == "relu":
+        return np.multiply(delta, cache[2 * i - 1] > 0.0)
+    return np.multiply(delta, 1.0 - np.square(cache[2 * i]))
+
+
+def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
+             grad_out: np.ndarray) -> ParamSet:
+    """Exact reverse-mode parameter gradients for a cached forward pass.
+
+    ``grad_out`` is dL/d(output), shape (batch, n_out). Returns the
+    gradients, summed over the batch, as a new ``ParamSet``.
+    """
+    delta = _upstream(spec, params, cache, grad_out)
     shapes = [w.shape for w, _ in params]
     grads = ParamSet(np.empty(sum(n_in * n_out + n_out
-                                  for n_in, n_out in shapes), dtype=g.dtype),
-                     shapes)
-    delta = g
+                                  for n_in, n_out in shapes),
+                              dtype=delta.dtype), shapes)
     for i in range(len(params) - 1, -1, -1):
-        w, _ = params[i]
-        layer_in = cache[2 * i]
-        if i != len(params) - 1:
-            z = cache[2 * i + 1]
-            if spec.hidden_activation == "relu":
-                delta = np.multiply(delta, z > 0.0)
-            else:
-                h_act = cache[2 * i + 2]
-                delta = np.multiply(delta, 1.0 - np.square(h_act))
         gw, gb = grads[i]
-        np.matmul(layer_in.T, delta, out=gw)
+        np.matmul(cache[2 * i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
-        delta = delta @ w.T
-    return grads, delta
+        if i > 0:
+            delta = _below(spec, params, cache, delta, i)
+    return grads
+
+
+def input_gradient(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
+                   grad_out: np.ndarray) -> np.ndarray:
+    """dL/d(input), shape (batch, n_in), for a cached forward pass; the
+    same arithmetic as ``backward`` without the parameter gradients."""
+    delta = _upstream(spec, params, cache, grad_out)
+    for i in range(len(params) - 1, 0, -1):
+        delta = _below(spec, params, cache, delta, i)
+    return delta @ params[0][0].T
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,23 @@ Daily update order (``advance_day``):
 3. mineralization of the organic pool into surface-layer nitrate
 4. nitrate leaching carried by the drainage of each layer (mixing-cell form)
 5. denitrification in layers near saturation
-6. phenology: thermal time, growth stage, leaf number, canopy, root depth
+6. phenology: thermal time, growth stage, leaf number, root depth, canopy
 7. potential biomass from intercepted radiation
 8. nitrogen uptake, stress indices, and realized growth
 
 Biomass units are kg/ha of dry matter, water is tracked volumetrically per
 layer (converted to mm internally), nitrogen pools are kg/ha. The model is
 pure-functional: ``advance_day`` consumes and returns immutable state, so
-independent simulators can run in parallel.
+independent simulators can run in parallel. Within the day it works on
+local floats and per-layer lists, and it builds each returned record once.
+Per-layer clamps are conditional expressions: they give the same values as
+``min``/``max`` for a fraction of the cost of a builtin call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .weather import DailyWeather
@@ -57,26 +60,6 @@ class SoilProfile:
             raise ConfigError("soil profile needs positive depth and layers")
         if not 0 < self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
-
-    @property
-    def layer_thickness_cm(self) -> float:
-        return self.depth_cm / self.n_layers
-
-    @property
-    def layer_depth_mm(self) -> float:
-        return self.layer_thickness_cm * 10.0
-
-    def water_mm(self, sw: float) -> float:
-        return sw * self.layer_depth_mm
-
-    def volumetric(self, w_mm: float) -> float:
-        return w_mm / self.layer_depth_mm
-
-    def root_fractions(self, rtdep_cm: float) -> list[float]:
-        """Fraction of each layer inside the rooted depth."""
-        t = self.layer_thickness_cm
-        return [min(max((rtdep_cm - i * t) / t, 0.0), 1.0)
-                for i in range(self.n_layers)]
 
 
 @dataclass(frozen=True)
@@ -182,49 +165,11 @@ def thermal_time(weather: DailyWeather, t_base: float) -> float:
     return max(0.0, (weather.tmax + weather.tmin) / 2.0 - t_base)
 
 
-def phenology_update(crop: CropState, weather: DailyWeather,
-                     params: CropParams) -> tuple[CropState, float]:
-    """Advance thermal time, growth stage, and leaf number by one day.
-
-    Stage transitions are driven by cumulative thermal time since sowing and
-    never reverse. Leaf appearance follows the phyllochron from emergence and
-    freezes once the reproductive stage begins. Unsown crops do not develop.
-    """
-    dtt = thermal_time(weather, params.t_base)
-    if not crop.sown or crop.istage >= MATURE:
-        return crop, dtt
-
-    gdd = crop.gdd + dtt
-    istage = crop.istage
-    if istage == SOWN and gdd >= params.gdd_emergence:
-        istage = VEGETATIVE
-    if istage == VEGETATIVE and gdd >= params.gdd_flowering:
-        istage = FLOWERING
-    if istage == FLOWERING and gdd >= params.gdd_grainfill:
-        istage = GRAINFILL
-    if istage == GRAINFILL and gdd >= params.gdd_maturity:
-        istage = MATURE
-
-    if istage < FLOWERING:
-        vstage = min(params.max_leaves,
-                     max(0.0, gdd - params.gdd_emergence) / params.phyllochron)
-        vstage = max(vstage, crop.vstage)
-    else:
-        vstage = crop.vstage  # leaf count frozen after tasseling
-
-    return replace(crop, gdd=gdd, istage=istage, vstage=vstage), dtt
-
-
-def _canopy_lai(crop: CropState, params: CropParams, pltpop: float) -> float:
-    """Leaf area index from leaf number; linear senescence while grain fills."""
-    green = crop.vstage * params.leaf_area_per_leaf_m2 * pltpop
-    if crop.istage < GRAINFILL:
-        return green
-    if crop.istage >= MATURE:
-        return 0.0
-    span = params.gdd_maturity - params.gdd_grainfill
-    frac_left = max(0.0, (params.gdd_maturity - crop.gdd) / span)
-    return green * frac_left
+def _rooted(rtdep_cm: float, thickness_cm: float, n_layers: int) -> list[float]:
+    """Fraction of each layer inside the rooted depth."""
+    fractions = [(rtdep_cm - i * thickness_cm) / thickness_cm
+                 for i in range(n_layers)]
+    return [0.0 if f < 0.0 else 1.0 if f > 1.0 else f for f in fractions]
 
 
 def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
@@ -239,21 +184,25 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     if n_applied < 0:
         raise ConfigError("fertilizer application must be nonnegative")
     n_layers = profile.n_layers
-    fc_mm = profile.water_mm(profile.field_capacity)
-    sat_mm = profile.water_mm(profile.saturation)
-    wp_mm = profile.water_mm(profile.wilting_point)
+    thickness_cm = profile.depth_cm / n_layers
+    layer_mm = thickness_cm * 10.0
+    fc_mm = profile.field_capacity * layer_mm
+    sat_mm = profile.saturation * layer_mm
+    wp_mm = profile.wilting_point * layer_mm
     air_dry_mm = nitro.evap_floor_frac * wp_mm
+    rain, srad = weather.rain, weather.srad
+    tavg = (weather.tmax + weather.tmin) / 2.0
 
-    water = [profile.water_mm(v) for v in soil.sw]
+    water = [v * layer_mm for v in soil.sw]
     nitrate = list(soil.nitrate)
 
     # 1. fertilizer; a slice volatilizes if the surface stays dry today
-    volatilized = nitro.volatilization_frac * n_applied if weather.rain == 0.0 else 0.0
+    volatilized = nitro.volatilization_frac * n_applied if rain == 0.0 else 0.0
     nitrate[0] += n_applied - volatilized
 
     # 2a. runoff and infiltration into the top layer
-    runoff = max(0.0, weather.rain - profile.runoff_threshold_mm)
-    infiltration = weather.rain - runoff
+    runoff = max(0.0, rain - profile.runoff_threshold_mm)
+    infiltration = rain - runoff
     space = sat_mm - water[0]
     if infiltration > space:
         runoff += infiltration - space
@@ -261,7 +210,7 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     water[0] += infiltration
 
     # 2b. evapotranspiration, split by canopy cover (start-of-day canopy)
-    pet = nitro.et_coef * weather.srad
+    pet = nitro.et_coef * srad
     cover = 1.0 - math.exp(-params.k_extinction * crop.xlai)
     pot_soil_evap = pet * (1.0 - cover)
     pot_transp = pet * cover if crop.istage in _ACTIVE_STAGES else 0.0
@@ -269,8 +218,9 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     soil_evap = min(pot_soil_evap, max(0.0, water[0] - air_dry_mm))
     water[0] -= soil_evap
 
-    root_frac = profile.root_fractions(crop.rtdep_cm)
-    avail = [max(0.0, water[i] - wp_mm) * root_frac[i] for i in range(n_layers)]
+    root_frac = _rooted(crop.rtdep_cm, thickness_cm, n_layers)
+    avail = [(w - wp_mm if w > wp_mm else 0.0) * f
+             for w, f in zip(water, root_frac)]
     avail_total = sum(avail)
     transp = min(pot_transp, avail_total)
     if transp > 0.0:
@@ -282,20 +232,19 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     # above-capacity water, capped by the space below
     drains = [0.0] * n_layers
     for i in range(n_layers):
-        excess = max(0.0, water[i] - fc_mm)
+        excess = water[i] - fc_mm if water[i] > fc_mm else 0.0
         drain = profile.drain_coef * excess
         if i + 1 < n_layers:
-            drain = min(drain, sat_mm - water[i + 1])
+            space = sat_mm - water[i + 1]
+            if space < drain:
+                drain = space
             water[i + 1] += drain
         water[i] -= drain
         drains[i] = drain
-    drainage_out = drains[-1]
 
     # 3. mineralization (temperature-adjusted first-order supply)
-    tavg = (weather.tmax + weather.tmin) / 2.0
     tfac = nitro.q10 ** ((tavg - nitro.t_reference) / 10.0)
     mineralized = min(soil.organic_n, nitro.mineralization_rate * tfac)
-    organic_n = soil.organic_n - mineralized
     nitrate[0] += mineralized
 
     # 4. leaching: drainage carries a mixing-cell share of each layer's nitrate
@@ -319,24 +268,48 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
             nitrate[i] -= loss
             tnoxd += loss
 
-    # 6. phenology, canopy, roots
-    crop, dtt = phenology_update(crop, weather, params)
-    if crop.sown and dtt > 0.0:
-        crop = replace(crop, rtdep_cm=min(profile.depth_cm,
-                                          crop.rtdep_cm + params.root_growth_cm_per_day))
-    crop = replace(crop, xlai=_canopy_lai(crop, params, pltpop))
+    # 6. phenology: stage transitions follow cumulative thermal time since
+    # sowing and never reverse; leaves appear one per phyllochron from
+    # emergence until flowering. Unsown and mature crops do not develop.
+    dtt = max(0.0, tavg - params.t_base)
+    sown, gdd, istage, vstage = crop.sown, crop.gdd, crop.istage, crop.vstage
+    if sown and istage < MATURE:
+        gdd += dtt
+        if istage == SOWN and gdd >= params.gdd_emergence:
+            istage = VEGETATIVE
+        if istage == VEGETATIVE and gdd >= params.gdd_flowering:
+            istage = FLOWERING
+        if istage == FLOWERING and gdd >= params.gdd_grainfill:
+            istage = GRAINFILL
+        if istage == GRAINFILL and gdd >= params.gdd_maturity:
+            istage = MATURE
+        if istage < FLOWERING:
+            vstage = max(min(params.max_leaves,
+                             max(0.0, gdd - params.gdd_emergence)
+                             / params.phyllochron), vstage)
+    rtdep_cm = crop.rtdep_cm
+    if sown and dtt > 0.0:
+        rtdep_cm = min(profile.depth_cm,
+                       rtdep_cm + params.root_growth_cm_per_day)
+    # canopy from leaf number; linear senescence while grain fills
+    xlai = vstage * params.leaf_area_per_leaf_m2 * pltpop
+    if istage >= MATURE:
+        xlai = 0.0
+    elif istage == GRAINFILL:
+        span = params.gdd_maturity - params.gdd_grainfill
+        xlai *= max(0.0, (params.gdd_maturity - gdd) / span)
 
     # 7. potential growth from intercepted radiation (g/m2 -> kg/ha is x10)
-    if crop.istage in _ACTIVE_STAGES:
-        interception = 1.0 - math.exp(-params.k_extinction * crop.xlai)
-        growth_pot = 10.0 * params.rue_g_per_mj * weather.srad * interception
+    if istage in _ACTIVE_STAGES:
+        interception = 1.0 - math.exp(-params.k_extinction * xlai)
+        growth_pot = 10.0 * params.rue_g_per_mj * srad * interception
     else:
         growth_pot = 0.0
 
     # 8. uptake, stress, realized growth
-    demand = growth_pot * params.demand_concentration(crop.istage)
-    root_frac = profile.root_fractions(crop.rtdep_cm)
-    avail_n = [nitrate[i] * root_frac[i] for i in range(n_layers)]
+    demand = growth_pot * params.demand_concentration(istage)
+    root_frac = _rooted(rtdep_cm, thickness_cm, n_layers)
+    avail_n = [n * f for n, f in zip(nitrate, root_frac)]
     avail_n_total = sum(avail_n)
     trnu = min(demand, avail_n_total)
     if trnu > 0.0:
@@ -345,22 +318,22 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     nstres = trnu / demand if demand > 1e-12 else 1.0
 
     growth = growth_pot * min(nstres, swfac)
-    topwt = crop.topwt + growth
     grnwt, grain_n, plant_n = crop.grnwt, crop.grain_n, crop.plant_n + trnu
-    if crop.istage == GRAINFILL and growth > 0.0:
+    if istage == GRAINFILL and growth > 0.0:
         grain_inc = params.grain_fraction * growth
         grnwt += grain_inc
         n_transfer = min(plant_n, params.grain_n_conc * grain_inc)
         grain_n += n_transfer
         plant_n -= n_transfer
-    crop = replace(crop, topwt=topwt, grnwt=grnwt, grain_n=grain_n,
-                   plant_n=plant_n)
 
-    new_soil = SoilState(sw=tuple(profile.volumetric(w) for w in water),
-                         nitrate=tuple(nitrate), organic_n=organic_n)
-    fluxes = DailyFluxes(tleachd=tleachd, tnoxd=tnoxd, trnu=trnu,
-                         volatilized=volatilized, mineralized=mineralized,
-                         es=soil_evap + transp, runoff=runoff,
-                         drainage=drainage_out)
-    indices = GrowthIndices(dtt=dtt, nstres=nstres, swfac=swfac, growth=growth)
-    return crop, new_soil, fluxes, indices
+    return (CropState(sown=sown, gdd=gdd, istage=istage, vstage=vstage,
+                      xlai=xlai, topwt=crop.topwt + growth, grnwt=grnwt,
+                      rtdep_cm=rtdep_cm, plant_n=plant_n, grain_n=grain_n),
+            SoilState(sw=tuple([w / layer_mm for w in water]),
+                      nitrate=tuple(nitrate),
+                      organic_n=soil.organic_n - mineralized),
+            DailyFluxes(tleachd=tleachd, tnoxd=tnoxd, trnu=trnu,
+                        volatilized=volatilized, mineralized=mineralized,
+                        es=soil_evap + transp, runoff=runoff,
+                        drainage=drains[-1]),
+            GrowthIndices(dtt=dtt, nstres=nstres, swfac=swfac, growth=growth))

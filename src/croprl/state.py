@@ -10,6 +10,8 @@ vector-valued (one entry per soil layer) and is flattened when observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,6 +136,16 @@ class ObservationMask:
             return cls.partial()
         raise MaskError(f"unknown mask kind: {kind!r}")
 
+    @cached_property
+    def _reader(self):
+        """(read, at): ``read(state)`` is the tuple of the masked fields of
+        ``state``, with ``sw`` as one entry at index ``at`` (-1 if absent).
+        An attrgetter of one name returns a bare value, not a tuple."""
+        names = self.included
+        read = attrgetter(*names) if len(names) > 1 else (
+            lambda state: tuple(getattr(state, n) for n in names))
+        return read, names.index("sw") if "sw" in names else -1
+
     def size(self, n_layers: int) -> int:
         n = len(self.included)
         if "sw" in self.included:
@@ -146,35 +158,22 @@ def observe(state: StateVector, mask: ObservationMask) -> np.ndarray:
 
     The mask checked its field names when it was built.
     """
-    out: list[float] = []
-    for name in mask.included:
-        v = getattr(state, name)
-        if name == "sw":
-            out.extend(v)
-        else:
-            out.append(float(v))
-    return np.asarray(out, dtype=np.float64)
+    read, at = mask._reader
+    values = read(state)
+    if at >= 0:
+        values = (*values[:at], *values[at], *values[at + 1:])
+    return np.array(values, dtype=np.float64)
 
 
-_BOUNDS_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _mask_bounds(mask: ObservationMask, obs_size: int):
-    key = (mask.included, obs_size)
-    cached = _BOUNDS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n_layers = obs_size - len(mask.included) + 1 if "sw" in mask.included else 0
-    lows: list[float] = []
-    highs: list[float] = []
-    for name in mask.included:
-        lo, hi = STATE_FIELDS[name][1]
-        reps = n_layers if name == "sw" else 1
-        lows.extend([lo] * reps)
-        highs.extend([hi] * reps)
-    bounds = (np.asarray(lows), np.asarray(highs) - np.asarray(lows))
-    _BOUNDS_CACHE[key] = bounds
-    return bounds
+@lru_cache(maxsize=None)
+def _mask_bounds(included: tuple[str, ...], obs_size: int):
+    """(low, span) per observation entry; ``sw`` fills the entries that the
+    other fields leave."""
+    n_layers = obs_size - len(included) + 1
+    lo, hi = np.array([STATE_FIELDS[name][1] for name in included
+                       for _ in range(n_layers if name == "sw" else 1)]
+                      ).reshape(-1, 2).T
+    return lo.copy(), hi - lo
 
 
 def normalize_observation(obs: np.ndarray, mask: ObservationMask) -> np.ndarray:
@@ -185,6 +184,6 @@ def normalize_observation(obs: np.ndarray, mask: ObservationMask) -> np.ndarray:
     plausible range saturate at the bounds, which keeps network inputs bounded
     during heavy exploration (e.g. runaway cumulative fertilizer).
     """
-    lo_arr, span = _mask_bounds(mask, obs.size)
+    lo_arr, span = _mask_bounds(mask.included, obs.size)
     scaled = (obs - lo_arr) / span
-    return np.clip(scaled, 0.0, 1.0)
+    return scaled.clip(0.0, 1.0, out=scaled)

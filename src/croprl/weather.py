@@ -39,16 +39,9 @@ CLIMATE_COLUMNS = (
     "wet_srad_factor",
 )
 
-# day-of-year -> month lookup for a 366-day (leap-layout) year
+# 0-based month of each day of a 366-day (leap-layout) year
 MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_DOY_MONTH = np.repeat(np.arange(12), MONTH_LENGTHS)
-
-
-def month_of_doy(day_of_year: int) -> int:
-    """0-based month index for a 1-based day of year."""
-    if not 1 <= day_of_year <= 366:
-        raise ConfigError(f"day_of_year out of range: {day_of_year}")
-    return int(_DOY_MONTH[day_of_year - 1])
+_DOY_MONTH = tuple(m for m, n in enumerate(MONTH_LENGTHS) for _ in range(n))
 
 
 @dataclass(frozen=True)
@@ -107,53 +100,45 @@ class WeatherModel:
         self.seed = int(seed)
         self._trace: np.ndarray | None = None
 
-    def sample_day(self, day_of_year: int, rng: np.random.Generator,
-                   prev_wet: bool) -> tuple[DailyWeather, bool]:
-        """Draw one day; returns the sample and the new wet/dry chain state."""
-        m = month_of_doy(day_of_year)
-        c = self.climate
-        p_wet = c.p_wet_wet[m] if prev_wet else c.p_wet_dry[m]
-        wet = bool(rng.random() < p_wet)
-        rain = float(rng.exponential(c.rain_mm[m])) if wet else 0.0
-
-        tmax = c.tmax_mean[m] + c.tmax_sd[m] * rng.standard_normal()
-        tmin = c.tmin_mean[m] + c.tmin_sd[m] * rng.standard_normal()
-        if wet:
-            tmax -= c.wet_temp_drop[m]
-        if tmin > tmax:
-            tmax, tmin = tmin, tmax
-
-        srad = c.srad_mean[m] + c.srad_sd[m] * rng.standard_normal()
-        if wet:
-            srad *= c.wet_srad_factor[m]
-        srad = max(srad, 0.1)
-
-        return DailyWeather(rain, float(srad), float(tmax), float(tmin)), wet
-
     def sample_year(self, seed: int) -> np.ndarray:
-        """Sample a full 366-day series; rows are (rain, srad, tmax, tmin)."""
-        rng = np.random.default_rng(seed)
-        out = np.empty((366, 4))
-        wet = False
-        for doy in range(1, 367):
-            w, wet = self.sample_day(doy, rng, wet)
-            out[doy - 1] = (w.rain, w.srad, w.tmax, w.tmin)
-        return out
+        """Sample a full 366-day series; rows are (rain, srad, tmax, tmin).
 
-    def fixed_trace(self) -> np.ndarray:
+        Rain occurrence follows the wet/dry chain from a dry day before
+        January 1st. Each day draws, in order: a uniform for occurrence, an
+        exponential amount on wet days, then normals for tmax, tmin and srad.
+        """
+        rng = np.random.default_rng(seed)
+        uniform, exponential, normal = (rng.random, rng.exponential,
+                                        rng.standard_normal)
+        # one row of parameters per month, in CLIMATE_COLUMNS order
+        months = list(zip(*(getattr(self.climate, name)
+                            for name in CLIMATE_COLUMNS[1:])))
+        rows = []
+        wet = False
+        for m in _DOY_MONTH:
+            (p_wet_dry, p_wet_wet, rain_mm, tmax_mean, tmax_sd, tmin_mean,
+             tmin_sd, wet_temp_drop, srad_mean, srad_sd,
+             wet_srad_factor) = months[m]
+            wet = uniform() < (p_wet_wet if wet else p_wet_dry)
+            rain = exponential(rain_mm) if wet else 0.0
+            tmax = tmax_mean + tmax_sd * normal()
+            tmin = tmin_mean + tmin_sd * normal()
+            if wet:
+                tmax -= wet_temp_drop
+            if tmin > tmax:
+                tmax, tmin = tmin, tmax
+            srad = srad_mean + srad_sd * normal()
+            if wet:
+                srad *= wet_srad_factor
+            rows.append((rain, max(srad, 0.1), tmax, tmin))
+        return np.array(rows)
+
+    def series_for_episode(self, episode_seed: int) -> np.ndarray:
+        if self.mode == "stochastic":
+            return self.sample_year(episode_seed)
         if self._trace is None:
             self._trace = self.sample_year(self.seed)
         return self._trace
-
-    def series_for_episode(self, episode_seed: int) -> np.ndarray:
-        if self.mode == "fixed-trace":
-            return self.fixed_trace()
-        return self.sample_year(episode_seed)
-
-    def weather_on(self, series: np.ndarray, day_of_year: int) -> DailyWeather:
-        row = series[(day_of_year - 1) % 366]
-        return DailyWeather(float(row[0]), float(row[1]), float(row[2]),
-                            float(row[3]))
 
 
 def load_climate_csv(path) -> MonthlyClimate:

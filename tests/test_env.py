@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -74,6 +76,23 @@ def test_invalid_configs_rejected():
         iowa_scenario(irrigation=2.0)
     with pytest.raises(ConfigError):
         iowa_scenario(action_frequency=0)
+
+
+@pytest.mark.parametrize("field,doy", [
+    ("start_doy", 0), ("planting_doy", 400), ("latest_harvest_doy", 367),
+    ("latest_harvest_doy", -5)])
+def test_dates_outside_the_weather_table_rejected(field, doy):
+    with pytest.raises(ConfigError, match=field):
+        florida_scenario(**{field: doy})
+
+
+def test_open_season_ends_on_the_last_day_of_the_weather_table():
+    # planted on DOY 300 with no harvest date, the crop cannot mature
+    # before the table ends
+    scen = florida_scenario(start_doy=280, planting_doy=300)
+    state = final_state(NitrogenEnv(scen))
+    assert scen.start_doy + state.dap == 366
+    assert state.istage < 5
 
 
 def test_step_after_done_raises(iowa_env):
@@ -206,3 +225,33 @@ def test_episode_log_records_every_day(iowa_env):
     logged = records[0].as_dict()
     assert need <= set(logged)
     assert len(logged["state"]) == 28
+
+
+# sha256 over the JSON of every DayRecord of three episodes (seeds 0, 1, 2)
+# under GOLDEN_SCHEDULE; any change to a simulated bit changes the hash
+GOLDEN_SCHEDULE = (0.0, 40.0, 0.0, 0.0, 120.0, 0.0, 80.0, 0.0, 0.0, 160.0,
+                   0.0, 0.0, 20.0)
+GOLDEN = {
+    ("iowa", "fixed-trace"):
+        "ac19b553f192334e9a99ba5e26b44813bab2a054dc71330f899a8a16523e75a5",
+    ("iowa", "stochastic"):
+        "04bd2b41600e16e8bae625a037cbd6dd3c5b5cb03970b45f5de29f7d5dd3889b",
+    ("florida", "fixed-trace"):
+        "3005e594d0ce08f7dac8bcc7edb033e270a261a776c83e522a98b04706113bee",
+    ("florida", "stochastic"):
+        "19bad2318e9a671c0a98b18c1c452f8451f21e474ee08a3a397647b8af7eb3b1",
+}
+
+
+@pytest.mark.parametrize("location,mode", sorted(GOLDEN))
+def test_golden_trajectories(location, mode):
+    maker = {"iowa": iowa_scenario, "florida": florida_scenario}[location]
+    env = NitrogenEnv(maker(weather_mode=mode, weather_seed=5))
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        env.reset(seed=seed)
+        while not env.done:
+            env.step(GOLDEN_SCHEDULE[env.state.dap % len(GOLDEN_SCHEDULE)])
+        for rec in env.records:
+            digest.update(json.dumps(rec.as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN[location, mode]

@@ -1,7 +1,13 @@
+import io
+import json
+from hashlib import sha256
+
 import pytest
 
+from croprl.agents import DqnAgent, DqnHyper, SacAgent, SacHyper
 from croprl.env import NitrogenEnv, iowa_scenario
-from croprl.harness import baseline_policy, run_episode, verify_reward_identity
+from croprl.harness import (_dump_json, baseline_policy, evaluate_policy,
+                            run_episode, verify_reward_identity)
 from croprl.state import ObservationMask
 
 
@@ -13,3 +19,37 @@ def test_reward_identity_catches_a_wrong_or_nan_reward(shift):
     day.reward += shift
     with pytest.raises(AssertionError, match=f"day {day.dap}"):
         verify_reward_identity(records, env.config.reward)
+
+
+def test_mean_summary_averages_every_episode():
+    # three stochastic years; V5 falls on DAP 56, 57 and 56
+    mean, per = evaluate_policy(baseline_policy(160.0),
+                                iowa_scenario(weather_mode="stochastic"),
+                                ObservationMask.full(), n_episodes=3)
+    assert [s.applications for s in per] == [[(56, 160.0)], [(57, 160.0)],
+                                             [(56, 160.0)]]
+    assert [s.terminal_dap for s in per] == [156, 159, 156]
+    assert mean.terminal_dap == 157.0
+    assert mean.applications == [(56, 320.0 / 3), (57, 160.0 / 3)]
+    assert mean.total_n == sum(a for _, a in mean.applications) == 160.0
+    assert mean.topwt == pytest.approx(sum(s.topwt for s in per) / 3)
+
+
+def test_mean_of_one_episode_is_that_episode():
+    mean, (only,) = evaluate_policy(baseline_policy(160.0), iowa_scenario(),
+                                    ObservationMask.full())
+    assert mean.as_dict() == only.as_dict()
+
+
+@pytest.mark.parametrize("agent", [
+    DqnAgent(30, DqnHyper(), seed=1), SacAgent(10, SacHyper(), seed=2)],
+    ids=["dqn", "sac"])
+def test_checkpoint_json_is_byte_identical_to_json_dumps(agent):
+    data = {"agent": agent.to_dict(), "edge": [[], {}, [{}], "q\"é\n",
+                                              None, True, -0.0, 1e-310],
+            "long": list(range(3 * 1024 + 1)), "empty": {}}
+    out = io.StringIO()
+    _dump_json(data, out)
+    # digests, so that a failure does not diff megabytes of text
+    assert sha256(out.getvalue().encode()).hexdigest() == \
+        sha256(json.dumps(data).encode()).hexdigest()

@@ -6,8 +6,8 @@ import pytest
 
 from croprl.errors import ConfigError, ShapeError
 from croprl.net import (AdamState, MlpSpec, ParamSet, adam_step, backward,
-                        forward, forward_cached, init_params, net_from_dict,
-                        net_to_dict)
+                        forward, forward_cached, init_params, input_gradient,
+                        net_from_dict, net_to_dict)
 
 
 def fd_gradients(spec, params, x, upstream, h=1e-5):
@@ -88,6 +88,8 @@ def test_shape_mismatch_raises():
     _, cache = forward_cached(spec, params, np.zeros(3))
     with pytest.raises(ShapeError):
         backward(spec, params, cache, np.zeros(5))
+    with pytest.raises(ShapeError):
+        input_gradient(spec, params, cache, np.zeros(5))
 
 
 def test_zero_upstream_gives_zero_gradients():
@@ -95,9 +97,9 @@ def test_zero_upstream_gives_zero_gradients():
     spec = MlpSpec((4, 8, 2))
     params = init_params(spec, rng)
     _, cache = forward_cached(spec, params, rng.normal(size=4))
-    grads, gin = backward(spec, params, cache, np.zeros(2))
+    grads = backward(spec, params, cache, np.zeros(2))
     assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
-    assert np.all(gin == 0)
+    assert np.all(input_gradient(spec, params, cache, np.zeros(2)) == 0)
 
 
 def test_single_linear_layer_closed_form_gradient():
@@ -106,7 +108,7 @@ def test_single_linear_layer_closed_form_gradient():
     params = [(np.array([[1.5]]), np.array([0.0]))]
     x = np.array([3.0])
     y, cache = forward_cached(spec, params, x)
-    grads, _ = backward(spec, params, cache, 2.0 * y)
+    grads = backward(spec, params, cache, 2.0 * y)
     assert grads[0][0][0, 0] == pytest.approx(2.0 * 4.5 * 3.0)
 
 
@@ -125,7 +127,7 @@ def test_gradients_match_finite_differences_sample():
             continue
         upstream = rng.normal(size=spec.n_out)
         _, cache = forward_cached(spec, params, x)
-        grads, _ = backward(spec, params, cache, upstream)
+        grads = backward(spec, params, cache, upstream)
         fd = fd_gradients(spec, params, x, upstream)
         for (gw, gb), (fw, fb) in zip(grads, fd):
             for a, b in ((gw, fw), (gb, fb)):
@@ -135,6 +137,55 @@ def test_gradients_match_finite_differences_sample():
         checked += 1
 
 
+def reference_backward(spec, params, cache, grad_out):
+    """The single reverse pass that gave both results before ``backward``
+    and ``input_gradient`` were split: (parameter gradients, dL/dx)."""
+    delta = np.atleast_2d(np.asarray(grad_out, dtype=params[0][0].dtype))
+    grads = [None] * len(params)
+    for i in range(len(params) - 1, -1, -1):
+        w, _ = params[i]
+        if i != len(params) - 1:
+            if spec.hidden_activation == "relu":
+                delta = np.multiply(delta, cache[2 * i + 1] > 0.0)
+            else:
+                delta = np.multiply(delta, 1.0 - np.square(cache[2 * i + 2]))
+        grads[i] = (cache[2 * i].T @ delta, delta.sum(axis=0))
+        delta = delta @ w.T
+    return grads, delta
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_passes_match_the_single_pass_bit_for_bit(act, dtype):
+    rng = np.random.default_rng(5)
+    spec = MlpSpec((6, 16, 16, 2), hidden_activation=act)
+    params = init_params(spec, rng, dtype=dtype)
+    _, cache = forward_cached(spec, params, rng.normal(size=(32, 6)))
+    upstream = rng.normal(size=(32, 2))
+    want_grads, want_gin = reference_backward(spec, params, cache, upstream)
+    grads = backward(spec, params, cache, upstream)
+    for (gw, gb), (rw, rb) in zip(grads, want_grads):
+        assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+    gin = input_gradient(spec, params, cache, upstream)
+    assert gin.dtype == dtype and gin.tobytes() == want_gin.tobytes()
+
+
+def test_input_gradient_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    spec = MlpSpec((4, 8, 3), hidden_activation="tanh")
+    params = init_params(spec, rng)
+    x, upstream = rng.normal(size=4), rng.normal(size=3)
+    _, cache = forward_cached(spec, params, x)
+    gin = input_gradient(spec, params, cache, upstream)
+    assert gin.shape == (1, 4)
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = 1e-5
+        fd = (forward(spec, params, x + e) - forward(spec, params, x - e)) \
+            @ upstream / 2e-5
+        assert gin[0, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
 def test_batched_gradient_sums_over_batch():
     rng = np.random.default_rng(3)
     spec = MlpSpec((3, 5, 2), hidden_activation="tanh")
@@ -142,11 +193,11 @@ def test_batched_gradient_sums_over_batch():
     xs = rng.normal(size=(4, 3))
     g = rng.normal(size=(4, 2))
     _, cache = forward_cached(spec, params, xs)
-    batched, _ = backward(spec, params, cache, g)
+    batched = backward(spec, params, cache, g)
     singles = None
     for i in range(4):
         _, ci = forward_cached(spec, params, xs[i])
-        gi, _ = backward(spec, params, ci, g[i])
+        gi = backward(spec, params, ci, g[i])
         if singles is None:
             singles = [[gw.copy(), gb.copy()] for gw, gb in gi]
         else:
@@ -339,7 +390,7 @@ def test_sin_regression_smoke():
     for _ in range(5000):
         idx = rng.integers(0, len(xs), size=100)
         out, cache = forward_cached(spec, params, xs[idx])
-        grads, _ = backward(spec, params, cache, 2.0 * (out - ys[idx]) / 100)
+        grads = backward(spec, params, cache, 2.0 * (out - ys[idx]) / 100)
         params, state = adam_step(params, grads, state)
     mse = float(np.mean((forward(spec, params, xs) - ys) ** 2))
     assert mse < 1e-2

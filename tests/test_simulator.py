@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from croprl.simulator import (CropParams, CropState, GRAINFILL, MATURE,
-                              NitrogenParams, SOWN, SoilProfile, VEGETATIVE,
-                              advance_day, initial_soil_state,
-                              phenology_update, thermal_time)
+from croprl.simulator import (CropParams, CropState, FLOWERING, GRAINFILL,
+                              MATURE, NitrogenParams, SOWN, SoilProfile,
+                              VEGETATIVE, advance_day, initial_soil_state,
+                              thermal_time)
 from croprl.weather import DailyWeather
 
 PROFILE = SoilProfile(depth_cm=150.0, field_capacity=0.30, saturation=0.36,
@@ -34,7 +34,15 @@ def active_crop(**overrides):
 
 
 def water_mm(profile, soil):
-    return sum(sw * profile.layer_depth_mm for sw in soil.sw)
+    return sum(sw * (profile.depth_cm / profile.n_layers * 10.0)
+               for sw in soil.sw)
+
+
+def one_day(crop, weather, soil=None):
+    """advance_day without fertilizer; returns (crop, soil, indices)."""
+    crop, soil, _, indices = advance_day(crop, soil or soil_at_fc(), weather,
+                                         0.0, PROFILE, CROP, NITRO, PLTPOP)
+    return crop, soil, indices
 
 
 def balance_residuals(profile, soil0, soil1, weather, n_applied, fluxes):
@@ -69,38 +77,61 @@ def test_vstage_follows_phyllochron():
     # 215 degC d past emergence at 43 degC d per leaf -> five leaves
     crop = CropState(sown=True, gdd=CROP.gdd_emergence + 215.0 - 16.0,
                      istage=VEGETATIVE)
-    crop, dtt = phenology_update(crop, DailyWeather(0, 20, 30.0, 18.0), CROP)
-    assert dtt == 16.0
+    crop, _, idx = one_day(crop, DailyWeather(0, 20, 30.0, 18.0))
+    assert idx.dtt == 16.0
     assert crop.vstage == pytest.approx(215.0 / 43.0)
     assert crop.vstage == pytest.approx(5.0)
+    assert crop.xlai == crop.vstage * CROP.leaf_area_per_leaf_m2 * PLTPOP
 
 
 def test_unsown_crop_does_not_develop():
-    crop = CropState()
-    after, dtt = phenology_update(crop, DailyWeather(0, 20, 30.0, 18.0), CROP)
-    assert after == crop
-    assert dtt == 16.0
+    after, _, idx = one_day(CropState(), DailyWeather(0, 20, 30.0, 18.0))
+    assert after == CropState()
+    assert idx.dtt == 16.0
 
 
 def test_istage_progresses_and_never_decreases():
-    crop = CropState(sown=True, istage=SOWN)
+    crop, soil = CropState(sown=True, istage=SOWN), soil_at_fc()
     weather = DailyWeather(0.0, 20.0, 30.0, 18.0)  # dtt 16 per day
     stages = []
     for _ in range(150):
-        crop, _ = phenology_update(crop, weather, CROP)
+        crop, soil, _ = one_day(crop, weather, soil)
         stages.append(crop.istage)
     assert all(b >= a for a, b in zip(stages, stages[1:]))
     assert stages[-1] == MATURE
+    assert crop.xlai == 0.0
 
 
 def test_vstage_nondecreasing_until_reproductive():
-    crop = CropState(sown=True, istage=SOWN)
+    crop, soil = CropState(sown=True, istage=SOWN), soil_at_fc()
     weather = DailyWeather(0.0, 20.0, 28.0, 16.0)
     prev = 0.0
-    while crop.istage < 3:
-        crop, _ = phenology_update(crop, weather, CROP)
+    while crop.istage < FLOWERING:
+        crop, soil, _ = one_day(crop, weather, soil)
         assert crop.vstage >= prev
         prev = crop.vstage
+    # the leaf count freezes once flowering starts
+    crop, soil, _ = one_day(crop, weather, soil)
+    assert crop.vstage == prev
+
+
+def test_canopy_senesces_linearly_while_grain_fills():
+    # halfway from grain fill to maturity, half the green leaf area is left
+    mid = (CROP.gdd_grainfill + CROP.gdd_maturity) / 2.0 - 16.0
+    crop = active_crop(gdd=mid, istage=GRAINFILL, vstage=18.0)
+    after, _, _ = one_day(crop, DailyWeather(0, 20, 30.0, 18.0))
+    assert after.istage == GRAINFILL
+    assert after.xlai == pytest.approx(
+        0.5 * 18.0 * CROP.leaf_area_per_leaf_m2 * PLTPOP)
+
+
+def test_roots_deepen_only_on_warm_days_down_to_the_profile():
+    warm, cold = DailyWeather(0, 20, 30.0, 18.0), DailyWeather(0, 20, 9.0, 1.0)
+    crop = active_crop(rtdep_cm=60.0)
+    assert one_day(crop, warm)[0].rtdep_cm == 60.0 + CROP.root_growth_cm_per_day
+    assert one_day(crop, cold)[0].rtdep_cm == 60.0
+    deep = active_crop(rtdep_cm=PROFILE.depth_cm - 0.5)
+    assert one_day(deep, warm)[0].rtdep_cm == PROFILE.depth_cm
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from croprl.errors import MaskError
-from croprl.state import (FIELD_ORDER, PARTIAL_FIELDS, ObservationMask,
-                          StateVector, normalize_observation, observe)
+from croprl.state import (FIELD_ORDER, PARTIAL_FIELDS, STATE_FIELDS,
+                          ObservationMask, StateVector, normalize_observation,
+                          observe)
 
 
 def make_state(**overrides):
@@ -75,3 +76,41 @@ def test_normalization_is_affine_fixed_and_clipped():
     # out-of-range values saturate instead of leaking unbounded inputs
     big = observe(make_state(cumsumfert=9999.0), mask)
     assert normalize_observation(big, mask)[0] == 1.0
+
+
+def reference_observe(state, mask):
+    """One getattr per field, ``sw`` expanded in place: the form ``observe``
+    must reproduce."""
+    out = []
+    for name in mask.included:
+        value = getattr(state, name)
+        if name == "sw":
+            out.extend(value)
+        else:
+            out.append(float(value))
+    return np.asarray(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("mask", [
+    ObservationMask.full(), ObservationMask.partial(),
+    ObservationMask(("sw",)), ObservationMask(("rain",)),
+    ObservationMask(("sw", "dap", "tmin")), ObservationMask(("dap", "sw", "xlai")),
+    ObservationMask(()),
+], ids=lambda m: "+".join(m.included) or "empty")
+def test_observe_and_normalize_match_the_getattr_and_clip_forms(mask):
+    nan = float("nan")
+    states = [make_state(),
+              make_state(cumsumfert=9999.0, tmin=-99.0, dap=0, rain=-0.0,
+                         sw=(nan, -0.0, 1.5)),
+              make_state(xlai=nan, topwt=-1e-320, dtt=nan, sw=(0.0, 0.6, 0.61))]
+    for state in states:
+        obs = observe(state, mask)
+        want = reference_observe(state, mask)
+        assert obs.dtype == np.float64 and obs.tobytes() == want.tobytes()
+        norm = normalize_observation(obs, mask)
+        bounds = np.array([STATE_FIELDS[name][1] for name in mask.included
+                           for _ in range(3 if name == "sw" else 1)])
+        lo, hi = bounds.reshape(-1, 2).T
+        want_norm = np.clip((want - lo) / (hi - lo), 0.0, 1.0)
+        assert norm.tobytes() == want_norm.tobytes()
+        assert obs.tobytes() == want.tobytes()  # the input is not clipped

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from croprl.errors import ConfigError
 from croprl.weather import (CLIMATE_COLUMNS, MonthlyClimate, WeatherModel,
-                            load_climate_csv, load_preset_climate,
-                            month_of_doy)
+                            load_climate_csv, load_preset_climate)
 
 
 def flat_climate(p_wet_dry=0.3, p_wet_wet=0.5, rain_mm=12.0):
@@ -18,20 +19,19 @@ def flat_climate(p_wet_dry=0.3, p_wet_wet=0.5, rain_mm=12.0):
         wet_srad_factor=(0.6,) * 12)
 
 
-def test_month_lookup():
-    assert month_of_doy(1) == 0
-    assert month_of_doy(31) == 0
-    assert month_of_doy(32) == 1
-    assert month_of_doy(366) == 11
-    with pytest.raises(ConfigError):
-        month_of_doy(0)
+def test_each_day_draws_from_its_month_of_the_leap_calendar():
+    # only February (days 32..60) can be wet, and it always is
+    p = tuple(1.0 if m == 1 else 0.0 for m in range(12))
+    climate = dataclasses.replace(flat_climate(), p_wet_dry=p, p_wet_wet=p)
+    series = WeatherModel(climate, mode="stochastic").sample_year(4)
+    wet_days = np.flatnonzero(series[:, 0] > 0.0) + 1
+    assert wet_days.tolist() == list(range(32, 61))
 
 
-def test_fixed_trace_same_day_is_identical():
+def test_fixed_trace_ignores_the_episode_seed():
     model = WeatherModel(flat_climate(), mode="fixed-trace", seed=3)
-    a = model.weather_on(model.series_for_episode(1), 150)
-    b = model.weather_on(model.series_for_episode(2), 150)
-    assert a == b
+    assert model.series_for_episode(1) is model.series_for_episode(2)
+    assert np.array_equal(model.series_for_episode(1), model.sample_year(3))
 
 
 def test_seeded_series_reproducible():
@@ -61,13 +61,10 @@ def test_tmax_never_below_tmin():
 def test_wet_day_rain_matches_exponential_mean():
     """Monte-Carlo check of the wet-day amount parameter (mean 12 mm)."""
     model = WeatherModel(flat_climate(rain_mm=12.0), mode="stochastic", seed=0)
-    rng = np.random.default_rng(99)
-    amounts = []
-    wet = False
-    while len(amounts) < 10_000:
-        w, wet = model.sample_day(182, rng, wet)
-        if w.rain > 0:
-            amounts.append(w.rain)
+    amounts = np.concatenate([model.sample_year(seed)[:, 0]
+                              for seed in range(80)])
+    amounts = amounts[amounts > 0.0]
+    assert amounts.size > 10_000
     mean = float(np.mean(amounts))
     assert abs(mean - 12.0) / 12.0 < 0.05
 
@@ -105,3 +102,39 @@ def test_bundled_presets_load():
         assert len(climate.rain_mm) == 12
     with pytest.raises(ConfigError):
         load_preset_climate("atlantis")
+
+
+def reference_year(climate, seed):
+    """The generator as one draw per day into a preallocated array, with
+    the month found per day: the form ``sample_year`` must reproduce."""
+    months = np.repeat(np.arange(12),
+                       (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31))
+    rng = np.random.default_rng(seed)
+    out = np.empty((366, 4))
+    wet = False
+    for doy in range(1, 367):
+        m = int(months[doy - 1])
+        c = climate
+        p_wet = c.p_wet_wet[m] if wet else c.p_wet_dry[m]
+        wet = bool(rng.random() < p_wet)
+        rain = float(rng.exponential(c.rain_mm[m])) if wet else 0.0
+        tmax = c.tmax_mean[m] + c.tmax_sd[m] * rng.standard_normal()
+        tmin = c.tmin_mean[m] + c.tmin_sd[m] * rng.standard_normal()
+        if wet:
+            tmax -= c.wet_temp_drop[m]
+        if tmin > tmax:
+            tmax, tmin = tmin, tmax
+        srad = c.srad_mean[m] + c.srad_sd[m] * rng.standard_normal()
+        if wet:
+            srad *= c.wet_srad_factor[m]
+        out[doy - 1] = (rain, max(srad, 0.1), tmax, tmin)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["ames", "gainesville"])
+def test_sample_year_matches_the_per_day_reference_bit_for_bit(preset):
+    climate = load_preset_climate(preset)
+    model = WeatherModel(climate, mode="stochastic")
+    for seed in (0, 1, 17, 2**40 + 3):
+        assert model.sample_year(seed).tobytes() == \
+            reference_year(climate, seed).tobytes()
