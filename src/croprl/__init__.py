@@ -3,7 +3,7 @@
 from .agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
                      discretize_action, epsilon_schedule)
 from .env import (DISCRETE_ACTIONS_KG, NitrogenEnv, ScenarioConfig,
-                  StepResult, day_of_year, florida_scenario, iowa_scenario)
+                  day_of_year, florida_scenario, iowa_scenario)
 from .errors import (ConfigError, EpisodeFinishedError, MaskError, ShapeError)
 from .harness import (EpisodeSummary, ExperimentConfig, RunReport,
                       baseline_policy, evaluate_policy, run_ablation,
@@ -21,7 +21,7 @@ __all__ = [
     "ExperimentConfig", "MaskError", "MonthlyClimate", "NitrogenEnv",
     "ObservationMask", "RewardBreakdown", "RewardConfig", "RunReport",
     "SacAgent", "SacHyper", "ScenarioConfig", "ShapeError", "StateVector",
-    "StepResult", "WeatherModel", "baseline_policy", "daily_reward",
+    "WeatherModel", "baseline_policy", "daily_reward",
     "day_of_year", "discretize_action", "epsilon_schedule",
     "evaluate_policy", "florida_scenario", "iowa_scenario",
     "normalize_observation", "observe", "run_ablation", "run_episode",

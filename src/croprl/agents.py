@@ -17,7 +17,7 @@ is ``harness.baseline_policy``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,33 @@ def discretize_action(a: float,
     return best
 
 
+def _check_hyper(h, least: dict[str, int]) -> None:
+    """Checks shared by DqnHyper and SacHyper; ``least`` gives the minimums
+    of integer fields beyond the shared sizes."""
+    for name, value in h.__dict__.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite: {value}")
+    # gamma = 0 is allowed: targets then reduce to the immediate rewards
+    if not 0.0 <= h.gamma <= 1.0:
+        raise ConfigError(f"gamma must lie in [0, 1]: {h.gamma}")
+    if h.lr <= 0.0:
+        raise ConfigError(f"lr must be positive: {h.lr}")
+    for name, low in {"batch_size": 1, "buffer_capacity": 1, "episodes": 0,
+                      "warmup": 0, **least}.items():
+        if getattr(h, name) < low:
+            raise ConfigError(f"{name} must be >= {low}: {getattr(h, name)}")
+    if min(h.hidden, default=1) < 1:
+        raise ConfigError(f"hidden layer widths must be >= 1: {h.hidden}")
+
+
+def _hyper_from_dict(cls, data: dict):
+    """A checkpoint's ``hyper`` entry; a key ``cls`` lacks is an error."""
+    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"checkpoint hyper has unknown keys {unknown}")
+    return cls(**{**data, "hidden": tuple(data["hidden"])})
+
+
 # ---------------------------------------------------------------------------
 # DQN
 # ---------------------------------------------------------------------------
@@ -73,11 +100,10 @@ class DqnHyper:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        # gamma = 0 is allowed: targets then reduce to the immediate rewards
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
+        _check_hyper(self, {"target_update_interval": 1,
+                            "grad_steps_per_day": 1})
         if not 0.0 < self.epsilon_decay < 1.0:
-            raise ConfigError("epsilon decay must lie in (0, 1)")
+            raise ConfigError("epsilon_decay must lie in (0, 1)")
 
 
 def dqn_select_action(spec: MlpSpec, params: ParamSet, obs: np.ndarray,
@@ -179,9 +205,7 @@ class DqnAgent:
         times the next target sync), epsilon and the replay buffer are not
         restored.
         """
-        hyper_kw = dict(data["hyper"])
-        hyper_kw["hidden"] = tuple(hyper_kw["hidden"])
-        hyper = DqnHyper(**hyper_kw)
+        hyper = _hyper_from_dict(DqnHyper, data["hyper"])
         spec, params, adam = net_from_dict(data["qnet"])
         agent = cls(spec.n_in, hyper, seed=0, n_actions=data["n_actions"])
         agent.params = params
@@ -213,12 +237,15 @@ class SacHyper:
     log_std_max: float = 2.0
 
     def __post_init__(self):
+        _check_hyper(self, {})
         if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("tau must lie in (0, 1]")
+            raise ConfigError(f"tau must lie in (0, 1]: {self.tau}")
         if self.alpha is not None and self.alpha < 0:
-            raise ConfigError("alpha must be nonnegative")
+            raise ConfigError(f"alpha must be nonnegative: {self.alpha}")
+        if self.reward_scale <= 0:
+            raise ConfigError("reward_scale must be positive")
         if self.action_high <= self.action_low:
-            raise ConfigError("action bounds out of order")
+            raise ConfigError("action_low and action_high out of order")
 
 
 def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
@@ -434,9 +461,7 @@ class SacAgent:
         temperature's Adam moments and step count, and the replay buffer
         are not restored.
         """
-        hyper_kw = dict(data["hyper"])
-        hyper_kw["hidden"] = tuple(hyper_kw["hidden"])
-        hyper = SacHyper(**hyper_kw)
+        hyper = _hyper_from_dict(SacHyper, data["hyper"])
         spec, actor, actor_adam = net_from_dict(data["actor"])
         agent = cls(spec.n_in, hyper, seed=0)
         agent.actor = actor

@@ -1,7 +1,12 @@
 """Command-line entry points: train, evaluate, ablate, report.
 
 All behavior is driven by one INI config file plus ``--set section.key=value``
-overrides. Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+overrides; ``--seed`` and ``--out`` override ``run.seeds``/``run.trials`` and
+``run.out_dir``. A key that no setting claims is rejected (see ``config``).
+
+Exit codes: 0 success; 1 configuration error (a malformed or unknown key, a
+bad value, a bad checkpoint), reported before any output is written; 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -11,8 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (apply_overrides, build_agent_hyper, build_run_settings,
-                     build_scenario, load_config)
+from .config import apply_overrides, build_experiment, load_config
 from .errors import ConfigError
 from .harness import (ExperimentConfig, baseline_policy, evaluate_policy,
                       load_checkpoint, reaggregate, run_ablation, run_training)
@@ -57,19 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _experiment_from_args(args) -> ExperimentConfig:
     cfg = apply_overrides(load_config(args.config), args.overrides)
-    scenario = build_scenario(cfg)
-    kind, hyper = build_agent_hyper(cfg, scenario.name)
-    run = build_run_settings(cfg)
-    seeds = run["seeds"]
-    trials = run["trials"]
     if getattr(args, "seed", None) is not None:
-        seeds, trials = (args.seed,), 1
-    out_dir = Path(args.out) if args.out else run["out_dir"]
-    return ExperimentConfig(scenario=scenario, agent_kind=kind, hyper=hyper,
-                            trials=trials, seeds=seeds,
-                            observation=run["observation"],
-                            baseline_grid=run["baseline_grid"],
-                            out_dir=out_dir)
+        cfg.update({"run.seeds": str(args.seed), "run.trials": "1"})
+    if args.out:
+        cfg["run.out_dir"] = args.out
+    return build_experiment(cfg)
 
 
 def _cmd_train(args) -> int:

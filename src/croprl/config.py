@@ -5,27 +5,32 @@ Config files are INI-style: flat ``key = value`` pairs inside ``[scenario]``,
 scenario location preset supplies defaults and the other keys override it.
 ``--set section.key=value`` command-line overrides use the same dotted names.
 
+Each section is read from the fields of the dataclass it builds, named below,
+and each value is parsed by its field's annotation: booleans are true/false,
+yes/no, on/off or 1/0, tuples comma lists, and None is ``none`` or ``auto``.
+A key that no field claims is a ``ConfigError``.
+
 Recognized keys (defaults in parentheses):
 
-[scenario]
-    location (iowa | florida)        preset supplying all omitted values
-    start_doy, planting_doy          day-of-year integers in 1..366
-    latest_harvest_doy               integer in 1..366 or ``none``
-    soil_depth_cm, plant_density, irrigation (0 only)
-    weather_mode (fixed-trace | stochastic), weather_seed
-    action_frequency (1)             days between permitted applications
+[scenario] (ScenarioConfig)
+    location (iowa | florida)    preset supplying all omitted values
+    start_doy, planting_doy      day-of-year integers in 1..366
+    latest_harvest_doy           integer in 1..366 or ``none``
+    soil_depth_cm, plant_density, irrigation (0 only), weather_seed
+    weather_mode                 fixed-trace | stochastic
+    action_frequency (1)         days between permitted applications
 
-[reward]
-    w1 w2 w3 (0.1), w4 (1), threshold (preset), clamp_overage (true)
+[reward] (RewardConfig)
+    w1, w2, w3 (0.1), w4 (1), threshold (preset), clamp_overage (true)
 
-[agent]
+[agent] (DqnHyper or SacHyper)
     kind (dqn | sac), episodes (1200), gamma, batch_size, lr,
     hidden (e.g. ``128,128``), buffer_capacity, warmup
-    dqn: epsilon_decay, target_update_interval, grad_steps_per_day
-    sac: tau, alpha (number or ``auto``), target_entropy, reward_scale,
-         action_low, action_high
+    epsilon_decay, target_update_interval, grad_steps_per_day   dqn only
+    tau, alpha (number or ``auto``), target_entropy,             sac only
+    reward_scale, action_low, action_high                       sac only
 
-[run]
+[run] (ExperimentConfig)
     trials (5), seeds (1..trials), observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
 """
@@ -34,28 +39,54 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import replace
-from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .agents import DqnHyper, SacHyper
 from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
-from .harness import BASELINE_GRID
+from .harness import ExperimentConfig
+from .reward import RewardConfig
+from .simulator import SoilProfile
 
 # Iowa and Florida trained with different exploration decay rates
 PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
+_HYPERS = {"dqn": DqnHyper, "sac": SacHyper}
+
+
+# the annotation of every key, by section; ``location`` names the preset and
+# ``soil_depth_cm`` sets its soil's ``depth_cm``
+_SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
+             "soil_depth_cm": get_type_hints(SoilProfile)["depth_cm"],
+             **{name: tp for name, tp in get_type_hints(ScenarioConfig).items()
+                if name in ("start_doy", "planting_doy", "latest_harvest_doy",
+                            "plant_density", "irrigation", "weather_mode",
+                            "weather_seed", "action_frequency")}}
+_REWARD = get_type_hints(RewardConfig)
+# SAC's log-std clamp is not a setting
+_AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
+                 **{name: tp for name, tp in get_type_hints(cls).items()
+                    if name not in ("log_std_min", "log_std_max")}}
+          for kind, cls in _HYPERS.items()}
+# the other ExperimentConfig fields are built from their own sections
+_RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()
+        if name not in ("scenario", "agent_kind", "hyper")}
+
+_NONE_SPELLING = {int: "none", float: "auto"}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 
 def load_config(path) -> dict[str, str]:
     """Read an INI file into a flat {"section.key": "value"} dict."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
-    return flat
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        return {f"{section}.{key}": value for section in parser.sections()
+                for key, value in parser.items(section)}
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(cfg: dict[str, str], overrides) -> dict[str, str]:
@@ -72,125 +103,78 @@ def apply_overrides(cfg: dict[str, str], overrides) -> dict[str, str]:
     return out
 
 
-def _get(cfg, key, cast, default=None):
-    if key not in cfg:
-        return default
-    raw = cfg[key].strip()
-    if cast is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _parse(tp, raw: str):
+    """``raw`` as a value of the annotation ``tp``."""
+    word = raw.strip().lower()
+    if get_origin(tp) is tuple:                  # tuple[int, ...] and floats
+        item = get_args(tp)[0]
+        return tuple(item(x) for x in word.replace(" ", "").split(",") if x)
+    if get_origin(tp) is UnionType:              # int | None, float | None
+        item = get_args(tp)[0]
+        return None if word == _NONE_SPELLING[item] else item(raw)
+    if tp is bool:
+        if word not in _BOOLS:
+            raise ValueError(f"expected a boolean, got {raw.strip()!r}")
+        return _BOOLS[word]
+    return word if tp is str else tp(raw)        # int, float, Path
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.replace(" ", "").split(",") if x)
-
-
-def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.replace(" ", "").split(",") if x)
+def _read(cfg: dict[str, str], section: str, types: dict) -> dict:
+    """The values ``cfg`` gives the keys of ``section``, parsed by
+    ``types``; a key of the section that ``types`` lacks is an error."""
+    values = {}
+    for key, raw in cfg.items():
+        head, _, name = key.partition(".")
+        if head != section:
+            continue
+        if name not in types:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            values[name] = _parse(types[name], raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return values
 
 
 def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
-    location = cfg.get("scenario.location", "iowa").strip().lower()
+    """The location preset with the [scenario] and [reward] keys applied."""
+    values = _read(cfg, "scenario", _SCENARIO)
+    location = values.pop("location", "iowa")
     if location not in SCENARIO_PRESETS:
         raise ConfigError(f"unknown scenario location {location!r}")
     scen = SCENARIO_PRESETS[location]()
-
-    kwargs = {}
-    for key, attr, cast in (
-            ("scenario.start_doy", "start_doy", int),
-            ("scenario.planting_doy", "planting_doy", int),
-            ("scenario.plant_density", "plant_density", float),
-            ("scenario.irrigation", "irrigation", float),
-            ("scenario.weather_mode", "weather_mode", str),
-            ("scenario.weather_seed", "weather_seed", int),
-            ("scenario.action_frequency", "action_frequency", int)):
-        value = _get(cfg, key, cast)
-        if value is not None:
-            kwargs[attr] = value
-    if "scenario.latest_harvest_doy" in cfg:
-        kwargs["latest_harvest_doy"] = _get(
-            cfg, "scenario.latest_harvest_doy",
-            lambda raw: None if raw.lower() == "none" else int(raw))
-    depth = _get(cfg, "scenario.soil_depth_cm", float)
-    if depth is not None:
-        kwargs["soil"] = replace(scen.soil, depth_cm=depth)
-
-    reward_kwargs = {}
-    for key, attr, cast in (("reward.w1", "w1", float), ("reward.w2", "w2", float),
-                            ("reward.w3", "w3", float), ("reward.w4", "w4", float),
-                            ("reward.threshold", "threshold", float),
-                            ("reward.clamp_overage", "clamp_overage", bool)):
-        value = _get(cfg, key, cast)
-        if value is not None:
-            reward_kwargs[attr] = value
-    if reward_kwargs:
-        kwargs["reward"] = replace(scen.reward, **reward_kwargs)
-
-    return replace(scen, **kwargs) if kwargs else scen
+    soil = replace(scen.soil, depth_cm=values.pop("soil_depth_cm",
+                                                  scen.soil.depth_cm))
+    reward = replace(scen.reward, **_read(cfg, "reward", _REWARD))
+    return replace(scen, soil=soil, reward=reward, **values)
 
 
 def build_agent_hyper(cfg: dict[str, str], location: str):
     """Return (kind, hyper) from the [agent] section."""
-    kind = cfg.get("agent.kind", "dqn").strip().lower()
-    if kind not in ("dqn", "sac"):
+    kind = _parse(str, cfg.get("agent.kind", ExperimentConfig.agent_kind))
+    if kind not in _HYPERS:
         raise ConfigError(f"unknown agent kind {kind!r}")
-
-    common = {}
-    for key, attr, cast in (
-            ("agent.gamma", "gamma", float),
-            ("agent.batch_size", "batch_size", int),
-            ("agent.lr", "lr", float),
-            ("agent.episodes", "episodes", int),
-            ("agent.buffer_capacity", "buffer_capacity", int),
-            ("agent.warmup", "warmup", int)):
-        value = _get(cfg, key, cast)
-        if value is not None:
-            common[attr] = value
-    if "agent.hidden" in cfg:
-        common["hidden"] = _get(cfg, "agent.hidden", _int_tuple)
-
-    if kind == "dqn":
-        kwargs = dict(common)
-        kwargs["epsilon_decay"] = _get(cfg, "agent.epsilon_decay", float,
-                                       PRESET_EPSILON_DECAY.get(location, 0.994))
-        for key, attr in (("agent.target_update_interval", "target_update_interval"),
-                          ("agent.grad_steps_per_day", "grad_steps_per_day")):
-            value = _get(cfg, key, int)
-            if value is not None:
-                kwargs[attr] = value
-        return kind, DqnHyper(**kwargs)
-
-    kwargs = dict(common)
-    for key, attr, cast in (("agent.tau", "tau", float),
-                            ("agent.target_entropy", "target_entropy", float),
-                            ("agent.reward_scale", "reward_scale", float),
-                            ("agent.action_low", "action_low", float),
-                            ("agent.action_high", "action_high", float)):
-        value = _get(cfg, key, cast)
-        if value is not None:
-            kwargs[attr] = value
-    if "agent.alpha" in cfg:
-        kwargs["alpha"] = _get(
-            cfg, "agent.alpha",
-            lambda raw: None if raw.lower() == "auto" else float(raw))
-    return kind, SacHyper(**kwargs)
+    values = _read(cfg, "agent", _AGENT[kind])
+    values.pop("kind", None)
+    if kind == "dqn" and location in PRESET_EPSILON_DECAY:
+        values.setdefault("epsilon_decay", PRESET_EPSILON_DECAY[location])
+    return kind, _HYPERS[kind](**values)
 
 
 def build_run_settings(cfg: dict[str, str]) -> dict:
     """Parse the [run] section; ``ExperimentConfig`` validates the values."""
-    trials = _get(cfg, "run.trials", int, 5)
-    return {"trials": trials,
-            "seeds": _get(cfg, "run.seeds", _int_tuple,
-                          tuple(range(1, trials + 1))),
-            "observation": cfg.get("run.observation", "full").strip().lower(),
-            "baseline_grid": _get(cfg, "run.baseline_grid", _float_tuple,
-                                  BASELINE_GRID),
-            "out_dir": Path(cfg.get("run.out_dir", "run_output"))}
+    given = _read(cfg, "run", _RUN)
+    run = {name: getattr(ExperimentConfig, name) for name in _RUN}
+    run["seeds"] = tuple(range(1, given.get("trials", run["trials"]) + 1))
+    return run | given
+
+
+def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
+    """The ExperimentConfig of a whole config dict, for every subcommand."""
+    for key in cfg:
+        if key.partition(".")[0] not in ("scenario", "reward", "agent", "run"):
+            raise ConfigError(f"unknown key {key!r}")
+    scenario = build_scenario(cfg)
+    kind, hyper = build_agent_hyper(cfg, scenario.name)
+    return ExperimentConfig(scenario=scenario, agent_kind=kind, hyper=hyper,
+                            **build_run_settings(cfg))

@@ -4,8 +4,8 @@ One episode runs from the simulation start date to crop maturity, or to a
 configured latest harvest date, or to DOY 366, the end of the weather table,
 whichever comes first. Each step applies a fertilizer mass to the
 current day, advances the process model by exactly one day, and returns the
-new state together with the decomposed reward. The environment is
-deterministic given (config, seed, action sequence).
+day's record: the new state together with the decomposed reward. The
+environment is deterministic given (config, seed, action sequence).
 
 Conventions:
 
@@ -15,8 +15,8 @@ Conventions:
 * Flux and stress fields (``tleachd``, ``nstres``, ...) describe the most
   recently simulated day; in the reset state fluxes are zero and the stress
   indices one.
-* ``done`` is returned by the terminal step only; the harvest reward uses the
-  top weight reached on that step.
+* ``done`` turns true on the terminal step; the harvest reward uses the top
+  weight reached on that step.
 * With an action frequency ``f`` greater than one, requested amounts on
   off-schedule days are forced to zero (the day still advances).
 """
@@ -34,8 +34,8 @@ from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
                         initial_soil_state, thermal_time)
 from .state import StateVector
-from .weather import (MONTH_LENGTHS, DailyWeather, MonthlyClimate,
-                      WeatherModel, load_preset_climate)
+from .weather import (MONTH_LENGTHS, WEATHER_MODES, DailyWeather,
+                      MonthlyClimate, WeatherModel, load_preset_climate)
 
 #: Discrete fertilizer amounts available to the agents, kg/ha.
 DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
@@ -46,14 +46,6 @@ def day_of_year(month: int, day: int) -> int:
     if not 1 <= month <= 12 or not 1 <= day <= MONTH_LENGTHS[month - 1]:
         raise ConfigError(f"invalid calendar date {month}/{day}")
     return sum(MONTH_LENGTHS[: month - 1]) + day
-
-
-@dataclass(frozen=True)
-class StepResult:
-    next_state: StateVector
-    reward: float
-    reward_breakdown: RewardBreakdown
-    done: bool
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,16 @@ class ScenarioConfig:
         if self.latest_harvest_doy is not None \
                 and self.latest_harvest_doy <= self.planting_doy:
             raise ConfigError("latest harvest must come after planting")
-        if self.plant_density <= 0:
-            raise ConfigError("plant density must be positive")
+        if not 0.0 < self.plant_density < math.inf:
+            raise ConfigError("plant_density must be finite and positive")
         if self.irrigation != 0.0:
             raise ConfigError("irrigation is fixed at zero")
         if self.action_frequency < 1:
             raise ConfigError("action frequency must be >= 1")
+        if self.weather_mode not in WEATHER_MODES:
+            raise ConfigError(f"unknown weather_mode {self.weather_mode!r}")
+        if self.weather_seed < 0:
+            raise ConfigError("weather_seed must be >= 0")
 
 
 def iowa_scenario(**overrides) -> ScenarioConfig:
@@ -169,7 +165,6 @@ class NitrogenEnv:
         self.weather_model = WeatherModel(config.climate, config.weather_mode,
                                           config.weather_seed)
         self._series: np.ndarray | None = None
-        self._state: StateVector | None = None
         self._done = True
         # the latest date of a terminal state; the weather table ends on
         # DOY 366, so no episode wraps it
@@ -195,13 +190,13 @@ class NitrogenEnv:
         self._totaml = 0.0
         self._done = False
         self.records = []
-        self._state = self._build_state(DailyFluxes(), GrowthIndices())
-        return self._state
+        return self._build_state(DailyFluxes(), GrowthIndices())
 
-    def step(self, dose: float) -> StepResult:
-        """Apply ``dose`` kg/ha of fertilizer to the current day and advance
-        the simulation."""
-        if self._done or self._state is None:
+    def step(self, dose: float) -> DayRecord:
+        """Apply ``dose`` kg/ha of fertilizer to the current day, advance the
+        simulation, and return the day's record (also appended to
+        ``records``)."""
+        if self._done:
             raise EpisodeFinishedError("episode is finished; call reset()")
         requested = float(dose)
         if not 0.0 <= requested < math.inf:
@@ -234,21 +229,14 @@ class NitrogenEnv:
             cumsumfert_incl_today=self._cumsumfert,
             is_harvest=self._done, y=self._crop.topwt, cfg=cfg.reward)
 
-        reward = breakdown.total
-        self._state = self._build_state(fluxes, indices)
-        self.records.append(DayRecord(
+        record = DayRecord(
             dap=self._day - 1, action_requested=requested,
-            action_applied=applied, reward=reward,
-            breakdown=breakdown, state=self._state))
-        return StepResult(self._state, reward, breakdown, self._done)
+            action_applied=applied, reward=breakdown.total,
+            breakdown=breakdown, state=self._build_state(fluxes, indices))
+        self.records.append(record)
+        return record
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def state(self) -> StateVector:
-        if self._state is None:
-            raise EpisodeFinishedError("environment not reset yet")
-        return self._state
 
     @property
     def done(self) -> bool:

@@ -57,13 +57,15 @@ class ExperimentConfig:
     out_dir: Path = Path("run_output")
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"run.trials must be >= 1: {self.trials}")
         if self.trials != len(self.seeds):
             raise ConfigError(
                 f"trials={self.trials} but {len(self.seeds)} seeds given")
         if self.observation not in ("full", "partial"):
             raise ConfigError("run.observation must be full or partial")
         if not all(0.0 <= b < math.inf for b in self.baseline_grid):
-            raise ConfigError("baseline amounts must be finite and nonnegative")
+            raise ConfigError("baseline_grid amounts must be finite and >= 0")
         if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
 
@@ -159,13 +161,13 @@ def run_episode(env: NitrogenEnv, policy, mask: ObservationMask,
     total = 0.0
     while not env.done:
         dose, action = policy(state, obs)
-        result = env.step(dose)
-        state = result.next_state
+        record = env.step(dose)
+        state = record.state
         next_obs = normalize_observation(observe(state, mask), mask)
         if on_step is not None:
-            on_step(obs, action, result.reward, next_obs, result.done)
+            on_step(obs, action, record.reward, next_obs, env.done)
         obs = next_obs
-        total += result.reward
+        total += record.reward
     summary = EpisodeSummary(
         total_n=state.cumsumfert, total_leach=state.cleach,
         total_uptake=state.wtnup, topwt=state.topwt,
@@ -240,9 +242,13 @@ def agent_policy(agent, choose):
 
 def load_checkpoint(path) -> tuple:
     """Load an agent checkpoint; returns (policy, metadata dict)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    agent = AGENTS[data["agent"]["kind"]].from_dict(data["agent"])
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        agent_cls = AGENTS[data["agent"]["kind"]]
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc!r}") from exc
+    agent = agent_cls.from_dict(data["agent"])
     meta = {k: v for k, v in data.items() if k != "agent"}
     return agent_policy(agent, agent.greedy_action), meta
 
@@ -335,7 +341,7 @@ def run_training(config: ExperimentConfig) -> RunReport:
     report.baselines = sweep_baselines(config.scenario, config.baseline_grid,
                                        config.mask)
     report.elapsed_s = time.time() - t0
-    emit_report(report, out, episodes_log=episodes_log, config=config)
+    emit_report(report, out, episodes_log, config)
     return report
 
 
@@ -526,24 +532,20 @@ def _write_tables(report: RunReport, out: Path) -> list[Path]:
     return [curves, tables]
 
 
-def emit_report(report: RunReport, out_dir, episodes_log=None,
-                config: ExperimentConfig | None = None) -> list[Path]:
+def emit_report(report: RunReport, out_dir, episodes_log: list,
+                config: ExperimentConfig) -> list[Path]:
     """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
-    if not report.trials:
-        raise ConfigError("cannot emit a report with no trials")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = _write_tables(report, out)
 
-    if episodes_log is not None:
-        path = out / "episodes.jsonl"
-        with open(path, "w") as fh:
-            for entry in episodes_log:
-                for rec in entry["records"]:
-                    fh.write(json.dumps({"method": entry["method"],
-                                         **rec.as_dict()},
-                                        sort_keys=True) + "\n")
-        written.append(path)
+    path = out / "episodes.jsonl"
+    with open(path, "w") as fh:
+        for entry in episodes_log:
+            for rec in entry["records"]:
+                fh.write(json.dumps({"method": entry["method"],
+                                     **rec.as_dict()}, sort_keys=True) + "\n")
+    written.append(path)
 
     manifest = {
         "config_digest": report.config_digest,
@@ -557,8 +559,8 @@ def emit_report(report: RunReport, out_dir, episodes_log=None,
         "baselines": {str(int(a)): s.as_dict()
                       for a, s in sorted(report.baselines.items())},
         "elapsed_s": report.elapsed_s,
-        "observation": config.observation if config else None,
-        "episodes": config.hyper.episodes if config else None,
+        "observation": config.observation,
+        "episodes": config.hyper.episodes,
     }
     path = out / "manifest.json"
     with open(path, "w") as fh:

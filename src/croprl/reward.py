@@ -30,9 +30,11 @@ class RewardConfig:
     clamp_overage: bool = True
 
     def __post_init__(self):
-        if min(self.w1, self.w2, self.w3, self.w4) < 0:
-            raise ConfigError("reward weights must be nonnegative")
-        if self.threshold < 0:
+        for name in ("w1", "w2", "w3", "w4"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"reward {name} must be finite and >= 0")
+        # an infinite threshold never charges an overage
+        if not self.threshold >= 0:
             raise ConfigError("reward threshold must be nonnegative")
 
 

@@ -56,8 +56,9 @@ class SoilProfile:
     runoff_threshold_mm: float = 40.0
 
     def __post_init__(self):
-        if self.depth_cm <= 0 or self.n_layers < 1:
-            raise ConfigError("soil profile needs positive depth and layers")
+        if not 0.0 < self.depth_cm < math.inf or self.n_layers < 1:
+            raise ConfigError("soil needs a finite positive soil_depth_cm "
+                              "and layers")
         if not 0 < self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
 

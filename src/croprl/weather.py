@@ -39,6 +39,7 @@ CLIMATE_COLUMNS = (
     "wet_srad_factor",
 )
 
+WEATHER_MODES = ("fixed-trace", "stochastic")
 # 0-based month of each day of a 366-day (leap-layout) year
 MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _DOY_MONTH = tuple(m for m, n in enumerate(MONTH_LENGTHS) for _ in range(n))
@@ -93,7 +94,7 @@ class WeatherModel:
 
     def __init__(self, climate: MonthlyClimate, mode: str = "fixed-trace",
                  seed: int = 0):
-        if mode not in ("fixed-trace", "stochastic"):
+        if mode not in WEATHER_MODES:
             raise ConfigError(f"unknown weather mode: {mode!r}")
         self.climate = climate
         self.mode = mode

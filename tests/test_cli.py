@@ -1,8 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from croprl import config as configmod
+from croprl.agents import DqnAgent, DqnHyper
 from croprl.cli import main
+from croprl.harness import config_digest
 
 
 @pytest.fixture
@@ -24,6 +29,36 @@ def tiny_config(tmp_path):
     ["run.trials=3", "run.seeds=1,2"],
     ["run.observation=bogus"],
     ["run.baseline_grid=0,nan"],
+    # keys no setting claims
+    ["agent.learning_rate=0.5"],
+    ["run.trails=3"],
+    ["bogus.key=1"],
+    ["Agent.episodes=2"],
+    ["agent.tau=0.01"],
+    ["agent.kind=sac", "agent.epsilon_decay=0.9"],
+    ["agent.kind=sac", "agent.log_std_min=-3"],
+    ["agent.kind=sac", "agent.log_std_max=1"],
+    # values their dataclass refuses
+    ["agent.batch_size=0"],
+    ["agent.lr=nan"],
+    ["agent.lr=-1"],
+    ["agent.episodes=-1"],
+    ["agent.warmup=-5"],
+    ["agent.target_update_interval=0"],
+    ["agent.grad_steps_per_day=-1"],
+    ["agent.hidden=0"],
+    ["agent.buffer_capacity=0"],
+    ["agent.kind=sac", "agent.alpha=nan"],
+    ["agent.kind=sac", "agent.action_high=nan"],
+    ["agent.kind=sac", "agent.reward_scale=0"],
+    ["agent.kind=sac", "agent.reward_scale=inf"],
+    ["scenario.plant_density=nan"],
+    ["scenario.soil_depth_cm=nan"],
+    ["scenario.weather_seed=-1"],
+    ["scenario.weather_mode=bogus"],
+    ["reward.w1=nan"],
+    ["reward.threshold=nan"],
+    ["run.seeds=", "run.trials=0"],
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -31,8 +66,27 @@ def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    # the message names the key of the last override
+    assert overrides[-1].split("=")[0].partition(".")[2] in err
     assert not (tmp_path / "out").exists()  # rejected before training
+
+
+@pytest.mark.parametrize("text", [
+    "episodes = 1\n",                                  # no section header
+    "[agent]\nepisodes = 1\nepisodes = 2\n",            # a key twice
+    "[agent]\nepisodes = 1\n[run]\nout_dir = 10%\n",     # stray %
+    "[Agent]\nepisodes = 1\n",                         # sections are exact
+])
+def test_malformed_config_files_are_configuration_errors(tmp_path, capsys,
+                                                         text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -73,14 +127,146 @@ def test_train_report_evaluate_round_trip(round_trip_config, tmp_path,
         assert (again / name).read_bytes() == (run / name).read_bytes(), name
 
 
+@pytest.fixture
+def bad_checkpoints(tmp_path):
+    """A directory of checkpoint files that evaluation must refuse."""
+    agent = DqnAgent(30, DqnHyper(hidden=(4,), buffer_capacity=1)).to_dict()
+    texts = {"not_json": "{\"agent\": ",
+             "unknown_kind": json.dumps({"agent": {"kind": "ppo"}}),
+             "unknown_key": json.dumps({"agent": {
+                 **agent, "hyper": {**agent["hyper"], "tau": 0.1}}})}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return tmp_path
+
+
 @pytest.mark.parametrize("argv", [
     ["--baseline", "nan"],
     ["--baseline", "inf"],
     ["--baseline", "-40"],
     ["--baseline", "160", "--episodes", "0"],
     ["--baseline", "160", "--set", "run.observation=bogus"],
+    ["--checkpoint", "{dir}/missing.json"],
+    ["--checkpoint", "{dir}/not_json.json"],
+    ["--checkpoint", "{dir}/unknown_kind.json"],
+    ["--checkpoint", "{dir}/unknown_key.json"],
 ])
-def test_bad_evaluation_requests_are_configuration_errors(tiny_config, capsys,
-                                                          argv):
+def test_bad_evaluation_requests_are_configuration_errors(
+        tiny_config, bad_checkpoints, capsys, argv):
+    argv = [arg.format(dir=bad_checkpoints) for arg in argv]
     assert main(["evaluate", "--config", str(tiny_config), *argv]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+# every documented key, with every special spelling, and the digests these
+# configs had before the sections were read from their dataclasses
+DQN_INI = """
+[scenario]
+location = Iowa
+start_doy = 100
+planting_doy = 130
+latest_harvest_doy = None
+soil_depth_cm = 140.5
+plant_density = 8
+irrigation = 0
+weather_mode = stochastic
+weather_seed = 12
+action_frequency = 2
+[reward]
+w1 = 0.2
+w2 = 0.05
+w3 = 0.3
+w4 = 2
+threshold = 200
+clamp_overage = no
+[agent]
+kind = DQN
+episodes = 7
+gamma = 0.95
+batch_size = 32
+lr = 1e-4
+hidden = 64, 32
+buffer_capacity = 5000
+warmup = 100
+epsilon_decay = 0.99
+target_update_interval = 50
+grad_steps_per_day = 2
+[run]
+trials = 3
+seeds = 7, 8,9
+observation = Partial
+baseline_grid = 0, 50.5, 100
+out_dir = Some/Dir
+"""
+SAC_INI = """
+[scenario]
+location = florida
+start_doy = 40
+planting_doy = 60
+latest_harvest_doy = 300
+soil_depth_cm = 120
+plant_density = 6.5
+irrigation = 0.0
+weather_mode = fixed-trace
+weather_seed = 3
+action_frequency = 1
+[reward]
+w1 = 0.1
+w2 = 0.2
+w3 = 0
+w4 = 1.5
+threshold = inf
+clamp_overage = On
+[agent]
+kind = sac
+episodes = 5
+gamma = 0.9
+batch_size = 8
+lr = 3e-4
+hidden = 32,32,16
+buffer_capacity = 2000
+warmup = 0
+tau = 0.01
+alpha = AUTO
+target_entropy = -0.5
+reward_scale = 0.1
+action_low = 0
+action_high = 160
+[run]
+trials = 2
+seeds = 1, 2
+observation = full
+baseline_grid = 0,160
+out_dir = out
+"""
+
+
+@pytest.mark.parametrize("text,digest,out_dir", [
+    (DQN_INI, "d1be7eac12a870de", "Some/Dir"),
+    (SAC_INI, "5f1949ee76b5b3cf", "out"),
+    ("", "6e316ba6298223a5", "run_output"),
+], ids=["dqn", "sac", "defaults"])
+def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
+    path = tmp_path / "all.ini"
+    path.write_text(text)
+    experiment = configmod.build_experiment(configmod.load_config(path))
+    assert config_digest(experiment) == digest
+    assert experiment.out_dir == Path(out_dir)
+
+
+def test_docstring_lists_exactly_the_settable_keys():
+    documented, section = set(), None
+    for line in configmod.__doc__.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = header[1]
+        elif section and re.match(r" {4}[a-z]", line):
+            # keys come before the first double space; drop the defaults
+            names = re.split(r" {2,}", re.sub(r"\([^)]*\)", "", line).strip())
+            documented |= {f"{section}.{name.strip()}"
+                           for name in names[0].split(",") if name.strip()}
+    computed = {f"{section}.{key}" for section, types in (
+        ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
+        ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
+        ("run", configmod._RUN)) for key in types}
+    assert len(computed) == 38
+    assert documented == computed

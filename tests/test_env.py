@@ -17,8 +17,8 @@ FULL = ObservationMask.full()
 
 def final_state(env):
     """Roll out an episode with no fertilizer; returns the terminal state."""
-    run_episode(env, baseline_policy(0.0), FULL)
-    return env.state
+    _, records = run_episode(env, baseline_policy(0.0), FULL)
+    return records[-1].state
 
 
 def test_day_of_year_helper():
@@ -64,7 +64,7 @@ def test_identical_seed_and_actions_give_identical_trajectory():
         i += 1
     assert env2.done
     assert rewards1 == rewards2
-    assert env1.state == env2.state
+    assert env1.records[-1].state == env2.records[-1].state
 
 
 def test_invalid_configs_rejected():
@@ -114,19 +114,21 @@ def test_non_finite_dose_rejected(iowa_env, dose):
     iowa_env.reset(seed=0)
     with pytest.raises(ValueError):
         iowa_env.step(dose)
-    assert iowa_env.state.dap == 0 and iowa_env.records == []
+    assert iowa_env.records == []
+    assert iowa_env.step(0.0).dap == 0  # the rejected dose left no trace
 
 
 def test_reward_matches_cost_terms_on_application_day(iowa_env):
-    state = iowa_env.reset(seed=0)
-    result = iowa_env.step(40.0)
+    iowa_env.reset(seed=0)
+    record = iowa_env.step(40.0)
+    assert iowa_env.records == [record]
     cfg = iowa_env.config.reward
-    expected = daily_reward(40.0, result.next_state.tleachd, 40.0, False,
+    expected = daily_reward(40.0, record.state.tleachd, 40.0, False,
                             0.0, cfg)
-    assert result.reward == expected.total
-    assert result.reward == pytest.approx(
-        -cfg.w2 * 40.0 - cfg.w3 * result.next_state.tleachd)
-    b = result.reward_breakdown
+    assert record.reward == expected.total
+    assert record.reward == pytest.approx(
+        -cfg.w2 * 40.0 - cfg.w3 * record.state.tleachd)
+    b = record.breakdown
     assert b.total == b.yield_term - b.fert_term - b.leach_term - b.overage_term
 
 
@@ -136,14 +138,14 @@ def test_action_frequency_gates_off_schedule_days():
     env.step(40.0)   # day 0: permitted
     env.step(160.0)  # day 1
     env.step(160.0)  # day 2
-    result = env.step(160.0)  # day 3
-    assert result.next_state.cumsumfert == 40.0
+    record = env.step(160.0)  # day 3
+    assert record.state.cumsumfert == 40.0
     records = env.records
     assert [r.action_applied for r in records] == [40.0, 0.0, 0.0, 0.0]
     for _ in range(6):
-        result = env.step(80.0)  # days 4..9
-    result = env.step(80.0)      # day 10: permitted again
-    assert result.next_state.cumsumfert == 120.0
+        env.step(80.0)            # days 4..9
+    record = env.step(80.0)      # day 10: permitted again
+    assert record.state.cumsumfert == 120.0
 
 
 def test_action_frequency_pattern_over_full_episode():
@@ -179,9 +181,8 @@ def test_running_sum_identities_hold(random_action_sequence):
     sums = dict(fert=0.0, leach=0.0, nox=0.0, uptake=0.0)
     prev = state
     while not env.done:
-        result = env.step(random_action_sequence(prev))
-        state = result.next_state
-        rec = env.records[-1]
+        rec = env.step(random_action_sequence(prev))
+        state = rec.state
         sums["fert"] += rec.action_applied
         sums["leach"] += state.tleachd
         sums["nox"] += state.tnoxd
@@ -200,11 +201,14 @@ def test_running_sum_identities_hold(random_action_sequence):
 
 def test_done_exactly_once_at_terminal_step(iowa_env):
     iowa_env.reset(seed=0)
-    flags = []
+    flags, harvests = [], []
     while not iowa_env.done:
-        flags.append(iowa_env.step(0.0).done)
+        record = iowa_env.step(0.0)
+        flags.append(iowa_env.done)
+        harvests.append(record.breakdown.yield_term > 0.0)
     assert sum(flags) == 1
     assert flags[-1]
+    assert harvests == flags  # the harvest is paid on that step only
 
 
 def test_observe_through_env(iowa_env):
@@ -216,9 +220,9 @@ def test_observe_through_env(iowa_env):
 def test_episode_log_records_every_day(iowa_env):
     iowa_env.reset(seed=0)
     while not iowa_env.done:
-        iowa_env.step(40.0 if iowa_env.state.dap == 50 else 0.0)
+        iowa_env.step(40.0 if len(iowa_env.records) == 50 else 0.0)
     records = iowa_env.records
-    assert len(records) == iowa_env.state.dap
+    assert len(records) == records[-1].state.dap
     assert [r.dap for r in records] == list(range(len(records)))
     need = {"dap", "action_requested", "action_applied", "reward",
             "breakdown", "state"}
@@ -251,7 +255,7 @@ def test_golden_trajectories(location, mode):
     for seed in (0, 1, 2):
         env.reset(seed=seed)
         while not env.done:
-            env.step(GOLDEN_SCHEDULE[env.state.dap % len(GOLDEN_SCHEDULE)])
+            env.step(GOLDEN_SCHEDULE[len(env.records) % len(GOLDEN_SCHEDULE)])
         for rec in env.records:
             digest.update(json.dumps(rec.as_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN[location, mode]
