@@ -72,6 +72,11 @@ def _check_hyper(h, least: dict[str, int]) -> None:
             raise ConfigError(f"{name} must be >= {low}: {getattr(h, name)}")
     if min(h.hidden, default=1) < 1:
         raise ConfigError(f"hidden layer widths must be >= 1: {h.hidden}")
+    if h.buffer_capacity < max(h.batch_size, h.warmup):
+        raise ConfigError(
+            f"buffer_capacity must hold max(batch_size, warmup) = "
+            f"{max(h.batch_size, h.warmup)} transitions before the first "
+            f"update: {h.buffer_capacity}")
 
 
 def _hyper_from_dict(cls, data: dict):
@@ -135,6 +140,7 @@ class DqnAgent:
     def __init__(self, obs_dim: int, hyper: DqnHyper = DqnHyper(),
                  seed: int = 0, n_actions: int = len(DISCRETE_ACTIONS_KG)):
         self.hyper = hyper
+        self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.rng = np.random.default_rng(seed)
         self.spec = MlpSpec((obs_dim, *hyper.hidden, n_actions))
@@ -192,25 +198,25 @@ class DqnAgent:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The greedy policy only: the Q-net, its hyper and action count."""
         return {"kind": "dqn", "n_actions": self.n_actions,
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
-                "qnet": net_to_dict(self.spec, self.params, self.adam),
-                "target": net_to_dict(self.spec, self.target_params)}
+                "qnet": net_to_dict(self.spec, self.params)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DqnAgent":
-        """Rebuild the networks, target and Adam moments from ``to_dict``.
+        """Rebuild the greedy policy only, from ``to_dict``: the Q-net.
 
-        Policy-only: the rng is reseeded to 0, and ``grad_steps`` (which
-        times the next target sync), epsilon and the replay buffer are not
-        restored.
+        The target starts as a copy of it and Adam starts afresh, the rng
+        is reseeded to 0, and ``grad_steps``, epsilon and the replay buffer
+        are not restored.
         """
         hyper = _hyper_from_dict(DqnHyper, data["hyper"])
-        spec, params, adam = net_from_dict(data["qnet"])
+        spec, params = net_from_dict(data["qnet"])
         agent = cls(spec.n_in, hyper, seed=0, n_actions=data["n_actions"])
-        agent.params = params
-        agent.adam = adam if adam is not None else agent.adam
-        _, agent.target_params, _ = net_from_dict(data["target"])
+        if spec != agent.spec:
+            raise ConfigError(f"Q-net {spec} does not match its hyper")
+        agent.params, agent.target_params = params, params.copy()
         return agent
 
 
@@ -265,6 +271,7 @@ class SacAgent:
     def __init__(self, obs_dim: int, hyper: SacHyper = SacHyper(),
                  seed: int = 0):
         self.hyper = hyper
+        self.obs_dim = obs_dim
         self.rng = np.random.default_rng(seed)
         h = hyper
         self._mid = 0.5 * (h.action_high + h.action_low)
@@ -442,36 +449,23 @@ class SacAgent:
     # -- persistence ----------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The greedy policy only: the actor and its hyper."""
         return {"kind": "sac",
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
-                "actor": net_to_dict(self.actor_spec, self.actor,
-                                     self.actor_adam),
-                "critics": [net_to_dict(self.critic_spec, c, a)
-                            for c, a in zip(self.critics, self.critic_adams)],
-                "targets": [net_to_dict(self.critic_spec, c)
-                            for c in self.targets],
-                "log_alpha": self.log_alpha}
+                "actor": net_to_dict(self.actor_spec, self.actor)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SacAgent":
-        """Rebuild the actor, critics, targets, their Adam moments and
-        log-alpha from ``to_dict``.
+        """Rebuild the greedy policy only, from ``to_dict``: the actor.
 
-        Policy-only: the rng is reseeded to 0, and ``updates``, the
-        temperature's Adam moments and step count, and the replay buffer
-        are not restored.
+        The critics, their targets and the temperature start afresh from
+        seed 0, as does every Adam state, and ``updates`` and the replay
+        buffer are not restored.
         """
         hyper = _hyper_from_dict(SacHyper, data["hyper"])
-        spec, actor, actor_adam = net_from_dict(data["actor"])
+        spec, actor = net_from_dict(data["actor"])
         agent = cls(spec.n_in, hyper, seed=0)
+        if spec != agent.actor_spec:
+            raise ConfigError(f"actor {spec} does not match its hyper")
         agent.actor = actor
-        if actor_adam is not None:
-            agent.actor_adam = actor_adam
-        for i, entry in enumerate(data["critics"]):
-            _, agent.critics[i], adam = net_from_dict(entry)
-            if adam is not None:
-                agent.critic_adams[i] = adam
-        for i, entry in enumerate(data["targets"]):
-            _, agent.targets[i], _ = net_from_dict(entry)
-        agent.log_alpha = data["log_alpha"]
         return agent

@@ -88,11 +88,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _experiment_from_args(args)
     if args.checkpoint:
-        policy, meta = load_checkpoint(args.checkpoint)
-        if meta.get("observation") and meta["observation"] != config.observation:
-            raise ConfigError(
-                f"checkpoint expects {meta['observation']} observations, "
-                f"config requests {config.observation}")
+        policy, _ = load_checkpoint(args.checkpoint, config)
         label = f"checkpoint:{args.checkpoint}"
     else:
         policy = baseline_policy(args.baseline)

@@ -16,7 +16,7 @@ Recognized keys (defaults in parentheses):
     location (iowa | florida)    preset supplying all omitted values
     start_doy, planting_doy      day-of-year integers in 1..366
     latest_harvest_doy           integer in 1..366 or ``none``
-    soil_depth_cm, plant_density, irrigation (0 only), weather_seed
+    soil_depth_cm, plant_density, weather_seed
     weather_mode                 fixed-trace | stochastic
     action_frequency (1)         days between permitted applications
 
@@ -60,7 +60,7 @@ _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
              "soil_depth_cm": get_type_hints(SoilProfile)["depth_cm"],
              **{name: tp for name, tp in get_type_hints(ScenarioConfig).items()
                 if name in ("start_doy", "planting_doy", "latest_harvest_doy",
-                            "plant_density", "irrigation", "weather_mode",
+                            "plant_density", "weather_mode",
                             "weather_seed", "action_frequency")}}
 _REWARD = get_type_hints(RewardConfig)
 # SAC's log-std clamp is not a setting

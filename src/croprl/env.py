@@ -64,7 +64,6 @@ class ScenarioConfig:
     initial_organic_n: float
     plant_density: float            # plants/m2
     reward: RewardConfig
-    irrigation: float = 0.0         # mm/d, fixed at zero in this study
     weather_mode: str = "fixed-trace"
     weather_seed: int = 0
     action_frequency: int = 1       # days between permitted applications
@@ -82,8 +81,6 @@ class ScenarioConfig:
             raise ConfigError("latest harvest must come after planting")
         if not 0.0 < self.plant_density < math.inf:
             raise ConfigError("plant_density must be finite and positive")
-        if self.irrigation != 0.0:
-            raise ConfigError("irrigation is fixed at zero")
         if self.action_frequency < 1:
             raise ConfigError("action frequency must be >= 1")
         if self.weather_mode not in WEATHER_MODES:
@@ -115,7 +112,7 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
 
 
 def florida_scenario(**overrides) -> ScenarioConfig:
-    """North-Florida maize season: sandy soil, no irrigation, open harvest."""
+    """North-Florida maize season: sandy soil, rain-fed, open harvest."""
     defaults = dict(
         name="florida",
         start_doy=day_of_year(1, 30),

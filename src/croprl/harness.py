@@ -5,7 +5,7 @@ curve row per episode, checkpoints the final policy, sweeps the single-dose
 reference grid, and writes a report directory:
 
     trial_<seed>_curve.csv        per-episode metrics for one seed
-    trial_<seed>_checkpoint.json  final policy (reloadable)
+    trial_<seed>_checkpoint.json  greedy policy: DQN Q-net or SAC actor
     curves.csv                    per-episode mean and variance across seeds
     tables.csv                    reference grid and final policies, one row
                                   per method (N, leaching, uptake, topwt,
@@ -240,16 +240,25 @@ def agent_policy(agent, choose):
     return call
 
 
-def load_checkpoint(path) -> tuple:
-    """Load an agent checkpoint; returns (policy, metadata dict)."""
+def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
+    """Load an agent checkpoint; returns (policy, metadata dict). With
+    ``config``, refuse a policy made for other observations than it gives."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        agent_cls = AGENTS[data["agent"]["kind"]]
-    except (OSError, ValueError, KeyError) as exc:
+        agent = AGENTS[data["agent"]["kind"]].from_dict(data["agent"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc!r}") from exc
-    agent = agent_cls.from_dict(data["agent"])
     meta = {k: v for k, v in data.items() if k != "agent"}
+    if config is not None:
+        if meta.get("observation", config.observation) != config.observation:
+            raise ConfigError(
+                f"checkpoint expects {meta['observation']} observations, "
+                f"config requests {config.observation}")
+        size = config.mask.size(config.scenario.soil.n_layers)
+        if agent.obs_dim != size:
+            raise ConfigError(f"checkpoint policy reads {agent.obs_dim} "
+                              f"observation values, config gives {size}")
     return agent_policy(agent, agent.greedy_action), meta
 
 
@@ -350,34 +359,7 @@ def _write_checkpoint(path, config: ExperimentConfig, agent, seed: int):
             "observation": config.observation, "seed": seed,
             "episodes": config.hyper.episodes,
             "config_digest": config_digest(config)}
-    with open(path, "w") as fh:
-        _dump_json(data, fh)
-
-
-def _dump_json(obj, fh) -> None:
-    """Write ``json.dumps(obj)`` to ``fh`` (string keys only), at most 1024
-    list items per ``json.dumps`` call. ``json.dump`` runs the pure-Python
-    encoder, and on Python 3.11 ``json.dumps`` of a whole SAC checkpoint
-    holds a string per number: 7 to 15 MB more peak memory."""
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _dump_json(value, fh)
-        fh.write("}")
-    elif isinstance(obj, list):
-        nested = obj and isinstance(obj[0], (dict, list))
-        step = 1 if nested else 1024
-        fh.write("[")
-        for at in range(0, len(obj), step):
-            fh.write(", " if at else "")
-            if nested:
-                _dump_json(obj[at], fh)
-            else:
-                fh.write(json.dumps(obj[at:at + step])[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj))
+    Path(path).write_text(json.dumps(data))
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,21 @@ non-finite gradient raises ``FloatingPointError`` before anything changes.
 
 Subnormal flush. After each step, every first moment smaller in magnitude
 than ``np.finfo(dtype).tiny`` is set to 0. A unit whose gradient is exactly
-zero (a dead relu) sees its moment decay by beta1 a step; after roughly 700
+zero (a dead relu) sees its moment decay by BETA1 a step; after roughly 700
 steps it is subnormal, and on x86 every operation that reads a subnormal
 takes a microcode assist. Without the flush, the Adam step of a 20-episode
 DQN run grew about 3x slower from the first tenth of the run to the last.
 The flush leaves parameter bits unchanged in practice: the step it drops is
-lr * |m| / (c1 * denom) with |m| < tiny, c1 >= 1 - beta1 and denom >= eps,
-so below lr * tiny / ((1 - beta1) * eps), about 6e-34 for float32 at the
+lr * |m| / (c1 * denom) with |m| < tiny, c1 >= 1 - BETA1 and denom >= EPS,
+so below lr * tiny / ((1 - BETA1) * EPS), about 6e-34 for float32 at the
 default lr. That is under half an ulp of any parameter larger in magnitude
 than about 1e-26.
 
-Checkpoints: ``net_to_dict`` gives a versioned, JSON-ready dict with one
-list per (W, b) array; float round-tripping through JSON is exact, so
-``net_from_dict`` of its JSON reproduces parameters bit for bit.
+Checkpoints: ``net_to_dict`` gives a versioned, JSON-ready dict of a net's
+spec and parameters, one list per (W, b) array, and no optimizer state; float
+round-tripping through JSON is exact, so ``net_from_dict`` of its JSON
+reproduces the parameters bit for bit. It ignores any other key, such as the
+Adam moments that earlier version-1 files carry.
 """
 
 from __future__ import annotations
@@ -214,22 +216,23 @@ def input_gradient(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
 # Adam
 # ---------------------------------------------------------------------------
 
+#: Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam settings, step count, and flat moments in the params' layout."""
+    """Adam's learning rate, step count, and flat moments in the params'
+    layout."""
     lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, params: ParamSet, lr: float = 5e-5, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    def for_params(cls, params: ParamSet, lr: float = 5e-5) -> "AdamState":
+        return cls(lr=lr, step=0, m=np.zeros_like(params.flat),
+                   v=np.zeros_like(params.flat))
 
 
 def adam_step(params: ParamSet, grads, state: AdamState
@@ -250,7 +253,7 @@ def adam_step(params: ParamSet, grads, state: AdamState
     if not np.isfinite(g.sum()):
         raise FloatingPointError("non-finite gradient in adam_step")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     tmp = np.empty_like(x)
@@ -264,7 +267,7 @@ def adam_step(params: ParamSet, grads, state: AdamState
     v += tmp
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     np.divide(m, c1, out=tmp)
     tmp /= denom
     tmp *= -state.lr
@@ -278,9 +281,8 @@ def adam_step(params: ParamSet, grads, state: AdamState
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def net_to_dict(spec: MlpSpec, params: ParamSet,
-                adam: AdamState | None = None) -> dict:
-    out = {
+def net_to_dict(spec: MlpSpec, params: ParamSet) -> dict:
+    return {
         "version": CHECKPOINT_VERSION,
         "dtype": params[0][0].dtype.name,
         "spec": {"sizes": list(spec.sizes),
@@ -289,39 +291,19 @@ def net_to_dict(spec: MlpSpec, params: ParamSet,
         "params": [{"w": w.ravel().tolist(), "b": b.tolist(),
                     "shape": list(w.shape)} for w, b in params],
     }
-    if adam is not None:
-        out["adam"] = {
-            "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
-            "eps": adam.eps, "step": adam.step,
-            "m": [{"w": mw.ravel().tolist(), "b": mb.tolist()}
-                  for mw, mb in params.like(adam.m)],
-            "v": [{"w": vw.ravel().tolist(), "b": vb.tolist()}
-                  for vw, vb in params.like(adam.v)],
-        }
-    return out
 
 
-def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet, AdamState | None]:
+def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet]:
     if data.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {data.get('version')}")
     if data["spec"]["output_activation"] != "linear":
         raise ConfigError("only linear outputs are supported")
     spec = MlpSpec(sizes=tuple(data["spec"]["sizes"]),
                    hidden_activation=data["spec"]["hidden_activation"])
+    shapes = [tuple(e["shape"]) for e in data["params"]]
+    if shapes != list(zip(spec.sizes[:-1], spec.sizes[1:])):
+        raise ConfigError(f"weight shapes {shapes} do not match {spec.sizes}")
     dtype = np.dtype(data.get("dtype", "float64"))
-
-    def unpack(entries) -> np.ndarray:
-        return np.concatenate([np.asarray(e[k], dtype=dtype)
-                               for e in entries for k in ("w", "b")])
-
-    params = ParamSet(unpack(data["params"]),
-                      [tuple(e["shape"]) for e in data["params"]])
-    adam = None
-    if "adam" in data:
-        a = data["adam"]
-        m, v = unpack(a["m"]), unpack(a["v"])
-        if m.shape != params.flat.shape or v.shape != params.flat.shape:
-            raise ConfigError("Adam moments do not match the parameters")
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                         eps=a["eps"], step=a["step"], m=m, v=v)
-    return spec, params, adam
+    flat = np.concatenate([np.asarray(e[k], dtype=dtype)
+                           for e in data["params"] for k in ("w", "b")])
+    return spec, ParamSet(flat, shapes)

@@ -48,6 +48,7 @@ def tiny_config(tmp_path):
     ["agent.grad_steps_per_day=-1"],
     ["agent.hidden=0"],
     ["agent.buffer_capacity=0"],
+    ["agent.warmup=100", "agent.buffer_capacity=10"],  # never fills to train
     ["agent.kind=sac", "agent.alpha=nan"],
     ["agent.kind=sac", "agent.action_high=nan"],
     ["agent.kind=sac", "agent.reward_scale=0"],
@@ -130,11 +131,22 @@ def test_train_report_evaluate_round_trip(round_trip_config, tmp_path,
 @pytest.fixture
 def bad_checkpoints(tmp_path):
     """A directory of checkpoint files that evaluation must refuse."""
-    agent = DqnAgent(30, DqnHyper(hidden=(4,), buffer_capacity=1)).to_dict()
+    hyper = DqnHyper(hidden=(4,), buffer_capacity=64, warmup=0)
+    agent = DqnAgent(30, hyper).to_dict()
     texts = {"not_json": "{\"agent\": ",
              "unknown_kind": json.dumps({"agent": {"kind": "ppo"}}),
              "unknown_key": json.dumps({"agent": {
-                 **agent, "hyper": {**agent["hyper"], "tau": 0.1}}})}
+                 **agent, "hyper": {**agent["hyper"], "tau": 0.1}}}),
+             "no_qnet": json.dumps({"agent": {
+                 k: v for k, v in agent.items() if k != "qnet"}}),
+             "no_hyper": json.dumps({"agent": {"kind": "dqn"}}),
+             "agent_list": json.dumps({"agent": []}),
+             "no_last_layer": json.dumps({"agent": {**agent, "qnet": {
+                 **agent["qnet"], "params": agent["qnet"]["params"][:1]}}}),
+             "other_hidden": json.dumps({"agent": {
+                 **agent, "hyper": {**agent["hyper"], "hidden": [8]}}}),
+             # the default config observes 30 values
+             "narrow": json.dumps({"agent": DqnAgent(12, hyper).to_dict()})}
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
     return tmp_path
@@ -150,6 +162,12 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/not_json.json"],
     ["--checkpoint", "{dir}/unknown_kind.json"],
     ["--checkpoint", "{dir}/unknown_key.json"],
+    ["--checkpoint", "{dir}/no_qnet.json"],
+    ["--checkpoint", "{dir}/no_hyper.json"],
+    ["--checkpoint", "{dir}/agent_list.json"],
+    ["--checkpoint", "{dir}/no_last_layer.json"],
+    ["--checkpoint", "{dir}/other_hidden.json"],
+    ["--checkpoint", "{dir}/narrow.json"],
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, capsys, argv):
@@ -158,8 +176,8 @@ def test_bad_evaluation_requests_are_configuration_errors(
     assert "configuration error" in capsys.readouterr().err
 
 
-# every documented key, with every special spelling, and the digests these
-# configs had before the sections were read from their dataclasses
+# every documented key, with every special spelling, and the digests of
+# these configs
 DQN_INI = """
 [scenario]
 location = Iowa
@@ -168,7 +186,6 @@ planting_doy = 130
 latest_harvest_doy = None
 soil_depth_cm = 140.5
 plant_density = 8
-irrigation = 0
 weather_mode = stochastic
 weather_seed = 12
 action_frequency = 2
@@ -206,7 +223,6 @@ planting_doy = 60
 latest_harvest_doy = 300
 soil_depth_cm = 120
 plant_density = 6.5
-irrigation = 0.0
 weather_mode = fixed-trace
 weather_seed = 3
 action_frequency = 1
@@ -242,9 +258,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "d1be7eac12a870de", "Some/Dir"),
-    (SAC_INI, "5f1949ee76b5b3cf", "out"),
-    ("", "6e316ba6298223a5", "run_output"),
+    (DQN_INI, "b52c3d0509bcd79b", "Some/Dir"),
+    (SAC_INI, "3d0747adb2713908", "out"),
+    ("", "9bb9c51f132f87a8", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -268,5 +284,63 @@ def test_docstring_lists_exactly_the_settable_keys():
         ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
         ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 38
+    assert len(computed) == 37
     assert documented == computed
+
+
+def _ablate(tmp_path, axis, conditions):
+    """Run ``croprl ablate`` on a tiny two-seed config; check its tables and
+    that each condition directory holds one policy-only checkpoint a seed."""
+    config = tmp_path / "ablate.ini"
+    config.write_text("[agent]\nepisodes = 2\nwarmup = 32\nhidden = 8\n"
+                      "[run]\ntrials = 2\nbaseline_grid = 0,160\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(config), "--axis", axis,
+                 "--out", str(out)]) == 0
+    assert set(json.loads((out / "ablation.json").read_text())["conditions"]) \
+        == set(conditions)
+    rows = (out / "ablation.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [[axis, c]
+                                                    for c in conditions]
+    for condition in conditions:
+        names = sorted(p.name for p in (out / condition).glob("*_checkpoint.json"))
+        assert names == ["trial_1_checkpoint.json", "trial_2_checkpoint.json"]
+        for name in names:
+            agent = json.loads((out / condition / name).read_text())["agent"]
+            assert sorted(agent) == ["hyper", "kind", "n_actions", "qnet"]
+    return config, out
+
+
+def test_ablate_observation_checkpoints_need_their_observations(tmp_path,
+                                                                capsys):
+    config, out = _ablate(tmp_path, "observation", ("full", "partial"))
+    partial = ["evaluate", "--config", str(config),
+               "--checkpoint", str(out / "partial" / "trial_1_checkpoint.json")]
+    assert main(partial + ["--set", "run.observation=partial"]) == 0
+    capsys.readouterr()
+    assert main(partial) == 1
+    assert "partial observations" in capsys.readouterr().err
+
+
+def test_ablate_frequency(tmp_path):
+    _ablate(tmp_path, "frequency", ("every_day", "every_10_days"))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("run,location,net", [
+    ("dqn_iowa", "iowa", "qnet"), ("sac_florida", "florida", "actor")])
+def test_version_1_checkpoints_evaluate_as_before(tmp_path, capsys, run,
+                                                  location, net):
+    """Files that also hold Adam moments and the DQN target or the SAC
+    critics, targets and log-alpha load through the same code: only the
+    greedy net is read, and it gives the summary it gave when written."""
+    checkpoint = DATA / run / "trial_1_checkpoint.json"
+    assert "adam" in json.loads(checkpoint.read_text())["agent"][net]
+    config = tmp_path / "eval.ini"
+    config.write_text(f"[scenario]\nlocation = {location}\n")
+    assert main(["evaluate", "--config", str(config),
+                 "--checkpoint", str(checkpoint)]) == 0
+    expected = json.loads((DATA / run / "evaluation.json").read_text())
+    assert json.loads(capsys.readouterr().out)["mean"] == expected["mean"]

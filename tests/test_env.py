@@ -73,8 +73,6 @@ def test_invalid_configs_rejected():
     with pytest.raises(ConfigError):
         iowa_scenario(plant_density=-1.0)
     with pytest.raises(ConfigError):
-        iowa_scenario(irrigation=2.0)
-    with pytest.raises(ConfigError):
         iowa_scenario(action_frequency=0)
 
 

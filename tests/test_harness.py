@@ -1,13 +1,8 @@
-import io
-import json
-from hashlib import sha256
-
 import pytest
 
-from croprl.agents import DqnAgent, DqnHyper, SacAgent, SacHyper
 from croprl.env import NitrogenEnv, iowa_scenario
-from croprl.harness import (_dump_json, baseline_policy, evaluate_policy,
-                            run_episode, verify_reward_identity)
+from croprl.harness import (baseline_policy, evaluate_policy, run_episode,
+                            verify_reward_identity)
 from croprl.state import ObservationMask
 
 
@@ -40,16 +35,3 @@ def test_mean_of_one_episode_is_that_episode():
                                     ObservationMask.full())
     assert mean.as_dict() == only.as_dict()
 
-
-@pytest.mark.parametrize("agent", [
-    DqnAgent(30, DqnHyper(), seed=1), SacAgent(10, SacHyper(), seed=2)],
-    ids=["dqn", "sac"])
-def test_checkpoint_json_is_byte_identical_to_json_dumps(agent):
-    data = {"agent": agent.to_dict(), "edge": [[], {}, [{}], "q\"é\n",
-                                              None, True, -0.0, 1e-310],
-            "long": list(range(3 * 1024 + 1)), "empty": {}}
-    out = io.StringIO()
-    _dump_json(data, out)
-    # digests, so that a failure does not diff megabytes of text
-    assert sha256(out.getvalue().encode()).hexdigest() == \
-        sha256(json.dumps(data).encode()).hexdigest()
