@@ -10,8 +10,10 @@ Two trainable agents:
   The continuous action is snapped to the discrete set at the environment
   boundary only; the stored and regressed action stays continuous.
 
-Both store normalized observations. The fixed single-dose reference policy
-is ``harness.baseline_policy``.
+Both store normalized observations. ``policy_from_dict`` turns the greedy
+policy that either ``to_dict`` writes back into plain functions, without
+building a learner. The fixed single-dose reference policy is
+``harness.baseline_policy``.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ class DqnAgent:
     def __init__(self, obs_dim: int, hyper: DqnHyper = DqnHyper(),
                  seed: int = 0, n_actions: int = len(DISCRETE_ACTIONS_KG)):
         self.hyper = hyper
-        self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.rng = np.random.default_rng(seed)
         self.spec = MlpSpec((obs_dim, *hyper.hidden, n_actions))
@@ -164,7 +165,8 @@ class DqnAgent:
         return dqn_select_action(self.spec, self.params, obs, 0.0, self.rng,
                                  self.n_actions)
 
-    def dose(self, action_index: int) -> float:
+    @staticmethod
+    def dose(action_index: int) -> float:
         """The amount in kg/ha that an action index applies."""
         return DISCRETE_ACTIONS_KG[action_index]
 
@@ -202,22 +204,6 @@ class DqnAgent:
         return {"kind": "dqn", "n_actions": self.n_actions,
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
                 "qnet": net_to_dict(self.spec, self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DqnAgent":
-        """Rebuild the greedy policy only, from ``to_dict``: the Q-net.
-
-        The target starts as a copy of it and Adam starts afresh, the rng
-        is reseeded to 0, and ``grad_steps``, epsilon and the replay buffer
-        are not restored.
-        """
-        hyper = _hyper_from_dict(DqnHyper, data["hyper"])
-        spec, params = net_from_dict(data["qnet"])
-        agent = cls(spec.n_in, hyper, seed=0, n_actions=data["n_actions"])
-        if spec != agent.spec:
-            raise ConfigError(f"Q-net {spec} does not match its hyper")
-        agent.params, agent.target_params = params, params.copy()
-        return agent
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +248,16 @@ def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     return target
 
 
+def sac_mean_action(spec: MlpSpec, actor: ParamSet, obs: np.ndarray,
+                    hyper: SacHyper) -> float:
+    """The actor's mean action for one observation, raw (not yet snapped to
+    a dose): the squashed mean mapped onto the hyper's action bounds."""
+    mu = forward(spec, actor, obs)[0]
+    mid = 0.5 * (hyper.action_high + hyper.action_low)
+    half = 0.5 * (hyper.action_high - hyper.action_low)
+    return float(mid + half * math.tanh(mu))
+
+
 class SacAgent:
     """Soft actor-critic over a single continuous fertilizer amount."""
 
@@ -271,7 +267,6 @@ class SacAgent:
     def __init__(self, obs_dim: int, hyper: SacHyper = SacHyper(),
                  seed: int = 0):
         self.hyper = hyper
-        self.obs_dim = obs_dim
         self.rng = np.random.default_rng(seed)
         h = hyper
         self._mid = 0.5 * (h.action_high + h.action_low)
@@ -301,33 +296,20 @@ class SacAgent:
         return math.exp(self.log_alpha) if self.hyper.alpha is None \
             else self.hyper.alpha
 
-    def _policy_head(self, obs: np.ndarray):
-        out = forward(self.actor_spec, self.actor, obs)
-        mu = out[..., 0]
-        log_std = np.clip(out[..., 1], self.hyper.log_std_min,
-                          self.hyper.log_std_max)
-        return mu, log_std
-
-    def sample_action(self, obs: np.ndarray, rng: np.random.Generator
-                      ) -> tuple[float, float]:
-        """Draw a raw continuous action and its log-density."""
-        mu, log_std = self._policy_head(obs)
-        xi = rng.standard_normal()
-        u = mu + math.exp(log_std) * xi
-        t = math.tanh(u)
-        logp = (-0.5 * xi * xi - log_std - self._LOG_SQRT_2PI
-                - math.log(self._half * (1.0 - t * t) + 1e-6))
-        return self._mid + self._half * t, float(logp)
-
     def greedy_action(self, obs: np.ndarray) -> float:
-        """The policy's mean action, raw (not yet snapped to a dose)."""
-        mu, _ = self._policy_head(obs)
-        return float(self._mid + self._half * math.tanh(mu))
+        return sac_mean_action(self.actor_spec, self.actor, obs, self.hyper)
 
     def act(self, obs: np.ndarray) -> float:
-        return self.sample_action(obs, self.rng)[0]
+        """Draw a raw continuous action from the squashed Gaussian."""
+        out = forward(self.actor_spec, self.actor, obs)
+        log_std = np.clip(out[1], self.hyper.log_std_min,
+                          self.hyper.log_std_max)
+        xi = self.rng.standard_normal()
+        u = out[0] + math.exp(log_std) * xi
+        return self._mid + self._half * math.tanh(u)
 
-    def dose(self, raw_action: float) -> float:
+    @staticmethod
+    def dose(raw_action: float) -> float:
         """The amount in kg/ha that a raw action applies: the nearest
         discrete one."""
         return discretize_action(raw_action)
@@ -338,8 +320,10 @@ class SacAgent:
 
     # -- learning ------------------------------------------------------------
 
-    def _sample_batch_actions(self, obs: np.ndarray, rng: np.random.Generator):
-        out = forward(self.actor_spec, self.actor, obs)
+    def _squashed_sample(self, out: np.ndarray, rng: np.random.Generator):
+        """A reparameterized draw for each row of actor outputs ``out``:
+        returns the squashed action t = tanh(u), its log-density, and the
+        noise xi, std and 1 - t^2 that the actor gradient reads."""
         mu = out[:, 0]
         log_std = np.clip(out[:, 1], self.hyper.log_std_min,
                           self.hyper.log_std_max)
@@ -347,9 +331,10 @@ class SacAgent:
         xi = rng.standard_normal(len(mu))
         u = mu + std * xi
         t = np.tanh(u)
+        one_m_t2 = 1.0 - t ** 2
         logp = (-0.5 * xi ** 2 - log_std - self._LOG_SQRT_2PI
-                - np.log(self._half * (1.0 - t ** 2) + 1e-6))
-        return t, logp
+                - np.log(self._half * one_m_t2 + 1e-6))
+        return t, logp, xi, std, one_m_t2
 
     def _critic_input(self, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.concatenate([obs, t[:, None]], axis=1)
@@ -366,7 +351,8 @@ class SacAgent:
         alpha = self.alpha
 
         # soft targets from fresh next-state actions
-        t2, logp2 = self._sample_batch_actions(next_obs, rng)
+        t2, logp2, *_ = self._squashed_sample(
+            forward(self.actor_spec, self.actor, next_obs), rng)
         xin2 = self._critic_input(next_obs, t2)
         q_next = np.minimum(
             forward(self.critic_spec, self.targets[0], xin2)[:, 0],
@@ -387,18 +373,9 @@ class SacAgent:
 
         # actor: reparameterized gradient of alpha*logpi - min Q
         out, actor_cache = forward_cached(self.actor_spec, self.actor, obs)
-        mu = out[:, 0]
-        log_std_raw = out[:, 1]
-        log_std = np.clip(log_std_raw, h.log_std_min, h.log_std_max)
-        clip_mask = ((log_std_raw > h.log_std_min)
-                     & (log_std_raw < h.log_std_max)).astype(float)
-        std = np.exp(log_std)
-        xi = rng.standard_normal(len(mu))
-        u = mu + std * xi
-        t = np.tanh(u)
-        one_m_t2 = 1.0 - t ** 2
-        logp = (-0.5 * xi ** 2 - log_std - self._LOG_SQRT_2PI
-                - np.log(self._half * one_m_t2 + 1e-6))
+        t, logp, xi, std, one_m_t2 = self._squashed_sample(out, rng)
+        clip_mask = ((out[:, 1] > h.log_std_min)
+                     & (out[:, 1] < h.log_std_max)).astype(float)
 
         xin_pi = self._critic_input(obs, t)
         q_pi = []
@@ -409,22 +386,21 @@ class SacAgent:
             caches_pi.append(cache)
         which = np.argmin(np.stack(q_pi, axis=1), axis=1)
         # d(minQ)/d(action input): input-gradient of the smaller critic
-        dq_da = np.zeros(len(mu))
+        dq_da = np.zeros(len(t))
         for i in range(2):
             sel = which == i
             if not np.any(sel):
                 continue
-            gout = np.zeros((len(mu), 1))
+            gout = np.zeros((len(t), 1))
             gout[sel, 0] = 1.0
             gin = input_gradient(self.critic_spec, self.critics[i],
                                  caches_pi[i], gout)
             dq_da[sel] = gin[sel, -1]
 
         dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / self._half)
-        dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(mu)
-        dl_dmu = dl_du
-        dl_dlogstd = (dl_du * std * xi - alpha / len(mu)) * clip_mask
-        actor_gout = np.stack([dl_dmu, dl_dlogstd], axis=1)
+        dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(t)
+        dl_dlogstd = (dl_du * std * xi - alpha / len(t)) * clip_mask
+        actor_gout = np.stack([dl_du, dl_dlogstd], axis=1)
         grads = backward(self.actor_spec, self.actor, actor_cache,
                          actor_gout)
         adam_step(self.actor, grads, self.actor_adam)
@@ -454,18 +430,33 @@ class SacAgent:
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
                 "actor": net_to_dict(self.actor_spec, self.actor)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SacAgent":
-        """Rebuild the greedy policy only, from ``to_dict``: the actor.
 
-        The critics, their targets and the temperature start afresh from
-        seed 0, as does every Adam state, and ``updates`` and the replay
-        buffer are not restored.
-        """
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+def policy_from_dict(data: dict):
+    """The greedy policy of an ``agent`` entry that ``to_dict`` wrote, as
+    ``(obs_dim, choose, dose)``: ``choose(obs)`` is the live agent's
+    ``greedy_action`` and ``dose(action)`` its ``dose``. Only the policy net
+    is built: no replay buffer, critic, target or optimizer state."""
+    kind = data["kind"]
+    if kind == "dqn":
+        hyper = _hyper_from_dict(DqnHyper, data["hyper"])
+        spec, qnet = net_from_dict(data["qnet"])
+        n_actions = len(DISCRETE_ACTIONS_KG)  # one output per dose
+        if spec != MlpSpec((spec.n_in, *hyper.hidden, n_actions)):
+            raise ConfigError(f"Q-net {spec} does not match its hyper or doses")
+        rng = np.random.default_rng(0)  # never drawn from at epsilon 0
+
+        def choose(obs):
+            return dqn_select_action(spec, qnet, obs, 0.0, rng, n_actions)
+        return spec.n_in, choose, DqnAgent.dose
+    if kind == "sac":
         hyper = _hyper_from_dict(SacHyper, data["hyper"])
         spec, actor = net_from_dict(data["actor"])
-        agent = cls(spec.n_in, hyper, seed=0)
-        if spec != agent.actor_spec:
+        if spec != MlpSpec((spec.n_in, *hyper.hidden, 2)):
             raise ConfigError(f"actor {spec} does not match its hyper")
-        agent.actor = actor
-        return agent
+        return (spec.n_in, lambda obs: sac_mean_action(spec, actor, obs, hyper),
+                SacAgent.dose)
+    raise ConfigError(f"unknown agent kind {kind!r}")

@@ -39,6 +39,9 @@ from .weather import (MONTH_LENGTHS, WEATHER_MODES, DailyWeather,
 
 #: Discrete fertilizer amounts available to the agents, kg/ha.
 DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
+#: Largest dose one step accepts, kg/ha: well above any agronomic single
+#: dose, and small enough that the daily arithmetic stays finite.
+MAX_DOSE_KG = 1000.0
 
 
 def day_of_year(month: int, day: int) -> int:
@@ -196,9 +199,9 @@ class NitrogenEnv:
         if self._done:
             raise EpisodeFinishedError("episode is finished; call reset()")
         requested = float(dose)
-        if not 0.0 <= requested < math.inf:
-            raise ValueError(
-                f"fertilizer dose must be finite and nonnegative: {requested}")
+        if not 0.0 <= requested <= MAX_DOSE_KG:
+            raise ValueError(f"fertilizer dose must lie in [0, {MAX_DOSE_KG:g}]"
+                             f" kg/ha: {requested}")
 
         cfg = self.config
         applied = requested if self._day % cfg.action_frequency == 0 else 0.0

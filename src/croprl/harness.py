@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper
-from .env import DayRecord, NitrogenEnv, ScenarioConfig
+from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
+from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
 from .errors import ConfigError
 from .reward import RewardConfig, daily_reward
 from .state import ObservationMask, normalize_observation, observe
@@ -64,8 +63,9 @@ class ExperimentConfig:
                 f"trials={self.trials} but {len(self.seeds)} seeds given")
         if self.observation not in ("full", "partial"):
             raise ConfigError("run.observation must be full or partial")
-        if not all(0.0 <= b < math.inf for b in self.baseline_grid):
-            raise ConfigError("baseline_grid amounts must be finite and >= 0")
+        if not all(0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
+            raise ConfigError(f"baseline_grid amounts must lie in "
+                              f"[0, {MAX_DOSE_KG:g}] kg/ha")
         if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
 
@@ -205,61 +205,64 @@ def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
 # ---------------------------------------------------------------------------
 
 def baseline_policy(amount: float):
-    """Single-dose reference practice: ``amount`` kg/ha on the first day the
-    crop has five expanded leaves (V5), nothing on any other day.
+    """Single-dose reference practice: ``amount`` kg/ha on every day the crop
+    has five expanded leaves (V5) and no N has been applied yet, nothing on
+    any other day.
 
-    The policy remembers that it has fired; ``reset()`` rearms it.
+    The rule reads only the day's state, so it needs no resetting between
+    episodes. With an action frequency above one the dose lands on the first
+    permitted day at or after V5; until then the env applies nothing.
     """
     amount = float(amount)
-    if not 0.0 <= amount < math.inf:
-        raise ConfigError(
-            f"baseline amount must be finite and nonnegative: {amount}")
-    fired = False
+    if not 0.0 <= amount <= MAX_DOSE_KG:
+        raise ConfigError(f"baseline amount must lie in [0, {MAX_DOSE_KG:g}] "
+                          f"kg/ha: {amount}")
 
     def call(state, obs):
-        nonlocal fired
-        dose = 0.0
-        if not fired and state.vstage >= 5.0:
-            fired, dose = True, amount
+        fires = state.vstage >= 5.0 and state.cumsumfert == 0.0
+        dose = amount if fires else 0.0
         return dose, dose
-
-    def reset():
-        nonlocal fired
-        fired = False
-
-    call.reset = reset  # type: ignore[attr-defined]
     return call
 
 
-def agent_policy(agent, choose):
-    """A policy that takes ``choose(obs)``, the agent's ``act`` or
-    ``greedy_action``, as its action and applies the agent's dose for it."""
+def agent_policy(choose, dose):
+    """A policy that takes ``choose(obs)`` as its action and applies
+    ``dose(action)`` kg/ha: an agent's ``act`` (exploring) or
+    ``greedy_action`` with its ``dose``, or a loaded checkpoint's pair."""
     def call(state, obs):
         action = choose(obs)
-        return agent.dose(action), action
+        return dose(action), action
     return call
 
 
 def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
-    """Load an agent checkpoint; returns (policy, metadata dict). With
-    ``config``, refuse a policy made for other observations than it gives."""
+    """Load a checkpoint's greedy policy; returns (policy, metadata dict).
+
+    No learner is built, only the policy net. With ``config``, refuse a
+    policy written for another scenario, action frequency or observation
+    kind, or one that reads another number of observation values; a file
+    without one of those keys skips that check.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
-        agent = AGENTS[data["agent"]["kind"]].from_dict(data["agent"])
+        obs_dim, choose, dose = policy_from_dict(data["agent"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc!r}") from exc
     meta = {k: v for k, v in data.items() if k != "agent"}
     if config is not None:
-        if meta.get("observation", config.observation) != config.observation:
-            raise ConfigError(
-                f"checkpoint expects {meta['observation']} observations, "
-                f"config requests {config.observation}")
+        for key, wanted in (("scenario", config.scenario.name),
+                            ("action_frequency",
+                             config.scenario.action_frequency),
+                            ("observation", config.observation)):
+            if meta.get(key, wanted) != wanted:
+                raise ConfigError(f"checkpoint expects {key} {meta[key]}, "
+                                  f"config requests {wanted}")
         size = config.mask.size(config.scenario.soil.n_layers)
-        if agent.obs_dim != size:
-            raise ConfigError(f"checkpoint policy reads {agent.obs_dim} "
+        if obs_dim != size:
+            raise ConfigError(f"checkpoint policy reads {obs_dim} "
                               f"observation values, config gives {size}")
-    return agent_policy(agent, agent.greedy_action), meta
+    return agent_policy(choose, dose), meta
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def train_trial(config: ExperimentConfig, seed: int
     agent = AGENTS[config.agent_kind](mask.size(env.n_layers), config.hyper,
                                       seed=seed)
     trial = TrialResult(seed=seed)
-    explore = agent_policy(agent, agent.act)
+    explore = agent_policy(agent.act, agent.dose)
 
     try:
         for ep in range(config.hyper.episodes):
@@ -296,7 +299,7 @@ def train_trial(config: ExperimentConfig, seed: int
     trial.convergence_episode = convergence_episode(
         [row[2] for row in trial.curve])
     trial.summary, records = run_episode(
-        env, agent_policy(agent, agent.greedy_action), mask, seed=0)
+        env, agent_policy(agent.greedy_action, agent.dose), mask, seed=0)
     return trial, agent, records
 
 
@@ -356,6 +359,7 @@ def run_training(config: ExperimentConfig) -> RunReport:
 
 def _write_checkpoint(path, config: ExperimentConfig, agent, seed: int):
     data = {"agent": agent.to_dict(), "scenario": config.scenario.name,
+            "action_frequency": config.scenario.action_frequency,
             "observation": config.observation, "seed": seed,
             "episodes": config.hyper.episodes,
             "config_digest": config_digest(config)}
@@ -371,6 +375,9 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
                     ) -> tuple[EpisodeSummary, list[EpisodeSummary]]:
     """Greedy evaluation; with fixed-trace weather one episode suffices.
 
+    ``policy`` is a function of the day's state and observation, as
+    ``run_episode`` takes it; every episode calls the same one.
+
     Returns (mean summary, per-episode summaries). Every field of the mean
     is the mean over episodes; its ``applications`` list each DAP on which
     any episode applied N, with the amount summed over episodes and divided
@@ -381,8 +388,6 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
     env = NitrogenEnv(scenario)
     per_episode = []
     for k in range(n_episodes):
-        if hasattr(policy, "reset"):
-            policy.reset()
         summary, records = run_episode(env, policy, mask, seed=base_seed + k)
         verify_reward_identity(records, scenario.reward)
         per_episode.append(summary)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from croprl import agents
 from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
                            discretize_action, dqn_select_action,
-                           dqn_td_targets, epsilon_schedule, polyak_update)
+                           dqn_td_targets, epsilon_schedule, policy_from_dict,
+                           polyak_update)
 from croprl.env import DISCRETE_ACTIONS_KG
 from croprl.errors import ConfigError, ShapeError
-from croprl.harness import baseline_policy
-from croprl.net import MlpSpec, ParamSet, forward, init_params
+from croprl.harness import baseline_policy, load_checkpoint
+from croprl.net import AdamState, MlpSpec, ParamSet, forward
 
 from test_state import make_state
 
@@ -152,18 +154,23 @@ def test_discretize_agrees_with_brute_force():
 
 def test_baseline_waits_for_vstage5():
     pol = baseline_policy(160.0)
-    assert pol(make_state(vstage=4.9), None) == (0.0, 0.0)
-    assert pol(make_state(vstage=5.0), None) == (160.0, 160.0)
-    assert pol(make_state(vstage=6.1), None) == (0.0, 0.0)
+    assert pol(make_state(vstage=4.9, cumsumfert=0.0), None) == (0.0, 0.0)
+    assert pol(make_state(vstage=5.0, cumsumfert=0.0), None) == (160.0, 160.0)
+    # while no N has been applied, every later day asks for the dose
+    assert pol(make_state(vstage=6.1, cumsumfert=0.0), None) == (160.0, 160.0)
 
 
 def test_vstage_policy_fires_once():
+    """Silent once any N has been applied; amount 0 gives 0 every day."""
     pol = baseline_policy(120.0)
-    assert pol(make_state(vstage=2.0), None) == (0.0, 0.0)
-    assert pol(make_state(vstage=5.5), None) == (120.0, 120.0)
-    assert pol(make_state(vstage=8.0), None) == (0.0, 0.0)
-    pol.reset()
-    assert pol(make_state(vstage=5.5), None) == (120.0, 120.0)
+    assert pol(make_state(vstage=5.5, cumsumfert=0.0), None) == (120.0, 120.0)
+    assert pol(make_state(vstage=5.5, cumsumfert=120.0), None) == (0.0, 0.0)
+    assert pol(make_state(vstage=8.0, cumsumfert=1e-9), None) == (0.0, 0.0)
+    zero = baseline_policy(0.0)
+    for vstage in (2.0, 5.0, 8.0):
+        assert zero(make_state(vstage=vstage, cumsumfert=0.0), None) \
+            == (0.0, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # DQN learning behavior
@@ -230,17 +237,37 @@ def test_target_network_changes_only_at_sync_points():
             assert not changed
 
 
-def test_dqn_checkpoint_reproduces_greedy_policy(tmp_path):
-    agent = DqnAgent(4, DqnHyper(hidden=(16,)), seed=3)
-    path = tmp_path / "dqn.json"
-    with open(path, "w") as fh:
-        json.dump(agent.to_dict(), fh)
-    with open(path) as fh:
-        clone = DqnAgent.from_dict(json.load(fh))
+def updated_agent(kind):
+    """A small agent after one gradient step."""
+    if kind == "dqn":
+        agent = DqnAgent(4, DqnHyper(batch_size=4, warmup=4, hidden=(16,)),
+                         seed=3)
+    else:
+        agent = SacAgent(4, SacHyper(batch_size=4, warmup=4, hidden=(12,)),
+                         seed=4)
     rng = np.random.default_rng(5)
+    for _ in range(4):
+        agent.buffer.push(rng.uniform(size=4), float(rng.integers(2)),
+                          float(rng.normal()), rng.uniform(size=4), False)
+    assert agent.update() is not None
+    return agent
+
+
+def assert_loaded_plays_greedy(agent):
+    """The checkpoint's loaded policy gives the live agent's greedy
+    (dose, action) on 50 observations."""
+    obs_dim, choose, dose = policy_from_dict(
+        json.loads(json.dumps(agent.to_dict())))
+    assert obs_dim == 4
+    rng = np.random.default_rng(6)
     for _ in range(50):
         obs = rng.uniform(size=4)
-        assert clone.greedy_action(obs) == agent.greedy_action(obs)
+        action = agent.greedy_action(obs)
+        assert (dose(choose(obs)), choose(obs)) == (agent.dose(action), action)
+
+
+def test_dqn_checkpoint_reproduces_greedy_policy():
+    assert_loaded_plays_greedy(updated_agent("dqn"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,35 +361,24 @@ def test_sac_update_returns_the_critics_regression_loss():
 
 
 @pytest.mark.parametrize("kind", ["dqn", "sac"])
-def test_checkpoint_round_trip_keeps_the_flat_layout(tmp_path, kind):
-    """A loaded agent's policy net shares one buffer, and the agent can
-    keep training."""
-    if kind == "dqn":
-        agent = DqnAgent(3, DqnHyper(batch_size=4, warmup=4, hidden=(8,)),
-                         seed=2)
-    else:
-        agent = SacAgent(3, SacHyper(batch_size=4, warmup=4, hidden=(8,)),
-                         seed=2)
-    rng = np.random.default_rng(4)
-
-    def fill(a):
-        for _ in range(4):
-            a.buffer.push(rng.uniform(size=3), float(rng.integers(2)),
-                          float(rng.normal()), rng.uniform(size=3), False)
-
-    fill(agent)
-    assert agent.update() is not None
+def test_loading_a_checkpoint_builds_no_learner(tmp_path, monkeypatch, kind):
+    """With the replay buffer and Adam state unbuildable, a checkpoint still
+    loads and plays its greedy policy."""
+    agent = updated_agent(kind)
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(agent.to_dict()))
-    clone = type(agent).from_dict(json.loads(path.read_text()))
-    assert clone.to_dict() == agent.to_dict()
-    policy = clone.params if kind == "dqn" else clone.actor
-    assert isinstance(policy, ParamSet)
-    for w, b in policy:
-        assert np.shares_memory(w, policy.flat)
-        assert np.shares_memory(b, policy.flat)
-    fill(clone)
-    assert clone.update() is not None
+    path.write_text(json.dumps({"agent": agent.to_dict()}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a learner was built")
+
+    monkeypatch.setattr(agents, "ReplayBuffer", refuse)
+    monkeypatch.setattr(AdamState, "for_params", refuse)
+    with pytest.raises(AssertionError, match="learner"):
+        type(agent)(4, agent.hyper)
+    policy, _ = load_checkpoint(path)
+    obs = np.full(4, 0.5)
+    action = agent.greedy_action(obs)
+    assert policy(None, obs) == (agent.dose(action), action)
 
 
 def test_sac_actions_respect_bounds_and_discretization():
@@ -381,17 +397,8 @@ def test_sac_alpha_fixed_vs_auto():
     assert auto.alpha == pytest.approx(1.0)  # exp(0) before any tuning
 
 
-def test_sac_checkpoint_reproduces_mean_action(tmp_path):
-    agent = SacAgent(3, SacHyper(hidden=(12,)), seed=4)
-    path = tmp_path / "sac.json"
-    with open(path, "w") as fh:
-        json.dump(agent.to_dict(), fh)
-    with open(path) as fh:
-        clone = SacAgent.from_dict(json.load(fh))
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        obs = rng.uniform(size=3)
-        assert clone.greedy_action(obs) == agent.greedy_action(obs)
+def test_sac_checkpoint_reproduces_mean_action():
+    assert_loaded_plays_greedy(updated_agent("sac"))
 
 
 def test_sac_bandit_learns_the_optimum_single_seed():

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import croprl
 from croprl import config as configmod
 from croprl.agents import DqnAgent, DqnHyper
 from croprl.cli import main
@@ -60,6 +64,7 @@ def tiny_config(tmp_path):
     ["reward.w1=nan"],
     ["reward.threshold=nan"],
     ["run.seeds=", "run.trials=0"],
+    ["run.baseline_grid=0,1e308"],
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -146,7 +151,14 @@ def bad_checkpoints(tmp_path):
              "other_hidden": json.dumps({"agent": {
                  **agent, "hyper": {**agent["hyper"], "hidden": [8]}}}),
              # the default config observes 30 values
-             "narrow": json.dumps({"agent": DqnAgent(12, hyper).to_dict()})}
+             "narrow": json.dumps({"agent": DqnAgent(12, hyper).to_dict()}),
+             # written for another site or schedule than the default's
+             "florida": json.dumps({"agent": agent, "scenario": "florida"}),
+             "every_10_days": json.dumps({"agent": agent,
+                                          "action_frequency": 10}),
+             # more actions than doses
+             "seven_actions": json.dumps({"agent": DqnAgent(
+                 30, hyper, n_actions=7).to_dict()})}
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
     return tmp_path
@@ -168,6 +180,10 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/no_last_layer.json"],
     ["--checkpoint", "{dir}/other_hidden.json"],
     ["--checkpoint", "{dir}/narrow.json"],
+    ["--baseline", "1e308"],
+    ["--checkpoint", "{dir}/florida.json"],
+    ["--checkpoint", "{dir}/every_10_days.json"],
+    ["--checkpoint", "{dir}/seven_actions.json"],
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, capsys, argv):
@@ -319,11 +335,18 @@ def test_ablate_observation_checkpoints_need_their_observations(tmp_path,
     assert main(partial + ["--set", "run.observation=partial"]) == 0
     capsys.readouterr()
     assert main(partial) == 1
-    assert "partial observations" in capsys.readouterr().err
+    assert "observation partial" in capsys.readouterr().err
 
 
-def test_ablate_frequency(tmp_path):
-    _ablate(tmp_path, "frequency", ("every_day", "every_10_days"))
+def test_ablate_frequency(tmp_path, capsys):
+    config, out = _ablate(tmp_path, "frequency",
+                          ("every_day", "every_10_days"))
+    sparse = ["evaluate", "--config", str(config), "--checkpoint",
+              str(out / "every_10_days" / "trial_1_checkpoint.json")]
+    assert main(sparse + ["--set", "scenario.action_frequency=10"]) == 0
+    capsys.readouterr()
+    assert main(sparse) == 1
+    assert "action_frequency 10" in capsys.readouterr().err
 
 
 DATA = Path(__file__).parent / "data"
@@ -344,3 +367,20 @@ def test_version_1_checkpoints_evaluate_as_before(tmp_path, capsys, run,
                  "--checkpoint", str(checkpoint)]) == 0
     expected = json.loads((DATA / run / "evaluation.json").read_text())
     assert json.loads(capsys.readouterr().out)["mean"] == expected["mean"]
+
+
+@pytest.mark.parametrize("baseline,status", [("160", 0), ("nan", 1)])
+def test_evaluate_runs_as_a_process(tiny_config, baseline, status):
+    """``python -m croprl`` exits with the documented status; success prints
+    the evaluation as JSON on stdout."""
+    src = str(Path(croprl.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "croprl", "evaluate", "--config",
+         str(tiny_config), "--baseline", baseline],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == status, done.stderr
+    if status == 0:
+        assert json.loads(done.stdout)["mean"]["total_n"] == 160.0
+    else:
+        assert "configuration error" in done.stderr

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from croprl.env import (DISCRETE_ACTIONS_KG, NitrogenEnv, day_of_year,
-                        florida_scenario, iowa_scenario)
+from croprl.env import (DISCRETE_ACTIONS_KG, MAX_DOSE_KG, NitrogenEnv,
+                        day_of_year, florida_scenario, iowa_scenario)
 from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
 from croprl.reward import daily_reward
@@ -107,13 +108,26 @@ def test_negative_action_rejected(iowa_env):
         iowa_env.step(-5.0)
 
 
-@pytest.mark.parametrize("dose", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("dose", [float("nan"), float("inf"), float("-inf"),
+                                  1e308])
 def test_non_finite_dose_rejected(iowa_env, dose):
     iowa_env.reset(seed=0)
     with pytest.raises(ValueError):
         iowa_env.step(dose)
     assert iowa_env.records == []
     assert iowa_env.step(0.0).dap == 0  # the rejected dose left no trace
+
+
+@pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
+def test_largest_dose_every_day_stays_finite(preset):
+    env = NitrogenEnv(preset())
+    env.reset(seed=0)
+    total = 0.0
+    while not env.done:
+        total += env.step(MAX_DOSE_KG).reward
+    values = [v for v in env.records[-1].state.as_dict().values()
+              if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in [total, *values])
 
 
 def test_reward_matches_cost_terms_on_application_day(iowa_env):

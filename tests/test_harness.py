@@ -1,6 +1,6 @@
 import pytest
 
-from croprl.env import NitrogenEnv, iowa_scenario
+from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
 from croprl.harness import (baseline_policy, evaluate_policy, run_episode,
                             verify_reward_identity)
 from croprl.state import ObservationMask
@@ -35,3 +35,24 @@ def test_mean_of_one_episode_is_that_episode():
                                     ObservationMask.full())
     assert mean.as_dict() == only.as_dict()
 
+
+
+@pytest.mark.parametrize("frequency", [1, 7, 10])
+@pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
+def test_baseline_dose_lands_on_the_first_permitted_day_from_v5(preset,
+                                                                frequency):
+    """Each episode applies the dose once, on the first DAP at or after V5
+    that is a multiple of the action frequency."""
+    scenario = preset(action_frequency=frequency)
+    env = NitrogenEnv(scenario)
+    # the state each day's policy call sees, in an episode without N; the
+    # dosed episode follows it up to the day the dose lands
+    mornings = [env.reset(seed=0)]
+    _, records = run_episode(env, baseline_policy(0.0), ObservationMask.full())
+    mornings += [r.state for r in records]
+    v5 = next(dap for dap, s in enumerate(mornings) if s.vstage >= 5.0)
+    expected = next(dap for dap in range(v5, len(records))
+                    if dap % frequency == 0)
+    _, per = evaluate_policy(baseline_policy(160.0), scenario,
+                             ObservationMask.full(), n_episodes=2)
+    assert [s.applications for s in per] == [[(expected, 160.0)]] * 2
