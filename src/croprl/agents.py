@@ -4,16 +4,18 @@ Two trainable agents:
 
 * ``DqnAgent`` learns action values for the five discrete amounts with a
   target network, uniform replay, and an epsilon-greedy exploration schedule
-  that decays geometrically per episode.
+  that decays geometrically per episode. Its Q-net has one output per dose.
 * ``SacAgent`` learns a squashed-Gaussian policy over a continuous amount in
   the configured bounds plus twin soft critics with Polyak-averaged targets.
-  The continuous action is snapped to the discrete set at the environment
+  The actor's log-std is clamped to [LOG_STD_MIN, LOG_STD_MAX]. The
+  continuous action is snapped to the discrete set at the environment
   boundary only; the stored and regressed action stays continuous.
 
-Both store normalized observations. ``policy_from_dict`` turns the greedy
-policy that either ``to_dict`` writes back into plain functions, without
-building a learner. The fixed single-dose reference policy is
-``harness.baseline_policy``.
+Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
+its weights. Both agents store normalized observations. ``policy_from_dict``
+turns the greedy policy that either ``to_dict`` writes back into plain
+functions, without building a learner. The fixed single-dose reference
+policy is ``harness.baseline_policy``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .env import DISCRETE_ACTIONS_KG
 from .errors import ConfigError, ShapeError
-from .net import (AdamState, MlpSpec, ParamSet, adam_step, backward, forward,
+from .net import (AdamState, ParamSet, adam_step, backward, forward,
                   forward_cached, init_params, input_gradient, net_from_dict,
                   net_to_dict)
 from .replay import ReplayBuffer
@@ -40,17 +42,16 @@ def epsilon_schedule(episode: int, decay: float) -> float:
     return decay ** episode
 
 
-def discretize_action(a: float,
-                      actions: tuple[float, ...] = DISCRETE_ACTIONS_KG) -> float:
-    """Snap a continuous amount to the nearest discrete one.
+def discretize_action(a: float) -> float:
+    """Snap a continuous amount to the nearest of ``DISCRETE_ACTIONS_KG``.
 
     Inputs outside the discrete range are clamped first; exact midpoints
     resolve to the smaller amount.
     """
-    a = min(max(float(a), actions[0]), actions[-1])
-    best = actions[0]
+    a = min(max(float(a), DISCRETE_ACTIONS_KG[0]), DISCRETE_ACTIONS_KG[-1])
+    best = DISCRETE_ACTIONS_KG[0]
     best_d = abs(a - best)
-    for cand in actions[1:]:
+    for cand in DISCRETE_ACTIONS_KG[1:]:
         d = abs(a - cand)
         if d < best_d:
             best, best_d = cand, d
@@ -113,24 +114,25 @@ class DqnHyper:
             raise ConfigError("epsilon_decay must lie in (0, 1)")
 
 
-def dqn_select_action(spec: MlpSpec, params: ParamSet, obs: np.ndarray,
-                      epsilon: float, rng: np.random.Generator,
-                      n_actions: int) -> int:
-    """Epsilon-greedy; greedy ties break toward the lowest index."""
-    if np.ndim(obs) != 1 or len(obs) != spec.n_in:
-        raise ShapeError(f"observation length {np.shape(obs)} != {spec.n_in}")
+def dqn_select_action(params: ParamSet, obs: np.ndarray, epsilon: float,
+                      rng: np.random.Generator) -> int:
+    """Epsilon-greedy over the Q-net's outputs, one per action; greedy ties
+    break toward the lowest index."""
+    n_in = params[0][0].shape[0]
+    if np.ndim(obs) != 1 or len(obs) != n_in:
+        raise ShapeError(f"observation length {np.shape(obs)} != {n_in}")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(n_actions))
-    q = forward(spec, params, obs)
+        return int(rng.integers(params[-1][1].size))
+    q = forward(params, obs)
     return int(np.argmax(q))  # argmax returns the first (lowest) index on ties
 
 
 def dqn_td_targets(rewards: np.ndarray, next_obs: np.ndarray,
-                   dones: np.ndarray, spec: MlpSpec,
-                   target_params: ParamSet, gamma: float) -> np.ndarray:
+                   dones: np.ndarray, target_params: ParamSet,
+                   gamma: float) -> np.ndarray:
     """Bootstrapped targets r + gamma * max_a' Q_target(s', a'); terminal
     transitions never bootstrap."""
-    q_next = forward(spec, target_params, next_obs)
+    q_next = forward(target_params, next_obs)
     boot = np.where(dones, 0.0, q_next.max(axis=1))
     return rewards + gamma * boot
 
@@ -140,12 +142,12 @@ class DqnAgent:
     dtype = np.float32
 
     def __init__(self, obs_dim: int, hyper: DqnHyper = DqnHyper(),
-                 seed: int = 0, n_actions: int = len(DISCRETE_ACTIONS_KG)):
+                 seed: int = 0):
         self.hyper = hyper
-        self.n_actions = n_actions
         self.rng = np.random.default_rng(seed)
-        self.spec = MlpSpec((obs_dim, *hyper.hidden, n_actions))
-        self.params = init_params(self.spec, self.rng, dtype=self.dtype)
+        self.params = init_params(
+            (obs_dim, *hyper.hidden, len(DISCRETE_ACTIONS_KG)), self.rng,
+            dtype=self.dtype)
         self.target_params = self.params.copy()
         self.adam = AdamState.for_params(self.params, lr=hyper.lr)
         self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim,
@@ -158,12 +160,10 @@ class DqnAgent:
         return self.epsilon
 
     def act(self, obs: np.ndarray) -> int:
-        return dqn_select_action(self.spec, self.params, obs, self.epsilon,
-                                 self.rng, self.n_actions)
+        return dqn_select_action(self.params, obs, self.epsilon, self.rng)
 
     def greedy_action(self, obs: np.ndarray) -> int:
-        return dqn_select_action(self.spec, self.params, obs, 0.0, self.rng,
-                                 self.n_actions)
+        return dqn_select_action(self.params, obs, 0.0, self.rng)
 
     @staticmethod
     def dose(action_index: int) -> float:
@@ -182,15 +182,15 @@ class DqnAgent:
             return None
         obs, actions, rewards, next_obs, dones = self.buffer.sample(
             h.batch_size, self.rng)
-        targets = dqn_td_targets(rewards, next_obs, dones, self.spec,
+        targets = dqn_td_targets(rewards, next_obs, dones,
                                  self.target_params, h.gamma)
-        q, cache = forward_cached(self.spec, self.params, obs)
+        q, cache = forward_cached(self.params, obs)
         idx = actions.astype(np.int64)
         rows = np.arange(len(idx))
         err = q[rows, idx] - targets
         grad_out = np.zeros_like(q)
         grad_out[rows, idx] = 2.0 * err / len(idx)
-        grads = backward(self.spec, self.params, cache, grad_out)
+        grads = backward(self.params, cache, grad_out)
         adam_step(self.params, grads, self.adam)
         self.grad_steps += 1
         if self.grad_steps % h.target_update_interval == 0:
@@ -200,10 +200,10 @@ class DqnAgent:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The greedy policy only: the Q-net, its hyper and action count."""
-        return {"kind": "dqn", "n_actions": self.n_actions,
+        """The greedy policy only: the Q-net and its hyper."""
+        return {"kind": "dqn",
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
-                "qnet": net_to_dict(self.spec, self.params)}
+                "qnet": net_to_dict(self.params)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,6 @@ class SacHyper:
     buffer_capacity: int = 100_000
     warmup: int = 1000
     hidden: tuple[int, ...] = (128, 128)
-    log_std_min: float = -5.0
-    log_std_max: float = 2.0
 
     def __post_init__(self):
         _check_hyper(self, {})
@@ -240,6 +238,10 @@ class SacHyper:
             raise ConfigError("action_low and action_high out of order")
 
 
+#: the clamp on the SAC actor's log-std output
+LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
+
+
 def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     """target <- (1 - tau) * target + tau * online, in place; returns target."""
     t = target.flat
@@ -248,11 +250,11 @@ def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     return target
 
 
-def sac_mean_action(spec: MlpSpec, actor: ParamSet, obs: np.ndarray,
+def sac_mean_action(actor: ParamSet, obs: np.ndarray,
                     hyper: SacHyper) -> float:
     """The actor's mean action for one observation, raw (not yet snapped to
     a dose): the squashed mean mapped onto the hyper's action bounds."""
-    mu = forward(spec, actor, obs)[0]
+    mu = forward(actor, obs)[0]
     mid = 0.5 * (hyper.action_high + hyper.action_low)
     half = 0.5 * (hyper.action_high - hyper.action_low)
     return float(mid + half * math.tanh(mu))
@@ -271,10 +273,11 @@ class SacAgent:
         h = hyper
         self._mid = 0.5 * (h.action_high + h.action_low)
         self._half = 0.5 * (h.action_high - h.action_low)
-        self.actor_spec = MlpSpec((obs_dim, *h.hidden, 2))
-        self.actor = init_params(self.actor_spec, self.rng, dtype=self.dtype)
-        self.critic_spec = MlpSpec((obs_dim + 1, *h.hidden, 1))
-        self.critics = [init_params(self.critic_spec, self.rng,
+        # the actor outputs the Gaussian's mean and log-std
+        self.actor = init_params((obs_dim, *h.hidden, 2), self.rng,
+                                 dtype=self.dtype)
+        # a critic reads the observation and the squashed action
+        self.critics = [init_params((obs_dim + 1, *h.hidden, 1), self.rng,
                                     dtype=self.dtype)
                         for _ in range(2)]
         self.targets = [c.copy() for c in self.critics]
@@ -297,13 +300,12 @@ class SacAgent:
             else self.hyper.alpha
 
     def greedy_action(self, obs: np.ndarray) -> float:
-        return sac_mean_action(self.actor_spec, self.actor, obs, self.hyper)
+        return sac_mean_action(self.actor, obs, self.hyper)
 
     def act(self, obs: np.ndarray) -> float:
         """Draw a raw continuous action from the squashed Gaussian."""
-        out = forward(self.actor_spec, self.actor, obs)
-        log_std = np.clip(out[1], self.hyper.log_std_min,
-                          self.hyper.log_std_max)
+        out = forward(self.actor, obs)
+        log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
         xi = self.rng.standard_normal()
         u = out[0] + math.exp(log_std) * xi
         return self._mid + self._half * math.tanh(u)
@@ -325,8 +327,7 @@ class SacAgent:
         returns the squashed action t = tanh(u), its log-density, and the
         noise xi, std and 1 - t^2 that the actor gradient reads."""
         mu = out[:, 0]
-        log_std = np.clip(out[:, 1], self.hyper.log_std_min,
-                          self.hyper.log_std_max)
+        log_std = np.clip(out[:, 1], LOG_STD_MIN, LOG_STD_MAX)
         std = np.exp(log_std)
         xi = rng.standard_normal(len(mu))
         u = mu + std * xi
@@ -352,11 +353,11 @@ class SacAgent:
 
         # soft targets from fresh next-state actions
         t2, logp2, *_ = self._squashed_sample(
-            forward(self.actor_spec, self.actor, next_obs), rng)
+            forward(self.actor, next_obs), rng)
         xin2 = self._critic_input(next_obs, t2)
         q_next = np.minimum(
-            forward(self.critic_spec, self.targets[0], xin2)[:, 0],
-            forward(self.critic_spec, self.targets[1], xin2)[:, 0])
+            forward(self.targets[0], xin2)[:, 0],
+            forward(self.targets[1], xin2)[:, 0])
         y = rewards + h.gamma * np.where(dones, 0.0,
                                          q_next - alpha * logp2)
 
@@ -364,24 +365,24 @@ class SacAgent:
         xin = self._critic_input(obs, t_stored)
         critic_mse = []
         for i in range(2):
-            q, cache = forward_cached(self.critic_spec, self.critics[i], xin)
+            q, cache = forward_cached(self.critics[i], xin)
             err = q[:, 0] - y
             critic_mse.append(np.mean(err ** 2))
             gout = 2.0 * err[:, None] / len(y)
-            grads = backward(self.critic_spec, self.critics[i], cache, gout)
+            grads = backward(self.critics[i], cache, gout)
             adam_step(self.critics[i], grads, self.critic_adams[i])
 
         # actor: reparameterized gradient of alpha*logpi - min Q
-        out, actor_cache = forward_cached(self.actor_spec, self.actor, obs)
+        out, actor_cache = forward_cached(self.actor, obs)
         t, logp, xi, std, one_m_t2 = self._squashed_sample(out, rng)
-        clip_mask = ((out[:, 1] > h.log_std_min)
-                     & (out[:, 1] < h.log_std_max)).astype(float)
+        clip_mask = ((out[:, 1] > LOG_STD_MIN)
+                     & (out[:, 1] < LOG_STD_MAX)).astype(float)
 
         xin_pi = self._critic_input(obs, t)
         q_pi = []
         caches_pi = []
         for i in range(2):
-            q, cache = forward_cached(self.critic_spec, self.critics[i], xin_pi)
+            q, cache = forward_cached(self.critics[i], xin_pi)
             q_pi.append(q[:, 0])
             caches_pi.append(cache)
         which = np.argmin(np.stack(q_pi, axis=1), axis=1)
@@ -393,16 +394,14 @@ class SacAgent:
                 continue
             gout = np.zeros((len(t), 1))
             gout[sel, 0] = 1.0
-            gin = input_gradient(self.critic_spec, self.critics[i],
-                                 caches_pi[i], gout)
+            gin = input_gradient(self.critics[i], caches_pi[i], gout)
             dq_da[sel] = gin[sel, -1]
 
         dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / self._half)
         dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(t)
         dl_dlogstd = (dl_du * std * xi - alpha / len(t)) * clip_mask
         actor_gout = np.stack([dl_du, dl_dlogstd], axis=1)
-        grads = backward(self.actor_spec, self.actor, actor_cache,
-                         actor_gout)
+        grads = backward(self.actor, actor_cache, actor_gout)
         adam_step(self.actor, grads, self.actor_adam)
 
         # temperature
@@ -428,7 +427,7 @@ class SacAgent:
         """The greedy policy only: the actor and its hyper."""
         return {"kind": "sac",
                 "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
-                "actor": net_to_dict(self.actor_spec, self.actor)}
+                "actor": net_to_dict(self.actor)}
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +442,25 @@ def policy_from_dict(data: dict):
     kind = data["kind"]
     if kind == "dqn":
         hyper = _hyper_from_dict(DqnHyper, data["hyper"])
-        spec, qnet = net_from_dict(data["qnet"])
-        n_actions = len(DISCRETE_ACTIONS_KG)  # one output per dose
-        if spec != MlpSpec((spec.n_in, *hyper.hidden, n_actions)):
-            raise ConfigError(f"Q-net {spec} does not match its hyper or doses")
+        qnet = net_from_dict(data["qnet"])
+        # one output per dose
+        if qnet.sizes[1:] != (*hyper.hidden, len(DISCRETE_ACTIONS_KG)):
+            raise ConfigError(f"Q-net sizes {qnet.sizes} do not match its "
+                              f"hyper or doses")
         rng = np.random.default_rng(0)  # never drawn from at epsilon 0
 
         def choose(obs):
-            return dqn_select_action(spec, qnet, obs, 0.0, rng, n_actions)
-        return spec.n_in, choose, DqnAgent.dose
+            return dqn_select_action(qnet, obs, 0.0, rng)
+        return qnet.sizes[0], choose, DqnAgent.dose
     if kind == "sac":
-        hyper = _hyper_from_dict(SacHyper, data["hyper"])
-        spec, actor = net_from_dict(data["actor"])
-        if spec != MlpSpec((spec.n_in, *hyper.hidden, 2)):
-            raise ConfigError(f"actor {spec} does not match its hyper")
-        return (spec.n_in, lambda obs: sac_mean_action(spec, actor, obs, hyper),
+        # older files also hold the log-std clamp, now LOG_STD_MIN/MAX
+        hyper = _hyper_from_dict(SacHyper, {
+            k: v for k, v in data["hyper"].items()
+            if k not in ("log_std_min", "log_std_max")})
+        actor = net_from_dict(data["actor"])
+        if actor.sizes[1:] != (*hyper.hidden, 2):
+            raise ConfigError(f"actor sizes {actor.sizes} do not match its "
+                              f"hyper")
+        return (actor.sizes[0], lambda obs: sac_mean_action(actor, obs, hyper),
                 SacAgent.dose)
     raise ConfigError(f"unknown agent kind {kind!r}")

@@ -5,8 +5,8 @@ overrides; ``--seed`` and ``--out`` override ``run.seeds``/``run.trials`` and
 ``run.out_dir``. A key that no setting claims is rejected (see ``config``).
 
 Exit codes: 0 success; 1 configuration error (a malformed or unknown key, a
-bad value, a bad checkpoint), reported before any output is written; 2
-runtime failure.
+bad value, a bad checkpoint or run directory), reported before any output is
+written; 2 runtime failure.
 """
 
 from __future__ import annotations

@@ -63,10 +63,8 @@ _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
                             "plant_density", "weather_mode",
                             "weather_seed", "action_frequency")}}
 _REWARD = get_type_hints(RewardConfig)
-# SAC's log-std clamp is not a setting
 _AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
-                 **{name: tp for name, tp in get_type_hints(cls).items()
-                    if name not in ("log_std_min", "log_std_max")}}
+                 **get_type_hints(cls)}
           for kind, cls in _HYPERS.items()}
 # the other ExperimentConfig fields are built from their own sections
 _RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()

@@ -42,6 +42,8 @@ TABLE_COLUMNS = ("method", "n_input", "leaching", "uptake", "topwt",
 AGENTS = {"dqn": DqnAgent, "sac": SacAgent}
 #: single doses the reference sweep applies at V5, kg/ha
 BASELINE_GRID = tuple(float(x) for x in range(0, 321, 40))
+#: what reading a damaged checkpoint or run file raises
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,10 @@ class ExperimentConfig:
         if self.trials != len(self.seeds):
             raise ConfigError(
                 f"trials={self.trials} but {len(self.seeds)} seeds given")
+        # each trial writes trial_<seed>_* files and counts as one seed
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"run.seeds must be distinct and >= 0: "
+                              f"{self.seeds}")
         if self.observation not in ("full", "partial"):
             raise ConfigError("run.observation must be full or partial")
         if not all(0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
@@ -247,7 +253,7 @@ def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
         with open(path) as fh:
             data = json.load(fh)
         obs_dim, choose, dose = policy_from_dict(data["agent"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except _UNREADABLE as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc!r}") from exc
     meta = {k: v for k, v in data.items() if k != "agent"}
     if config is not None:
@@ -558,14 +564,19 @@ def emit_report(report: RunReport, out_dir, episodes_log: list,
 
 def reaggregate(run_dir) -> list[Path]:
     """Rebuild curves.csv and tables.csv from the manifest and the per-trial
-    curve files; the manifest itself is left as it is."""
+    curve files; the manifest itself is left as it is. A missing or damaged
+    file raises ``ConfigError``."""
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"no manifest.json under {run_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        report = _read_run(run_dir)
+    except _UNREADABLE as exc:
+        raise ConfigError(f"cannot read run {run_dir}: {exc!r}") from exc
+    return _write_tables(report, run_dir)
 
+
+def _read_run(run_dir: Path) -> RunReport:
+    with open(run_dir / "manifest.json") as fh:
+        manifest = json.load(fh)
     report = RunReport(config_digest=manifest["config_digest"],
                        agent_kind=manifest["agent_kind"],
                        scenario_name=manifest["scenario"])
@@ -580,7 +591,10 @@ def reaggregate(run_dir) -> list[Path]:
             rows = curve_path.read_text().strip().split("\n")[1:]
             trial.curve = [tuple(float(v) for v in row.split(","))
                            for row in rows]
+            if any(len(row) != len(CURVE_COLUMNS) for row in trial.curve):
+                raise ValueError(f"{curve_path}: rows need "
+                                 f"{len(CURVE_COLUMNS)} values")
         report.trials.append(trial)
     for amount, s in manifest.get("baselines", {}).items():
         report.baselines[float(amount)] = EpisodeSummary.from_dict(s)
-    return _write_tables(report, run_dir)
+    return report

@@ -1,11 +1,14 @@
 """Dense feed-forward networks with hand-written reverse-mode gradients.
 
-Small fully-connected nets (relu or tanh hidden layers, linear output) are
-all the agents need, so this module implements them directly on numpy arrays
-instead of pulling in an autodiff framework. For a given upstream gradient,
-``backward`` returns the exact parameter gradient of the forward map, summed
-over the batch (callers divide by the batch size when optimizing a mean
-loss), and ``input_gradient`` returns the gradient in the input alone.
+The agents need only small fully-connected nets with ReLU hidden layers and
+a linear output, the networks of the DQN and SAC papers, so this module
+implements them directly on numpy arrays instead of pulling in an autodiff
+framework. A net is its ``ParamSet``: the layer widths are read from the
+weight shapes (``ParamSet.sizes``), and no other object describes it. For a
+given upstream gradient of shape (batch, n_out), ``backward`` returns the
+exact parameter gradient of the forward map, summed over the batch (callers
+divide by the batch size when optimizing a mean loss), and
+``input_gradient`` returns the gradient in the input alone.
 
 Layout. A net's parameters are a ``ParamSet``: one contiguous vector
 ``flat`` holding W0, b0, W1, b1, ... in that order (each W row-major, of
@@ -13,7 +16,7 @@ shape (fan_in, fan_out)), and the (W, b) pairs, which are views into it.
 ``backward`` returns its gradients in the same layout, and Adam's first and
 second moments are flat vectors in that layout too. The optimizer, the DQN
 target copy and the SAC Polyak average therefore each run a few ufuncs over
-one array. ``forward`` and ``backward`` read any sequence of (W, b) pairs.
+one array.
 
 In place. ``adam_step`` writes the new values into ``params.flat``,
 ``state.m`` and ``state.v``, advances ``state.step`` and returns the same
@@ -33,10 +36,12 @@ default lr. That is under half an ulp of any parameter larger in magnitude
 than about 1e-26.
 
 Checkpoints: ``net_to_dict`` gives a versioned, JSON-ready dict of a net's
-spec and parameters, one list per (W, b) array, and no optimizer state; float
+parameters, one list per (W, b) array, and no optimizer state; float
 round-tripping through JSON is exact, so ``net_from_dict`` of its JSON
-reproduces the parameters bit for bit. It ignores any other key, such as the
-Adam moments that earlier version-1 files carry.
+reproduces the parameters bit for bit. The file format keeps its ``spec``
+entry: the layer sizes and the activations, always ReLU hidden layers and a
+linear output. ``net_from_dict`` refuses any other activation and ignores
+any other key, such as the Adam moments that earlier version-1 files carry.
 """
 
 from __future__ import annotations
@@ -71,12 +76,10 @@ class ParamSet(tuple):
         self.flat = flat
         return self
 
-    @classmethod
-    def of(cls, pairs) -> "ParamSet":
-        """Copy (W, b) pairs into a new flat vector."""
-        pairs = list(pairs)
-        return cls(np.concatenate([np.ravel(a) for pair in pairs for a in pair]),
-                   [np.shape(w) for w, _ in pairs])
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Layer widths, input first: (n_in, hidden..., n_out)."""
+        return (self[0][0].shape[0], *(b.size for _, b in self))
 
     def like(self, flat: np.ndarray) -> "ParamSet":
         """This layout over another vector."""
@@ -89,126 +92,103 @@ class ParamSet(tuple):
         return self.flat, [w.shape for w, _ in self]
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
-
-    def __post_init__(self):
-        if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
-            raise ConfigError("MlpSpec needs >= 2 layers of positive size")
-        if self.hidden_activation not in ("relu", "tanh"):
-            raise ConfigError(f"unsupported activation {self.hidden_activation!r}")
-
-    @property
-    def n_in(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.sizes[-1]
+def _check_sizes(sizes) -> None:
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ConfigError(f"a net needs >= 2 layers of positive size: {sizes}")
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator,
+def init_params(sizes, rng: np.random.Generator,
                 dtype=np.float64) -> ParamSet:
-    """Uniform fan-in/fan-out scaling, deterministic for a seeded generator."""
-    pairs = []
-    for n_in, n_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
-        b = np.zeros(n_out, dtype=dtype)
-        pairs.append((w, b))
-    return ParamSet.of(pairs)
+    """A net of layer widths ``sizes`` (input first): uniform
+    fan-in/fan-out scaled weights and zero biases, deterministic for a
+    seeded generator."""
+    _check_sizes(sizes)
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    params = ParamSet(np.zeros(sum(n_in * n_out + n_out
+                                   for n_in, n_out in shapes), dtype=dtype),
+                      shapes)
+    for w, _ in params:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def _check_input(spec: MlpSpec, x: np.ndarray, dtype) -> np.ndarray:
-    x = np.asarray(x, dtype=dtype)
+def _check_input(params: ParamSet, x: np.ndarray) -> np.ndarray:
+    w0 = params[0][0]
+    x = np.asarray(x, dtype=w0.dtype)
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != spec.n_in:
-        raise ShapeError(f"input shape {x.shape} does not match n_in={spec.n_in}")
+    if x.ndim != 2 or x.shape[1] != w0.shape[0]:
+        raise ShapeError(f"input shape {x.shape} does not match "
+                         f"n_in={w0.shape[0]}")
     return x
 
 
-def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
-    if spec.hidden_activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def forward(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
+def forward(params: ParamSet, x: np.ndarray) -> np.ndarray:
     """Plain forward pass; 1-D inputs give 1-D outputs."""
     squeeze = np.ndim(x) == 1
-    h = _check_input(spec, x, params[0][0].dtype)
+    h = _check_input(params, x)
     last = len(params) - 1
     for i, (w, b) in enumerate(params):
         z = h @ w + b
-        h = z if i == last else _activate(spec, z)
+        h = z if i == last else np.maximum(z, 0.0)
     return h[0] if squeeze else h
 
 
-def forward_cached(spec: MlpSpec, params: ParamSet, x: np.ndarray
+def forward_cached(params: ParamSet, x: np.ndarray
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping layer inputs and pre-activations for backward."""
-    h = _check_input(spec, x, params[0][0].dtype)
+    h = _check_input(params, x)
     cache = [h]
     last = len(params) - 1
     for i, (w, b) in enumerate(params):
         z = h @ w + b
         cache.append(z)
-        h = z if i == last else _activate(spec, z)
         if i != last:
+            h = np.maximum(z, 0.0)
             cache.append(h)
-    return h, cache
+    return z, cache
 
 
-def _upstream(spec: MlpSpec, params, cache: list[np.ndarray],
+def _upstream(params: ParamSet, cache: list[np.ndarray],
               grad_out: np.ndarray) -> np.ndarray:
     g = np.asarray(grad_out, dtype=params[0][0].dtype)
-    if g.ndim == 1:
-        g = g[None, :]
-    if g.shape != (cache[0].shape[0], spec.n_out):
+    if g.shape != (cache[0].shape[0], params[-1][1].size):
         raise ShapeError(f"upstream gradient shape {g.shape} mismatch")
     return g
 
 
-def _below(spec: MlpSpec, params, cache: list[np.ndarray],
-           delta: np.ndarray, i: int) -> np.ndarray:
+def _below(params: ParamSet, cache: list[np.ndarray], delta: np.ndarray,
+           i: int) -> np.ndarray:
     """dL/d(layer i - 1's pre-activation) from dL/d(layer i's), i > 0."""
-    delta = delta @ params[i][0].T
-    if spec.hidden_activation == "relu":
-        return np.multiply(delta, cache[2 * i - 1] > 0.0)
-    return np.multiply(delta, 1.0 - np.square(cache[2 * i]))
+    return np.multiply(delta @ params[i][0].T, cache[2 * i - 1] > 0.0)
 
 
-def backward(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
+def backward(params: ParamSet, cache: list[np.ndarray],
              grad_out: np.ndarray) -> ParamSet:
     """Exact reverse-mode parameter gradients for a cached forward pass.
 
     ``grad_out`` is dL/d(output), shape (batch, n_out). Returns the
     gradients, summed over the batch, as a new ``ParamSet``.
     """
-    delta = _upstream(spec, params, cache, grad_out)
-    shapes = [w.shape for w, _ in params]
-    grads = ParamSet(np.empty(sum(n_in * n_out + n_out
-                                  for n_in, n_out in shapes),
-                              dtype=delta.dtype), shapes)
+    delta = _upstream(params, cache, grad_out)
+    grads = params.like(np.empty(params.flat.size, dtype=delta.dtype))
     for i in range(len(params) - 1, -1, -1):
         gw, gb = grads[i]
         np.matmul(cache[2 * i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = _below(spec, params, cache, delta, i)
+            delta = _below(params, cache, delta, i)
     return grads
 
 
-def input_gradient(spec: MlpSpec, params: ParamSet, cache: list[np.ndarray],
+def input_gradient(params: ParamSet, cache: list[np.ndarray],
                    grad_out: np.ndarray) -> np.ndarray:
     """dL/d(input), shape (batch, n_in), for a cached forward pass; the
     same arithmetic as ``backward`` without the parameter gradients."""
-    delta = _upstream(spec, params, cache, grad_out)
+    delta = _upstream(params, cache, grad_out)
     for i in range(len(params) - 1, 0, -1):
-        delta = _below(spec, params, cache, delta, i)
+        delta = _below(params, cache, delta, i)
     return delta @ params[0][0].T
 
 
@@ -235,17 +215,17 @@ class AdamState:
                    v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ParamSet, grads, state: AdamState
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
               ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    ``grads`` are (W, b) pairs in the layout of ``params``; a ``ParamSet``
-    (what ``backward`` returns) is read without a copy. Returns the same
-    ``params`` and ``state`` objects.
+    ``grads`` is a ``ParamSet`` in the layout of ``params``, as ``backward``
+    returns it. Returns the same ``params`` and ``state`` objects.
     """
-    if not isinstance(params, ParamSet):
-        raise TypeError("adam_step updates a ParamSet in place")
-    g = (grads if isinstance(grads, ParamSet) else ParamSet.of(grads)).flat
+    if not (isinstance(params, ParamSet) and isinstance(grads, ParamSet)):
+        raise TypeError("adam_step updates a ParamSet by a ParamSet of "
+                        "gradients")
+    g = grads.flat
     x, m, v = params.flat, state.m, state.v
     if g.shape != x.shape:
         raise ShapeError(f"gradient of {g.size} values for {x.size} params")
@@ -281,29 +261,32 @@ def adam_step(params: ParamSet, grads, state: AdamState
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def net_to_dict(spec: MlpSpec, params: ParamSet) -> dict:
+def net_to_dict(params: ParamSet) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "dtype": params[0][0].dtype.name,
-        "spec": {"sizes": list(spec.sizes),
-                 "hidden_activation": spec.hidden_activation,
+        "spec": {"sizes": list(params.sizes), "hidden_activation": "relu",
                  "output_activation": "linear"},
         "params": [{"w": w.ravel().tolist(), "b": b.tolist(),
                     "shape": list(w.shape)} for w, b in params],
     }
 
 
-def net_from_dict(data: dict) -> tuple[MlpSpec, ParamSet]:
+def net_from_dict(data: dict) -> ParamSet:
     if data.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {data.get('version')}")
-    if data["spec"]["output_activation"] != "linear":
+    spec = data["spec"]
+    if spec["hidden_activation"] != "relu":
+        raise ConfigError(f"unsupported hidden activation "
+                          f"{spec['hidden_activation']!r}")
+    if spec["output_activation"] != "linear":
         raise ConfigError("only linear outputs are supported")
-    spec = MlpSpec(sizes=tuple(data["spec"]["sizes"]),
-                   hidden_activation=data["spec"]["hidden_activation"])
+    sizes = tuple(spec["sizes"])
+    _check_sizes(sizes)
     shapes = [tuple(e["shape"]) for e in data["params"]]
-    if shapes != list(zip(spec.sizes[:-1], spec.sizes[1:])):
-        raise ConfigError(f"weight shapes {shapes} do not match {spec.sizes}")
+    if shapes != list(zip(sizes[:-1], sizes[1:])):
+        raise ConfigError(f"weight shapes {shapes} do not match {sizes}")
     dtype = np.dtype(data.get("dtype", "float64"))
     flat = np.concatenate([np.asarray(e[k], dtype=dtype)
                            for e in data["params"] for k in ("w", "b")])
-    return spec, ParamSet(flat, shapes)
+    return ParamSet(flat, shapes)

@@ -13,8 +13,9 @@ from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
 from croprl.env import DISCRETE_ACTIONS_KG
 from croprl.errors import ConfigError, ShapeError
 from croprl.harness import baseline_policy, load_checkpoint
-from croprl.net import AdamState, MlpSpec, ParamSet, forward
+from croprl.net import AdamState, forward
 
+from test_net import net_of
 from test_state import make_state
 
 
@@ -56,61 +57,56 @@ def test_epsilon_validation():
 
 def qnet_returning(values):
     """A 1-input network whose outputs are the given constants."""
-    spec = MlpSpec((1, len(values)))
-    params = [(np.zeros((1, len(values))), np.asarray(values, dtype=float))]
-    return spec, params
+    return net_of([(np.zeros((1, len(values))), values)])
 
 
 def test_greedy_picks_argmax():
-    spec, params = qnet_returning([1.0, 3.0, 2.0, 0.0, -1.0])
-    a = dqn_select_action(spec, params, np.zeros(1), 0.0,
-                          np.random.default_rng(0), 5)
+    params = qnet_returning([1.0, 3.0, 2.0, 0.0, -1.0])
+    a = dqn_select_action(params, np.zeros(1), 0.0, np.random.default_rng(0))
     assert a == 1
 
 
 def test_greedy_ties_break_to_lowest_index():
-    spec, params = qnet_returning([2.0, 2.0, 2.0, 2.0, 2.0])
-    a = dqn_select_action(spec, params, np.zeros(1), 0.0,
-                          np.random.default_rng(0), 5)
+    params = qnet_returning([2.0, 2.0, 2.0, 2.0, 2.0])
+    a = dqn_select_action(params, np.zeros(1), 0.0, np.random.default_rng(0))
     assert a == 0
 
 
 def test_observation_size_checked():
-    spec, params = qnet_returning([0.0, 1.0])
+    params = qnet_returning([0.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ShapeError):
-        dqn_select_action(spec, params, np.zeros(3), 0.0,
-                          np.random.default_rng(0), 2)
+        dqn_select_action(params, np.zeros(3), 0.0, np.random.default_rng(0))
 
 
 def test_full_exploration_is_uniform():
-    """At epsilon=1 the empirical action frequencies are uniform within 3
-    sigma of the multinomial over 10,000 draws."""
-    spec, params = qnet_returning([9.0, 0.0, 0.0, 0.0, 0.0])
+    """At epsilon=1 the empirical action frequencies are uniform over the
+    Q-net's outputs within 3 sigma of the multinomial over 10,000 draws."""
+    params = qnet_returning([9.0, 0.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(123)
     n = 10_000
     counts = np.zeros(5)
     for _ in range(n):
-        counts[dqn_select_action(spec, params, np.zeros(1), 1.0, rng, 5)] += 1
+        counts[dqn_select_action(params, np.zeros(1), 1.0, rng)] += 1
     p = 1.0 / 5.0
     sigma = math.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) <= 3 * sigma)
 
 
 def test_td_targets_terminal_and_bootstrap():
-    spec, params = qnet_returning([2.0, 1.0])
+    params = qnet_returning([2.0, 1.0, 0.0, 0.0, 0.0])
     rewards = np.array([1.0, 1.0])
     next_obs = np.zeros((2, 1))
     dones = np.array([True, False])
-    targets = dqn_td_targets(rewards, next_obs, dones, spec, params, 0.99)
+    targets = dqn_td_targets(rewards, next_obs, dones, params, 0.99)
     assert targets[0] == 1.0                      # done masks the bootstrap
     assert targets[1] == pytest.approx(2.98)      # 1 + 0.99 * 2
 
 
 def test_td_targets_gamma_zero_equal_rewards():
-    spec, params = qnet_returning([5.0, -3.0])
+    params = qnet_returning([5.0, -3.0, 0.0, 0.0, 0.0])
     rewards = np.array([0.5, -2.0, 7.0])
     targets = dqn_td_targets(rewards, np.zeros((3, 1)),
-                             np.array([False, False, True]), spec, params, 0.0)
+                             np.array([False, False, True]), params, 0.0)
     assert np.allclose(targets, rewards)
 
 
@@ -181,29 +177,31 @@ def test_single_transition_regression_gamma_zero():
     hyper = DqnHyper(gamma=0.0, batch_size=8, lr=1e-2, warmup=8,
                      buffer_capacity=64, target_update_interval=50,
                      hidden=(16,))
-    agent = DqnAgent(2, hyper, seed=0, n_actions=3)
+    agent = DqnAgent(2, hyper, seed=0)
     obs = np.array([0.3, 0.7])
     for _ in range(5000):
         agent.buffer.push(obs, 1, 2.5, obs, True)
         agent.update()
-        q = forward(agent.spec, agent.params, obs)[1]
+        q = forward(agent.params, obs)[1]
         if abs(q - 2.5) < 1e-3:
             break
-    assert abs(forward(agent.spec, agent.params, obs)[1] - 2.5) < 1e-3
+    assert abs(forward(agent.params, obs)[1] - 2.5) < 1e-3
 
 
 def test_zero_reward_environment_q_values_stay_near_zero():
     hyper = DqnHyper(gamma=0.99, batch_size=8, lr=1e-2, warmup=8,
                      buffer_capacity=64, target_update_interval=20,
                      hidden=(16,))
-    agent = DqnAgent(1, hyper, seed=0, n_actions=2)
+    agent = DqnAgent(1, hyper, seed=0)
     rng = np.random.default_rng(0)
-    for _ in range(500):
+    # the max over five noisy outputs biases each bootstrap upward, so the
+    # values take a few thousand updates to settle
+    for _ in range(3000):
         o = rng.uniform(size=1)
-        agent.buffer.push(o, int(rng.integers(2)), 0.0, rng.uniform(size=1),
+        agent.buffer.push(o, int(rng.integers(5)), 0.0, rng.uniform(size=1),
                           bool(rng.random() < 0.1))
         agent.update()
-    q = forward(agent.spec, agent.params, np.array([0.5]))
+    q = forward(agent.params, np.array([0.5]))
     assert np.all(np.abs(q) < 0.25)
 
 
@@ -218,11 +216,11 @@ def test_buffer_underfull_update_is_noop():
 def test_target_network_changes_only_at_sync_points():
     hyper = DqnHyper(batch_size=4, warmup=4, target_update_interval=10,
                      hidden=(8,), lr=1e-3)
-    agent = DqnAgent(1, hyper, seed=0, n_actions=2)
+    agent = DqnAgent(1, hyper, seed=0)
     rng = np.random.default_rng(1)
     snapshots = [w.copy() for w, _ in agent.target_params]
     for _ in range(30):
-        agent.buffer.push(rng.uniform(size=1), int(rng.integers(2)),
+        agent.buffer.push(rng.uniform(size=1), int(rng.integers(5)),
                           float(rng.normal()), rng.uniform(size=1), False)
         agent.update()
         changed = not all(
@@ -275,8 +273,8 @@ def test_dqn_checkpoint_reproduces_greedy_policy():
 # ---------------------------------------------------------------------------
 
 def test_polyak_rule_arithmetic():
-    target = ParamSet.of([(np.zeros((1, 1)), np.zeros(1))])
-    online = ParamSet.of([(np.ones((1, 1)), np.ones(1))])
+    target = net_of([(np.zeros((1, 1)), np.zeros(1))])
+    online = net_of([(np.ones((1, 1)), np.ones(1))])
     out = polyak_update(target, online, tau=0.001)
     assert out is target
     assert out[0][0][0, 0] == pytest.approx(0.001)
@@ -305,11 +303,11 @@ def test_target_sync_and_polyak_match_the_per_array_rules():
     and expression, into target buffers that never alias the online ones."""
     rng = np.random.default_rng(7)
     dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4, target_update_interval=5,
-                               hidden=(8,), lr=1e-3), seed=0, n_actions=3)
+                               hidden=(8,), lr=1e-3), seed=0)
     target_buffer = dqn.target_params.flat
     synced = 0
     for _ in range(14):  # 11 gradient steps: syncs after steps 5 and 10
-        dqn.buffer.push(rng.uniform(size=2), int(rng.integers(3)),
+        dqn.buffer.push(rng.uniform(size=2), int(rng.integers(5)),
                         float(rng.normal()), rng.uniform(size=2), False)
         dqn.update()
         assert dqn.target_params.flat is target_buffer
@@ -354,7 +352,7 @@ def test_sac_update_returns_the_critics_regression_loss():
         agent.buffer.push(obs, 150.0, -3.0, obs, True)
     # 150 on the default 0-200 range is 0.5 on the squashed scale
     xin = np.array([[0.25, 0.75, 0.5]])
-    before = [float(forward(agent.critic_spec, c, xin)[0, 0])
+    before = [float(forward(c, xin)[0, 0])
               for c in agent.critics]
     expected = 0.5 * ((before[0] + 3.0) ** 2 + (before[1] + 3.0) ** 2)
     assert agent.update() == pytest.approx(expected, rel=1e-5)
@@ -399,6 +397,24 @@ def test_sac_alpha_fixed_vs_auto():
 
 def test_sac_checkpoint_reproduces_mean_action():
     assert_loaded_plays_greedy(updated_agent("sac"))
+
+
+def test_only_sac_files_may_carry_the_log_std_clamp():
+    """Older SAC files also hold log_std_min and log_std_max; loading drops
+    exactly those two keys, from SAC entries only."""
+    clamp = {"log_std_min": -5.0, "log_std_max": 2.0}
+    for kind in ("sac", "dqn"):
+        data = updated_agent(kind).to_dict()
+        assert not clamp.keys() & data["hyper"].keys()
+        with_clamp = {**data, "hyper": {**data["hyper"], **clamp}}
+        if kind == "sac":
+            assert policy_from_dict(with_clamp)[0] == 4
+        else:
+            with pytest.raises(ConfigError, match="log_std"):
+                policy_from_dict(with_clamp)
+        with pytest.raises(ConfigError, match="log_std_mid"):
+            policy_from_dict({**with_clamp, "hyper": {
+                **with_clamp["hyper"], "log_std_mid": 0.0}})
 
 
 def test_sac_bandit_learns_the_optimum_single_seed():

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 import croprl
+import numpy as np
+
 from croprl import config as configmod
 from croprl.agents import DqnAgent, DqnHyper
 from croprl.cli import main
 from croprl.harness import config_digest
+from croprl.net import init_params, net_to_dict
 
 
 @pytest.fixture
@@ -65,6 +68,8 @@ def tiny_config(tmp_path):
     ["reward.threshold=nan"],
     ["run.seeds=", "run.trials=0"],
     ["run.baseline_grid=0,1e308"],
+    ["run.seeds=-1"],
+    ["run.trials=2", "run.seeds=1,1"],  # two trials on one seed's files
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -77,6 +82,13 @@ def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
     # the message names the key of the last override
     assert overrides[-1].split("=")[0].partition(".")[2] in err
     assert not (tmp_path / "out").exists()  # rejected before training
+
+
+def test_negative_seed_flag_is_a_configuration_error(tiny_config, tmp_path,
+                                                    capsys):
+    assert main(["train", "--config", str(tiny_config), "--seed", "-1"]) == 1
+    assert "run.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -133,6 +145,60 @@ def test_train_report_evaluate_round_trip(round_trip_config, tmp_path,
         assert (again / name).read_bytes() == (run / name).read_bytes(), name
 
 
+def _damage_none(run):
+    pass
+
+
+def _damage_manifest_json(run):
+    (run / "manifest.json").write_text('{"trials": [')
+
+
+def _damage_manifest_kind(run):
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["agent_kind"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _damage_curve(run):
+    with open(run / "trial_1_curve.csv", "a") as fh:
+        fh.write("1,0.5,lots,0,0,0\n")
+
+
+def _damage_curve_row(run):
+    with open(run / "trial_1_curve.csv", "a") as fh:
+        fh.write("1,0.5,12.5\n")
+
+
+def _damage_missing_manifest(run):
+    (run / "manifest.json").unlink()
+
+
+@pytest.mark.parametrize("damage,status", [
+    (_damage_none, 0), (_damage_manifest_json, 1), (_damage_manifest_kind, 1),
+    (_damage_curve, 1), (_damage_curve_row, 1), (_damage_missing_manifest, 1)],
+    ids=["intact", "malformed_manifest", "no_agent_kind", "curve_non_number",
+         "curve_short_row", "no_manifest"])
+def test_report_on_a_damaged_run_is_a_configuration_error(tmp_path, capsys,
+                                                          damage, status):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(json.dumps({
+        "config_digest": "0" * 16, "agent_kind": "dqn", "scenario": "iowa",
+        "trials": [{"seed": 1, "failed": False, "error": "",
+                    "convergence_episode": None, "summary": None}],
+        "baselines": {}}))
+    (run / "trial_1_curve.csv").write_text(
+        "episode,epsilon,cumulative_reward,total_N,total_leach,topwt\n"
+        "0,1.0,12.5,40.0,0.1,900.0\n")
+    damage(run)
+    assert main(["report", "--run", str(run)]) == status
+    if status:
+        assert "configuration error" in capsys.readouterr().err
+    else:
+        assert (run / "curves.csv").read_text().splitlines()[1] \
+            == "0,12.5,0.0,40.0,0.1,900.0"
+
+
 @pytest.fixture
 def bad_checkpoints(tmp_path):
     """A directory of checkpoint files that evaluation must refuse."""
@@ -157,8 +223,12 @@ def bad_checkpoints(tmp_path):
              "every_10_days": json.dumps({"agent": agent,
                                           "action_frequency": 10}),
              # more actions than doses
-             "seven_actions": json.dumps({"agent": DqnAgent(
-                 30, hyper, n_actions=7).to_dict()})}
+             "seven_actions": json.dumps({"agent": {
+                 **agent, "qnet": net_to_dict(init_params(
+                     (30, 4, 7), np.random.default_rng(0)))}}),
+             "tanh_hidden": json.dumps({"agent": {**agent, "qnet": {
+                 **agent["qnet"], "spec": {**agent["qnet"]["spec"],
+                                           "hidden_activation": "tanh"}}}})}
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
     return tmp_path
@@ -184,6 +254,7 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/florida.json"],
     ["--checkpoint", "{dir}/every_10_days.json"],
     ["--checkpoint", "{dir}/seven_actions.json"],
+    ["--checkpoint", "{dir}/tanh_hidden.json"],
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, capsys, argv):
@@ -275,7 +346,7 @@ out_dir = out
 
 @pytest.mark.parametrize("text,digest,out_dir", [
     (DQN_INI, "b52c3d0509bcd79b", "Some/Dir"),
-    (SAC_INI, "3d0747adb2713908", "out"),
+    (SAC_INI, "f09be5678d4f0e79", "out"),
     ("", "9bb9c51f132f87a8", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
@@ -323,7 +394,7 @@ def _ablate(tmp_path, axis, conditions):
         assert names == ["trial_1_checkpoint.json", "trial_2_checkpoint.json"]
         for name in names:
             agent = json.loads((out / condition / name).read_text())["agent"]
-            assert sorted(agent) == ["hyper", "kind", "n_actions", "qnet"]
+            assert sorted(agent) == ["hyper", "kind", "qnet"]
     return config, out
 
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
-from croprl.harness import (baseline_policy, evaluate_policy, run_episode,
+from croprl.harness import (baseline_policy, convergence_episode,
+                            evaluate_policy, run_episode,
                             verify_reward_identity)
 from croprl.state import ObservationMask
 
@@ -56,3 +59,61 @@ def test_baseline_dose_lands_on_the_first_permitted_day_from_v5(preset,
     _, per = evaluate_policy(baseline_policy(160.0), scenario,
                              ObservationMask.full(), n_episodes=2)
     assert [s.applications for s in per] == [[(expected, 160.0)]] * 2
+
+
+# ---------------------------------------------------------------------------
+# convergence episode
+# ---------------------------------------------------------------------------
+
+def trailing_means(rewards, window):
+    """(last episode of the window, mean of the window), oldest first."""
+    return [(i, float(np.mean(rewards[i - window + 1:i + 1])))
+            for i in range(window - 1, len(rewards))]
+
+
+def brute_force_convergence(rewards, window, rel_tol=0.01):
+    """The first episode whose trailing mean is within ``rel_tol`` of the
+    final trailing mean, by searching every window."""
+    final = trailing_means(rewards, window)[-1][1]
+    return next(i for i, mean in trailing_means(rewards, window)
+                if abs(mean - final) <= rel_tol * max(abs(final), 1e-9))
+
+
+def test_convergence_needs_a_full_window():
+    assert convergence_episode([1.0] * 49) is None
+    assert convergence_episode([]) is None
+    assert convergence_episode([1.0] * 4, window=5) is None
+
+
+@pytest.mark.parametrize("value", [0.0, 3.5, -120.0])
+def test_constant_series_converges_with_its_first_window(value):
+    assert convergence_episode([value] * 80) == 49
+    assert convergence_episode([value] * 7, window=3) == 2
+
+
+def test_step_series_converges_once_the_window_is_past_the_step():
+    rewards = [0.0] * 60 + [10.0] * 100
+    # a window holding any 0 has a mean <= 9.8, outside 1% of 10
+    assert convergence_episode(rewards) == 60 + 49
+    assert convergence_episode(rewards) == brute_force_convergence(rewards, 50)
+
+
+def test_negative_final_mean_uses_its_magnitude():
+    rewards = [-1000.0] * 50 + [-100.0] * 100
+    assert convergence_episode(rewards) == 50 + 49
+    assert convergence_episode(rewards) == brute_force_convergence(rewards, 50)
+
+
+@given(data=st.data(), window=st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_convergence_matches_a_brute_force_search(data, window):
+    rewards = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=window,
+                                 max_size=window + 40))
+    means = trailing_means(rewards, window)
+    final = means[-1][1]
+    tol = 0.01 * max(abs(final), 1e-9)
+    # a window mean within rounding of the 1% boundary may fall either side
+    assume(all(abs(abs(mean - final) - tol) > 1e-9 * max(abs(final), 1.0)
+               for _, mean in means))
+    assert convergence_episode(rewards, window=window) \
+        == brute_force_convergence(rewards, window)
