@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
 from .errors import ConfigError
 from .reward import RewardConfig, daily_reward
-from .state import ObservationMask, normalize_observation, observe
+from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
 CURVE_COLUMNS = ("episode", "epsilon", "cumulative_reward", "total_N",
                  "total_leach", "topwt")
@@ -67,7 +67,7 @@ class ExperimentConfig:
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"run.seeds must be distinct and >= 0: "
                               f"{self.seeds}")
-        if self.observation not in ("full", "partial"):
+        if self.observation not in OBSERVATIONS:
             raise ConfigError("run.observation must be full or partial")
         if not all(0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
             raise ConfigError(f"baseline_grid amounts must lie in "
@@ -91,10 +91,7 @@ class EpisodeSummary:
     applications: list  # (dap, applied) for nonzero applications
 
     def as_dict(self) -> dict:
-        return {"total_n": self.total_n, "total_leach": self.total_leach,
-                "total_uptake": self.total_uptake, "topwt": self.topwt,
-                "cumulative_reward": self.cumulative_reward,
-                "terminal_dap": self.terminal_dap,
+        return {**asdict(self),
                 "applications": [list(a) for a in self.applications]}
 
     @classmethod
@@ -286,17 +283,20 @@ def train_trial(config: ExperimentConfig, seed: int
     trial = TrialResult(seed=seed)
     explore = agent_policy(agent.act, agent.dose)
 
+    # the first overflow or NaN fails the trial, whatever the warning filter
     try:
-        for ep in range(config.hyper.episodes):
-            epsilon = (agent.begin_episode(ep) if config.agent_kind == "dqn"
-                       else 0.0)
-            summary, _ = run_episode(env, explore, mask, seed=ep,
-                                     on_step=agent.observe)
-            total = summary.cumulative_reward
-            if not np.isfinite(total):
-                raise FloatingPointError(f"non-finite return at episode {ep}")
-            trial.curve.append((ep, epsilon, total, summary.total_n,
-                                summary.total_leach, summary.topwt))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for ep in range(config.hyper.episodes):
+                epsilon = (agent.begin_episode(ep)
+                           if config.agent_kind == "dqn" else 0.0)
+                summary, _ = run_episode(env, explore, mask, seed=ep,
+                                         on_step=agent.observe)
+                total = summary.cumulative_reward
+                if not np.isfinite(total):
+                    raise FloatingPointError(
+                        f"non-finite return at episode {ep}")
+                trial.curve.append((ep, epsilon, total, summary.total_n,
+                                    summary.total_leach, summary.topwt))
     except FloatingPointError as exc:
         trial.failed = True
         trial.error = str(exc)
@@ -402,9 +402,8 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
         for dap, amount in s.applications:
             applied[dap] = applied.get(dap, 0.0) + amount
     mean = EpisodeSummary(
-        **{name: float(np.mean([getattr(s, name) for s in per_episode]))
-           for name in ("total_n", "total_leach", "total_uptake", "topwt",
-                        "cumulative_reward", "terminal_dap")},
+        **{f.name: float(np.mean([getattr(s, f.name) for s in per_episode]))
+           for f in fields(EpisodeSummary) if f.name != "applications"},
         applications=[(dap, applied[dap] / n_episodes)
                       for dap in sorted(applied)])
     return mean, per_episode
@@ -429,7 +428,6 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
                          out_dir=Path(config.out_dir) / "full")
         var = dc_replace(config, observation="partial",
                          out_dir=Path(config.out_dir) / "partial")
-        labels = ("full", "partial")
     elif axis == "frequency":
         ref = dc_replace(config,
                          scenario=dc_replace(config.scenario, action_frequency=1),
@@ -437,9 +435,10 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
         var = dc_replace(config,
                          scenario=dc_replace(config.scenario, action_frequency=10),
                          out_dir=Path(config.out_dir) / "every_10_days")
-        labels = ("every_day", "every_10_days")
     else:
         raise ConfigError(f"unknown ablation axis {axis!r}")
+    # each condition is named by its directory
+    labels = (ref.out_dir.name, var.out_dir.name)
 
     ref_report = run_training(ref)
     var_report = run_training(var)
@@ -586,14 +585,13 @@ def _read_run(run_dir: Path) -> RunReport:
                             convergence_episode=entry.get("convergence_episode"))
         if entry.get("summary"):
             trial.summary = EpisodeSummary.from_dict(entry["summary"])
+        # training writes one for every trial, failed ones included
         curve_path = run_dir / f"trial_{trial.seed}_curve.csv"
-        if curve_path.is_file():
-            rows = curve_path.read_text().strip().split("\n")[1:]
-            trial.curve = [tuple(float(v) for v in row.split(","))
-                           for row in rows]
-            if any(len(row) != len(CURVE_COLUMNS) for row in trial.curve):
-                raise ValueError(f"{curve_path}: rows need "
-                                 f"{len(CURVE_COLUMNS)} values")
+        rows = curve_path.read_text().strip().split("\n")[1:]
+        trial.curve = [tuple(float(v) for v in row.split(",")) for row in rows]
+        if any(len(row) != len(CURVE_COLUMNS) for row in trial.curve):
+            raise ValueError(f"{curve_path}: rows need "
+                             f"{len(CURVE_COLUMNS)} values")
         report.trials.append(trial)
     for amount, s in manifest.get("baselines", {}).items():
         report.baselines[float(amount)] = EpisodeSummary.from_dict(s)

@@ -286,7 +286,13 @@ def net_from_dict(data: dict) -> ParamSet:
     shapes = [tuple(e["shape"]) for e in data["params"]]
     if shapes != list(zip(sizes[:-1], sizes[1:])):
         raise ConfigError(f"weight shapes {shapes} do not match {sizes}")
-    dtype = np.dtype(data.get("dtype", "float64"))
-    flat = np.concatenate([np.asarray(e[k], dtype=dtype)
-                           for e in data["params"] for k in ("w", "b")])
+    # checked before converting: an integer dtype would truncate the weights
+    dtype = data.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise ConfigError(f"unsupported checkpoint dtype {dtype!r}")
+    with np.errstate(over="ignore"):  # beyond the dtype's range is inf
+        flat = np.concatenate([np.asarray(e[k], dtype=dtype)
+                               for e in data["params"] for k in ("w", "b")])
+    if not np.isfinite(flat).all():
+        raise ConfigError(f"checkpoint weights must be finite {dtype}")
     return ParamSet(flat, shapes)

@@ -22,9 +22,6 @@ class ReplayBuffer:
         self.size = 0
         self._ptr = 0
 
-    def __len__(self) -> int:
-        return self.size
-
     def push(self, obs, action, reward, next_obs, done) -> None:
         """``action`` is the action index (DQN) or the raw continuous action
         (SAC)."""

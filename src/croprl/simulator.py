@@ -272,7 +272,7 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     # 6. phenology: stage transitions follow cumulative thermal time since
     # sowing and never reverse; leaves appear one per phyllochron from
     # emergence until flowering. Unsown and mature crops do not develop.
-    dtt = max(0.0, tavg - params.t_base)
+    dtt = thermal_time(weather, params.t_base)
     sown, gdd, istage, vstage = crop.sown, crop.gdd, crop.istage, crop.vstage
     if sown and istage < MATURE:
         gdd += dtt

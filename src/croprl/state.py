@@ -5,6 +5,10 @@ them in canonical order together with units and a plausible numeric range
 used for fixed affine normalization of observations (no running statistics,
 so normalization is deterministic and checkpoint-portable). ``sw`` is
 vector-valued (one entry per soil layer) and is flattened when observed.
+
+``OBSERVATIONS`` maps each observation kind to the fields an agent sees:
+``full`` is every field, ``partial`` the first ten (``PARTIAL_FIELDS``,
+cumsumfert through tmin), which a grower can observe without sampling.
 """
 
 from __future__ import annotations
@@ -53,19 +57,13 @@ STATE_FIELDS: dict[str, tuple[str, tuple[float, float]]] = {
 FIELD_ORDER: tuple[str, ...] = tuple(STATE_FIELDS)
 
 # The ten fields a grower can observe without instrumented soil/plant
-# sampling; used by the partial-observation study.
-PARTIAL_FIELDS: tuple[str, ...] = (
-    "cumsumfert",
-    "dap",
-    "dtt",
-    "istage",
-    "vstage",
-    "pltpop",
-    "rain",
-    "srad",
-    "tmax",
-    "tmin",
-)
+# sampling, cumsumfert ... tmin: the first ten of the canonical order. Used by
+# the partial-observation study.
+PARTIAL_FIELDS: tuple[str, ...] = FIELD_ORDER[:10]
+
+#: observation kind -> the state fields an agent of that kind sees
+OBSERVATIONS: dict[str, tuple[str, ...]] = {"full": FIELD_ORDER,
+                                            "partial": PARTIAL_FIELDS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,11 +128,9 @@ class ObservationMask:
 
     @classmethod
     def of_kind(cls, kind: str) -> "ObservationMask":
-        if kind == "full":
-            return cls.full()
-        if kind == "partial":
-            return cls.partial()
-        raise MaskError(f"unknown mask kind: {kind!r}")
+        if kind not in OBSERVATIONS:
+            raise MaskError(f"unknown mask kind: {kind!r}")
+        return cls(OBSERVATIONS[kind])
 
     @cached_property
     def _reader(self):

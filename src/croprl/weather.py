@@ -4,7 +4,8 @@ Weather follows the classic two-part daily generator design: rain occurrence
 is a first-order Markov chain (wet/dry, monthly transition probabilities),
 wet-day amounts are exponential, and temperature/radiation are normal draws
 around monthly means with a fixed depression on wet days. Parameters are
-monthly; the bundled presets are CSV tables read by ``load_climate_csv``.
+monthly; the bundled presets are CSV tables read by ``load_climate_csv``,
+whose header is ``month`` followed by the fields of ``MonthlyClimate``.
 
 Two modes:
 
@@ -16,28 +17,13 @@ Two modes:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-
-CLIMATE_COLUMNS = (
-    "month",
-    "p_wet_dry",
-    "p_wet_wet",
-    "rain_mm",
-    "tmax_mean",
-    "tmax_sd",
-    "tmin_mean",
-    "tmin_sd",
-    "wet_temp_drop",
-    "srad_mean",
-    "srad_sd",
-    "wet_srad_factor",
-)
 
 WEATHER_MODES = ("fixed-trace", "stochastic")
 # 0-based month of each day of a 366-day (leap-layout) year
@@ -81,6 +67,10 @@ class MonthlyClimate:
         for name in self.__dataclass_fields__:
             if len(getattr(self, name)) != 12:
                 raise ConfigError(f"{name} needs 12 monthly entries")
+
+
+#: header of a climate CSV: the month, then one column per table field
+CLIMATE_COLUMNS = ("month", *(f.name for f in fields(MonthlyClimate)))
 
 
 class WeatherModel:

@@ -145,6 +145,28 @@ def test_train_report_evaluate_round_trip(round_trip_config, tmp_path,
         assert (again / name).read_bytes() == (run / name).read_bytes(), name
 
 
+def test_diverging_trials_are_marked_failed(tiny_config, tmp_path, capsys):
+    """An overflow fails its trial under the suite's warnings-as-errors
+    filter too; the run still reports the baselines."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(tiny_config), "--set",
+                 "agent.lr=1e30", "--set", "agent.episodes=2", "--set",
+                 "run.trials=2", "--set", "run.seeds=1,2", "--set",
+                 "run.baseline_grid=0,160"]) == 0
+    printed = capsys.readouterr().out
+    assert "seed 1: FAILED" in printed and "seed 2: FAILED" in printed
+    trials = json.loads((out / "manifest.json").read_text())["trials"]
+    assert [t["failed"] for t in trials] == [True, True]
+    assert all(t["error"] for t in trials)
+    assert not list(out.glob("*_checkpoint.json"))
+    rows = (out / "tables.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["baseline_0",
+                                                   "baseline_160"]
+    assert (out / "curves.csv").read_text().splitlines() == [
+        "episode,mean_reward,var_reward,mean_total_N,mean_total_leach,"
+        "mean_topwt"]
+
+
 def _damage_none(run):
     pass
 
@@ -173,11 +195,16 @@ def _damage_missing_manifest(run):
     (run / "manifest.json").unlink()
 
 
+def _damage_missing_curve(run):
+    (run / "trial_1_curve.csv").unlink()
+
+
 @pytest.mark.parametrize("damage,status", [
     (_damage_none, 0), (_damage_manifest_json, 1), (_damage_manifest_kind, 1),
-    (_damage_curve, 1), (_damage_curve_row, 1), (_damage_missing_manifest, 1)],
+    (_damage_curve, 1), (_damage_curve_row, 1), (_damage_missing_manifest, 1),
+    (_damage_missing_curve, 1)],
     ids=["intact", "malformed_manifest", "no_agent_kind", "curve_non_number",
-         "curve_short_row", "no_manifest"])
+         "curve_short_row", "no_manifest", "missing_curve"])
 def test_report_on_a_damaged_run_is_a_configuration_error(tmp_path, capsys,
                                                           damage, status):
     run = tmp_path / "run"
@@ -194,6 +221,9 @@ def test_report_on_a_damaged_run_is_a_configuration_error(tmp_path, capsys,
     assert main(["report", "--run", str(run)]) == status
     if status:
         assert "configuration error" in capsys.readouterr().err
+        # refused before anything is written
+        assert not (run / "curves.csv").exists()
+        assert not (run / "tables.csv").exists()
     else:
         assert (run / "curves.csv").read_text().splitlines()[1] \
             == "0,12.5,0.0,40.0,0.1,900.0"
@@ -228,7 +258,21 @@ def bad_checkpoints(tmp_path):
                      (30, 4, 7), np.random.default_rng(0)))}}),
              "tanh_hidden": json.dumps({"agent": {**agent, "qnet": {
                  **agent["qnet"], "spec": {**agent["qnet"]["spec"],
-                                           "hidden_activation": "tanh"}}}})}
+                                           "hidden_activation": "tanh"}}}}),
+             # an integer net would truncate its weights
+             "int64": json.dumps({"agent": {**agent, "qnet": {
+                 **agent["qnet"], "dtype": "int64"}}})}
+    # json writes and reads NaN and Infinity; 1e300 is finite in json but
+    # not as the float32 the net is stored in
+    nan_weight, inf_bias, huge_weight = (json.loads(json.dumps(agent))
+                                         for _ in range(3))
+    nan_weight["qnet"]["params"][0]["w"][0] = float("nan")
+    huge_weight["qnet"]["params"][0]["w"][0] = 1e300
+    last = inf_bias["qnet"]["params"][-1]
+    last["b"] = [float("inf")] * len(last["b"])
+    for name, edited in (("nan_weight", nan_weight), ("inf_bias", inf_bias),
+                         ("huge_weight", huge_weight)):
+        texts[name] = json.dumps({"agent": edited})
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
     return tmp_path
@@ -255,6 +299,10 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/every_10_days.json"],
     ["--checkpoint", "{dir}/seven_actions.json"],
     ["--checkpoint", "{dir}/tanh_hidden.json"],
+    ["--checkpoint", "{dir}/int64.json"],
+    ["--checkpoint", "{dir}/nan_weight.json"],
+    ["--checkpoint", "{dir}/inf_bias.json"],
+    ["--checkpoint", "{dir}/huge_weight.json"],
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, capsys, argv):

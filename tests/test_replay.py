@@ -8,9 +8,9 @@ from croprl.replay import ReplayBuffer
 
 def test_push_and_length():
     buf = ReplayBuffer(capacity=4, obs_dim=2)
-    assert len(buf) == 0
+    assert buf.size == 0
     buf.push(np.zeros(2), 1, 0.5, np.ones(2), False)
-    assert len(buf) == 1
+    assert buf.size == 1
 
 
 def test_sampling_requires_enough_items():
@@ -38,9 +38,9 @@ def test_fifo_eviction_property(capacity, n_pushes):
     buf = ReplayBuffer(capacity=capacity, obs_dim=1)
     for i in range(n_pushes):
         buf.push(np.array([float(i)]), i, float(i), np.array([float(i)]), False)
-    assert len(buf) == min(capacity, n_pushes)
+    assert buf.size == min(capacity, n_pushes)
     kept = range(max(0, n_pushes - capacity), n_pushes)
-    stored = buf.actions[:len(buf)]
+    stored = buf.actions[:buf.size]
     assert sorted(stored) == list(kept)
     assert all(stored[i % capacity] == i for i in kept)
-    assert np.array_equal(buf.obs[:len(buf), 0], stored)
+    assert np.array_equal(buf.obs[:buf.size, 0], stored)
