@@ -6,10 +6,12 @@ Two trainable agents:
   target network, uniform replay, and an epsilon-greedy exploration schedule
   that decays geometrically per episode. Its Q-net has one output per dose.
 * ``SacAgent`` learns a squashed-Gaussian policy over a continuous amount in
-  the configured bounds plus twin soft critics with Polyak-averaged targets.
-  The actor's log-std is clamped to [LOG_STD_MIN, LOG_STD_MAX]. The
-  continuous action is snapped to the discrete set at the environment
-  boundary only; the stored and regressed action stays continuous.
+  [0, 200] kg/ha (``SAC_ACTION_RANGE_KG``) plus twin soft critics with
+  Polyak-averaged targets. Its temperature alpha is tuned automatically
+  toward the entropy ``TARGET_ENTROPY``. The actor's log-std is clamped to
+  [LOG_STD_MIN, LOG_STD_MAX]. The continuous action is snapped to the
+  discrete set at the environment boundary only; the stored and regressed
+  action stays continuous.
 
 Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
 its weights. Both agents store normalized observations. ``policy_from_dict``
@@ -83,7 +85,14 @@ def _check_hyper(h, least: dict[str, int]) -> None:
 
 
 def _hyper_from_dict(cls, data: dict):
-    """A checkpoint's ``hyper`` entry; a key ``cls`` lacks is an error."""
+    """A checkpoint's ``hyper`` entry, less the keys ``_RETIRED_HYPER``
+    lists for ``cls``; any other key ``cls`` lacks is an error."""
+    retired = _RETIRED_HYPER[cls]
+    for key, fixed in retired.items():
+        if fixed is not None and data.get(key, fixed) != fixed:
+            raise ConfigError(f"checkpoint hyper {key} must be {fixed!r}: "
+                              f"{data[key]!r}")
+    data = {k: v for k, v in data.items() if k not in retired}
     unknown = sorted(data.keys() - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"checkpoint hyper has unknown keys {unknown}")
@@ -103,13 +112,11 @@ class DqnHyper:
     epsilon_decay: float = 0.994      # 0.992 for the Iowa preset
     buffer_capacity: int = 100_000
     target_update_interval: int = 200  # gradient steps between hard syncs
-    grad_steps_per_day: int = 1
     warmup: int = 1000                 # transitions before learning starts
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        _check_hyper(self, {"target_update_interval": 1,
-                            "grad_steps_per_day": 1})
+        _check_hyper(self, {"target_update_interval": 1})
         if not 0.0 < self.epsilon_decay < 1.0:
             raise ConfigError("epsilon_decay must lie in (0, 1)")
 
@@ -172,8 +179,7 @@ class DqnAgent:
 
     def observe(self, obs, action_index, reward, next_obs, done) -> None:
         self.buffer.push(obs, action_index, reward, next_obs, done)
-        for _ in range(self.hyper.grad_steps_per_day):
-            self.update()
+        self.update()
 
     def update(self):
         """One gradient step on the TD regression; no-op while warming up."""
@@ -212,16 +218,13 @@ class DqnAgent:
 
 @dataclass(frozen=True)
 class SacHyper:
+    # alpha is always tuned toward TARGET_ENTROPY, and the action range is
+    # always SAC_ACTION_RANGE_KG; neither is a setting
     gamma: float = 0.98
     tau: float = 0.001                # target-network smoothing constant
     lr: float = 5e-5
     batch_size: int = 64
     episodes: int = 1200
-    alpha: float | None = None        # None = auto-tune toward target_entropy
-    target_entropy: float = -1.0
-    reward_scale: float = 1.0         # critic regression scale; argmax-invariant
-    action_low: float = 0.0
-    action_high: float = 200.0
     buffer_capacity: int = 100_000
     warmup: int = 1000
     hidden: tuple[int, ...] = (128, 128)
@@ -230,16 +233,16 @@ class SacHyper:
         _check_hyper(self, {})
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1]: {self.tau}")
-        if self.alpha is not None and self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative: {self.alpha}")
-        if self.reward_scale <= 0:
-            raise ConfigError("reward_scale must be positive")
-        if self.action_high <= self.action_low:
-            raise ConfigError("action_low and action_high out of order")
 
 
 #: the clamp on the SAC actor's log-std output
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
+#: the amounts, kg/ha, that the SAC actor's squashed output spans
+SAC_ACTION_RANGE_KG = (0.0, 200.0)
+_MID = 0.5 * (SAC_ACTION_RANGE_KG[1] + SAC_ACTION_RANGE_KG[0])
+_HALF = 0.5 * (SAC_ACTION_RANGE_KG[1] - SAC_ACTION_RANGE_KG[0])
+#: the policy entropy, per action dimension, that the temperature tunes toward
+TARGET_ENTROPY = -1.0
 
 
 def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
@@ -250,14 +253,11 @@ def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     return target
 
 
-def sac_mean_action(actor: ParamSet, obs: np.ndarray,
-                    hyper: SacHyper) -> float:
+def sac_mean_action(actor: ParamSet, obs: np.ndarray) -> float:
     """The actor's mean action for one observation, raw (not yet snapped to
-    a dose): the squashed mean mapped onto the hyper's action bounds."""
+    a dose): the squashed mean mapped onto ``SAC_ACTION_RANGE_KG``."""
     mu = forward(actor, obs)[0]
-    mid = 0.5 * (hyper.action_high + hyper.action_low)
-    half = 0.5 * (hyper.action_high - hyper.action_low)
-    return float(mid + half * math.tanh(mu))
+    return float(_MID + _HALF * math.tanh(mu))
 
 
 class SacAgent:
@@ -271,8 +271,6 @@ class SacAgent:
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
         h = hyper
-        self._mid = 0.5 * (h.action_high + h.action_low)
-        self._half = 0.5 * (h.action_high - h.action_low)
         # the actor outputs the Gaussian's mean and log-std
         self.actor = init_params((obs_dim, *h.hidden, 2), self.rng,
                                  dtype=self.dtype)
@@ -284,7 +282,7 @@ class SacAgent:
         self.actor_adam = AdamState.for_params(self.actor, lr=h.lr)
         self.critic_adams = [AdamState.for_params(c, lr=h.lr)
                              for c in self.critics]
-        self.log_alpha = 0.0 if h.alpha is None else math.log(max(h.alpha, 1e-12))
+        self.log_alpha = 0.0
         self._log_alpha_m = 0.0
         self._log_alpha_v = 0.0
         self._alpha_steps = 0
@@ -296,11 +294,10 @@ class SacAgent:
 
     @property
     def alpha(self) -> float:
-        return math.exp(self.log_alpha) if self.hyper.alpha is None \
-            else self.hyper.alpha
+        return math.exp(self.log_alpha)
 
     def greedy_action(self, obs: np.ndarray) -> float:
-        return sac_mean_action(self.actor, obs, self.hyper)
+        return sac_mean_action(self.actor, obs)
 
     def act(self, obs: np.ndarray) -> float:
         """Draw a raw continuous action from the squashed Gaussian."""
@@ -308,7 +305,7 @@ class SacAgent:
         log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
         xi = self.rng.standard_normal()
         u = out[0] + math.exp(log_std) * xi
-        return self._mid + self._half * math.tanh(u)
+        return _MID + _HALF * math.tanh(u)
 
     @staticmethod
     def dose(raw_action: float) -> float:
@@ -334,7 +331,7 @@ class SacAgent:
         t = np.tanh(u)
         one_m_t2 = 1.0 - t ** 2
         logp = (-0.5 * xi ** 2 - log_std - self._LOG_SQRT_2PI
-                - np.log(self._half * one_m_t2 + 1e-6))
+                - np.log(_HALF * one_m_t2 + 1e-6))
         return t, logp, xi, std, one_m_t2
 
     def _critic_input(self, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -347,8 +344,7 @@ class SacAgent:
         rng = self.rng
         obs, raw_actions, rewards, next_obs, dones = self.buffer.sample(
             h.batch_size, rng)
-        t_stored = np.clip((raw_actions - self._mid) / self._half, -1.0, 1.0)
-        rewards = rewards * h.reward_scale
+        t_stored = np.clip((raw_actions - _MID) / _HALF, -1.0, 1.0)
         alpha = self.alpha
 
         # soft targets from fresh next-state actions
@@ -397,7 +393,7 @@ class SacAgent:
             gin = input_gradient(self.critics[i], caches_pi[i], gout)
             dq_da[sel] = gin[sel, -1]
 
-        dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / self._half)
+        dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / _HALF)
         dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(t)
         dl_dlogstd = (dl_du * std * xi - alpha / len(t)) * clip_mask
         actor_gout = np.stack([dl_du, dl_dlogstd], axis=1)
@@ -405,14 +401,13 @@ class SacAgent:
         adam_step(self.actor, grads, self.actor_adam)
 
         # temperature
-        if h.alpha is None:
-            g = -float(np.mean(logp + h.target_entropy)) * math.exp(self.log_alpha)
-            self._alpha_steps += 1
-            self._log_alpha_m = 0.9 * self._log_alpha_m + 0.1 * g
-            self._log_alpha_v = 0.999 * self._log_alpha_v + 0.001 * g * g
-            mhat = self._log_alpha_m / (1 - 0.9 ** self._alpha_steps)
-            vhat = self._log_alpha_v / (1 - 0.999 ** self._alpha_steps)
-            self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
+        g = -float(np.mean(logp + TARGET_ENTROPY)) * math.exp(self.log_alpha)
+        self._alpha_steps += 1
+        self._log_alpha_m = 0.9 * self._log_alpha_m + 0.1 * g
+        self._log_alpha_v = 0.999 * self._log_alpha_v + 0.001 * g * g
+        mhat = self._log_alpha_m / (1 - 0.9 ** self._alpha_steps)
+        vhat = self._log_alpha_v / (1 - 0.999 ** self._alpha_steps)
+        self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
 
         # Polyak-averaged targets
         for i in range(2):
@@ -434,6 +429,19 @@ class SacAgent:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+#: hyper keys that older checkpoints carry, by hyper class. A key mapped to
+#: None only shaped training and is dropped; one mapped to a value is now a
+#: constant, and a file that recorded another value is refused, since its
+#: actor's output would mean other doses.
+_RETIRED_HYPER = {
+    DqnHyper: {"grad_steps_per_day": None},
+    SacHyper: {"alpha": None, "target_entropy": None, "reward_scale": None,
+               "log_std_min": None, "log_std_max": None,
+               "action_low": SAC_ACTION_RANGE_KG[0],
+               "action_high": SAC_ACTION_RANGE_KG[1]},
+}
+
+
 def policy_from_dict(data: dict):
     """The greedy policy of an ``agent`` entry that ``to_dict`` wrote, as
     ``(obs_dim, choose, dose)``: ``choose(obs)`` is the live agent's
@@ -453,14 +461,11 @@ def policy_from_dict(data: dict):
             return dqn_select_action(qnet, obs, 0.0, rng)
         return qnet.sizes[0], choose, DqnAgent.dose
     if kind == "sac":
-        # older files also hold the log-std clamp, now LOG_STD_MIN/MAX
-        hyper = _hyper_from_dict(SacHyper, {
-            k: v for k, v in data["hyper"].items()
-            if k not in ("log_std_min", "log_std_max")})
+        hyper = _hyper_from_dict(SacHyper, data["hyper"])
         actor = net_from_dict(data["actor"])
         if actor.sizes[1:] != (*hyper.hidden, 2):
             raise ConfigError(f"actor sizes {actor.sizes} do not match its "
                               f"hyper")
-        return (actor.sizes[0], lambda obs: sac_mean_action(actor, obs, hyper),
+        return (actor.sizes[0], lambda obs: sac_mean_action(actor, obs),
                 SacAgent.dose)
     raise ConfigError(f"unknown agent kind {kind!r}")

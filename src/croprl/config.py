@@ -6,9 +6,8 @@ scenario location preset supplies defaults and the other keys override it.
 ``--set section.key=value`` command-line overrides use the same dotted names.
 
 Each section is read from the fields of the dataclass it builds, named below,
-and each value is parsed by its field's annotation: booleans are true/false,
-yes/no, on/off or 1/0, tuples comma lists, and None is ``none`` or ``auto``.
-A key that no field claims is a ``ConfigError``.
+and each value is parsed by its field's annotation: tuples are comma lists
+and None is ``none``. A key that no field claims is a ``ConfigError``.
 
 Recognized keys (defaults in parentheses):
 
@@ -21,14 +20,13 @@ Recognized keys (defaults in parentheses):
     action_frequency (1)         days between permitted applications
 
 [reward] (RewardConfig)
-    w1, w2, w3 (0.1), w4 (1), threshold (preset), clamp_overage (true)
+    w1, w2, w3 (0.1), w4 (1), threshold (preset)
 
 [agent] (DqnHyper or SacHyper)
     kind (dqn | sac), episodes (1200), gamma, batch_size, lr,
     hidden (e.g. ``128,128``), buffer_capacity, warmup
-    epsilon_decay, target_update_interval, grad_steps_per_day   dqn only
-    tau, alpha (number or ``auto``), target_entropy,             sac only
-    reward_scale, action_low, action_high                       sac only
+    epsilon_decay, target_update_interval   dqn only
+    tau                                     sac only
 
 [run] (ExperimentConfig)
     trials (5), seeds (1..trials), observation (full | partial),
@@ -70,10 +68,6 @@ _AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
 _RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()
         if name not in ("scenario", "agent_kind", "hyper")}
 
-_NONE_SPELLING = {int: "none", float: "auto"}
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-
 
 def load_config(path) -> dict[str, str]:
     """Read an INI file into a flat {"section.key": "value"} dict."""
@@ -107,13 +101,8 @@ def _parse(tp, raw: str):
     if get_origin(tp) is tuple:                  # tuple[int, ...] and floats
         item = get_args(tp)[0]
         return tuple(item(x) for x in word.replace(" ", "").split(",") if x)
-    if get_origin(tp) is UnionType:              # int | None, float | None
-        item = get_args(tp)[0]
-        return None if word == _NONE_SPELLING[item] else item(raw)
-    if tp is bool:
-        if word not in _BOOLS:
-            raise ValueError(f"expected a boolean, got {raw.strip()!r}")
-        return _BOOLS[word]
+    if get_origin(tp) is UnionType:              # int | None
+        return None if word == "none" else get_args(tp)[0](raw)
     return word if tp is str else tp(raw)        # int, float, Path
 
 

@@ -419,7 +419,9 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
     axis="observation": full vs partial state vector.
     axis="frequency":   daily actions vs one permitted day in ten.
     Deltas are (variant - reference) / reference * 100, averaged over seeds,
-    for final-policy cumulative reward and top weight.
+    for final-policy cumulative reward and top weight. A condition with no
+    successful trial raises ``RuntimeError`` before any ablation file is
+    written.
     """
     from dataclasses import replace as dc_replace
 
@@ -443,14 +445,16 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
     ref_report = run_training(ref)
     var_report = run_training(var)
 
-    def finals(report):
-        good = report.successful()
-        rewards = [t.summary.cumulative_reward for t in good if t.summary]
-        topwts = [t.summary.topwt for t in good if t.summary]
-        return float(np.mean(rewards)), float(np.mean(topwts))
+    def finals(report, label):
+        good = [t.summary for t in report.successful() if t.summary]
+        if not good:
+            raise RuntimeError(f"every trial of condition {label} failed; "
+                               f"see its manifest")
+        return (float(np.mean([s.cumulative_reward for s in good])),
+                float(np.mean([s.topwt for s in good])))
 
-    ref_reward, ref_topwt = finals(ref_report)
-    var_reward, var_topwt = finals(var_report)
+    ref_reward, ref_topwt = finals(ref_report, labels[0])
+    var_reward, var_topwt = finals(var_report, labels[1])
     result = {
         "axis": axis,
         "conditions": {labels[0]: {"reward": ref_reward, "topwt": ref_topwt},
@@ -500,6 +504,11 @@ def _write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _dose_key(amount: float) -> str:
+    """A dose as written in labels and keys: exact, with no trailing .0."""
+    return repr(float(amount)).removesuffix(".0")
+
+
 def _write_tables(report: RunReport, out: Path) -> list[Path]:
     """Write curves.csv and tables.csv."""
     curves = out / "curves.csv"
@@ -510,7 +519,7 @@ def _write_tables(report: RunReport, out: Path) -> list[Path]:
     rows = []
     for amount in sorted(report.baselines):
         s = report.baselines[amount]
-        rows.append((f"baseline_{int(amount)}", s.total_n, s.total_leach,
+        rows.append((f"baseline_{_dose_key(amount)}", s.total_n, s.total_leach,
                      s.total_uptake, s.topwt, s.cumulative_reward))
     for trial in report.successful():
         if trial.summary is None:
@@ -548,7 +557,7 @@ def emit_report(report: RunReport, out_dir, episodes_log: list,
                     "convergence_episode": t.convergence_episode,
                     "summary": t.summary.as_dict() if t.summary else None}
                    for t in report.trials],
-        "baselines": {str(int(a)): s.as_dict()
+        "baselines": {_dose_key(a): s.as_dict()
                       for a, s in sorted(report.baselines.items())},
         "elapsed_s": report.elapsed_s,
         "observation": config.observation,

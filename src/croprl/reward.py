@@ -7,9 +7,8 @@ The per-day reward is
     - w3 * N_l    nitrate leached today
     - w4 * P      total-input overage, charged only on application days,
 
-with ``P = max(0, cumulative applied - threshold)`` under the default clamp.
-The unclamped literal form (which turns into a bonus while cumulative input
-is below the threshold) is selectable for fidelity experiments.
+with ``P = max(0, cumulative applied - threshold)``, so input below the
+threshold earns no bonus.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class RewardConfig:
     w3: float = 0.1
     w4: float = 1.0
     threshold: float = 240.0   # allowable total nitrogen input, kg/ha
-    clamp_overage: bool = True
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "w4"):
@@ -62,14 +60,9 @@ def daily_reward(a_t: float, tleachd: float, cumsumfert_incl_today: float,
     if is_harvest and y < 0:
         raise ConfigError("harvest yield must be nonnegative")
 
-    if a_t != 0.0:
-        overage = cumsumfert_incl_today - cfg.threshold
-        if cfg.clamp_overage:
-            overage = max(0.0, overage)
-    else:
-        overage = 0.0
-    if math.isinf(cfg.threshold):
-        overage = 0.0
+    # an infinite threshold gives max(0, -inf) = 0
+    overage = (max(0.0, cumsumfert_incl_today - cfg.threshold)
+               if a_t != 0.0 else 0.0)
 
     return RewardBreakdown(
         yield_term=cfg.w1 * y if is_harvest else 0.0,

@@ -153,13 +153,12 @@ class GrowthIndices:
 
 
 def initial_soil_state(profile: SoilProfile, nitrate: tuple[float, ...],
-                       organic_n: float,
-                       sw: tuple[float, ...] | None = None) -> SoilState:
+                       organic_n: float) -> SoilState:
+    """Every layer at field capacity, with the given nitrate and organic N."""
     if len(nitrate) != profile.n_layers:
         raise ConfigError("initial nitrate must give one value per layer")
-    if sw is None:
-        sw = (profile.field_capacity,) * profile.n_layers
-    return SoilState(sw=tuple(sw), nitrate=tuple(nitrate), organic_n=organic_n)
+    return SoilState(sw=(profile.field_capacity,) * profile.n_layers,
+                     nitrate=tuple(nitrate), organic_n=organic_n)
 
 
 def thermal_time(weather: DailyWeather, t_base: float) -> float:

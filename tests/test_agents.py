@@ -388,43 +388,46 @@ def test_sac_actions_respect_bounds_and_discretization():
         assert discretize_action(a) in DISCRETE_ACTIONS_KG
 
 
-def test_sac_alpha_fixed_vs_auto():
-    fixed = SacAgent(1, SacHyper(alpha=0.25, hidden=(8,)), seed=0)
-    assert fixed.alpha == 0.25
-    auto = SacAgent(1, SacHyper(alpha=None, hidden=(8,)), seed=0)
-    assert auto.alpha == pytest.approx(1.0)  # exp(0) before any tuning
-
-
 def test_sac_checkpoint_reproduces_mean_action():
     assert_loaded_plays_greedy(updated_agent("sac"))
 
 
-def test_only_sac_files_may_carry_the_log_std_clamp():
-    """Older SAC files also hold log_std_min and log_std_max; loading drops
-    exactly those two keys, from SAC entries only."""
-    clamp = {"log_std_min": -5.0, "log_std_max": 2.0}
-    for kind in ("sac", "dqn"):
+def test_retired_hyper_keys_load_only_on_their_kind():
+    """Older files hold hyper keys that are now constants. Training-only
+    keys are dropped whatever their value; a SAC action range other than
+    0-200 kg/ha is refused, since its actor's output means other doses. A
+    key retired for the other kind, or never known, is refused."""
+    retired = {"dqn": {"grad_steps_per_day": 2},
+               "sac": {"alpha": None, "target_entropy": -0.5,
+                       "reward_scale": 0.1, "log_std_min": -5.0,
+                       "log_std_max": 2.0, "action_low": 0.0,
+                       "action_high": 200}}
+
+    def with_keys(data, keys):
+        return {**data, "hyper": {**data["hyper"], **keys}}
+
+    old = {}
+    for kind in retired:
         data = updated_agent(kind).to_dict()
-        assert not clamp.keys() & data["hyper"].keys()
-        with_clamp = {**data, "hyper": {**data["hyper"], **clamp}}
-        if kind == "sac":
-            assert policy_from_dict(with_clamp)[0] == 4
-        else:
-            with pytest.raises(ConfigError, match="log_std"):
-                policy_from_dict(with_clamp)
-        with pytest.raises(ConfigError, match="log_std_mid"):
-            policy_from_dict({**with_clamp, "hyper": {
-                **with_clamp["hyper"], "log_std_mid": 0.0}})
+        assert not retired[kind].keys() & data["hyper"].keys()
+        old[kind] = with_keys(data, retired[kind])
+        assert policy_from_dict(old[kind])[0] == 4
+    for kind, other in (("dqn", "sac"), ("sac", "dqn")):
+        for key, value in [*retired[other].items(), ("log_std_mid", 0.0)]:
+            with pytest.raises(ConfigError, match=key):
+                policy_from_dict(with_keys(old[kind], {key: value}))
+    for key, value in (("action_high", 160.0), ("action_low", -1.0)):
+        with pytest.raises(ConfigError, match=key):
+            policy_from_dict(with_keys(old["sac"], {key: value}))
 
 
 def test_sac_bandit_learns_the_optimum_single_seed():
     """Scaled-down version of the acceptance bandit: one seed, 1500 updates."""
     hyper = SacHyper(tau=0.005, lr=1e-3, batch_size=64, warmup=64,
-                     buffer_capacity=10_000, hidden=(32, 32),
-                     reward_scale=0.01)
+                     buffer_capacity=10_000, hidden=(32, 32))
     agent = SacAgent(1, hyper, seed=0)
     obs = np.zeros(1)
     while agent.updates < 1500:
         a = agent.act(obs)
-        agent.observe(obs, a, -((a - 120.0) ** 2), obs, True)
+        agent.observe(obs, a, -0.01 * (a - 120.0) ** 2, obs, True)
     assert abs(agent.greedy_action(obs) - 120.0) <= 15.0

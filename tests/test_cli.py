@@ -27,10 +27,17 @@ def tiny_config(tmp_path):
     return path
 
 
+# settings that are now constants, each at the value it always had outside
+# tests, so that only the key itself can be refused
+RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
+                *(["agent.kind=sac", f"agent.{item}"] for item in (
+                    "alpha=auto", "target_entropy=-1", "reward_scale=1",
+                    "action_low=0", "action_high=200"))]
+
+
 @pytest.mark.parametrize("overrides", [
     ["scenario.latest_harvest_doy=soon"],
     ["agent.hidden=12x"],
-    ["agent.kind=sac", "agent.alpha=lots"],
     ["run.seeds=1,x"],
     ["run.baseline_grid=0,40,lots"],
     ["run.trials=3", "run.seeds=1,2"],
@@ -45,6 +52,7 @@ def tiny_config(tmp_path):
     ["agent.kind=sac", "agent.epsilon_decay=0.9"],
     ["agent.kind=sac", "agent.log_std_min=-3"],
     ["agent.kind=sac", "agent.log_std_max=1"],
+    *RETIRED_KEYS,
     # values their dataclass refuses
     ["agent.batch_size=0"],
     ["agent.lr=nan"],
@@ -52,14 +60,9 @@ def tiny_config(tmp_path):
     ["agent.episodes=-1"],
     ["agent.warmup=-5"],
     ["agent.target_update_interval=0"],
-    ["agent.grad_steps_per_day=-1"],
     ["agent.hidden=0"],
     ["agent.buffer_capacity=0"],
     ["agent.warmup=100", "agent.buffer_capacity=10"],  # never fills to train
-    ["agent.kind=sac", "agent.alpha=nan"],
-    ["agent.kind=sac", "agent.action_high=nan"],
-    ["agent.kind=sac", "agent.reward_scale=0"],
-    ["agent.kind=sac", "agent.reward_scale=inf"],
     ["scenario.plant_density=nan"],
     ["scenario.soil_depth_cm=nan"],
     ["scenario.weather_seed=-1"],
@@ -82,6 +85,24 @@ def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
     # the message names the key of the last override
     assert overrides[-1].split("=")[0].partition(".")[2] in err
     assert not (tmp_path / "out").exists()  # rejected before training
+
+
+@pytest.mark.parametrize("overrides", RETIRED_KEYS)
+def test_retired_keys_in_a_config_file_are_unknown(tmp_path, capsys,
+                                                   overrides):
+    sections = {}
+    for item in ["agent.episodes=1", "agent.warmup=8", *overrides]:
+        key, _, value = item.partition("=")
+        section, _, name = key.partition(".")
+        sections.setdefault(section, []).append(f"{name} = {value}\n")
+    path = tmp_path / "retired.ini"
+    path.write_text("".join(f"[{section}]\n" + "".join(lines)
+                            for section, lines in sections.items()))
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    key = overrides[-1].partition("=")[0]
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_flag_is_a_configuration_error(tiny_config, tmp_path,
@@ -165,6 +186,36 @@ def test_diverging_trials_are_marked_failed(tiny_config, tmp_path, capsys):
     assert (out / "curves.csv").read_text().splitlines() == [
         "episode,mean_reward,var_reward,mean_total_N,mean_total_leach,"
         "mean_topwt"]
+
+
+def test_fractional_baseline_doses_keep_their_rows(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(tiny_config),
+                 "--set", "run.baseline_grid=50.2,50.7"]) == 0
+    written = (out / "tables.csv").read_bytes()
+    rows = written.decode().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows][:2] == ["baseline_50.2",
+                                                       "baseline_50.7"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["baselines"]) == ["50.2", "50.7"]
+    assert main(["report", "--run", str(out)]) == 0
+    assert (out / "tables.csv").read_bytes() == written
+
+
+def test_ablation_with_a_failed_condition_is_a_runtime_error(
+        tiny_config, tmp_path, capsys):
+    """Every trial diverges: no ablation table is written, and each
+    condition's manifest records its failed trial."""
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(tiny_config), "--axis",
+                 "observation", "--set", "agent.lr=1e30", "--set",
+                 "run.baseline_grid=0"]) == 2
+    assert "condition full" in capsys.readouterr().err
+    assert not list(out.glob("ablation.*"))
+    for condition in ("full", "partial"):
+        trials = json.loads(
+            (out / condition / "manifest.json").read_text())["trials"]
+        assert [t["failed"] for t in trials] == [True]
 
 
 def _damage_none(run):
@@ -330,7 +381,6 @@ w2 = 0.05
 w3 = 0.3
 w4 = 2
 threshold = 200
-clamp_overage = no
 [agent]
 kind = DQN
 episodes = 7
@@ -342,7 +392,6 @@ buffer_capacity = 5000
 warmup = 100
 epsilon_decay = 0.99
 target_update_interval = 50
-grad_steps_per_day = 2
 [run]
 trials = 3
 seeds = 7, 8,9
@@ -367,7 +416,6 @@ w2 = 0.2
 w3 = 0
 w4 = 1.5
 threshold = inf
-clamp_overage = On
 [agent]
 kind = sac
 episodes = 5
@@ -378,11 +426,6 @@ hidden = 32,32,16
 buffer_capacity = 2000
 warmup = 0
 tau = 0.01
-alpha = AUTO
-target_entropy = -0.5
-reward_scale = 0.1
-action_low = 0
-action_high = 160
 [run]
 trials = 2
 seeds = 1, 2
@@ -393,9 +436,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "b52c3d0509bcd79b", "Some/Dir"),
-    (SAC_INI, "f09be5678d4f0e79", "out"),
-    ("", "9bb9c51f132f87a8", "run_output"),
+    (DQN_INI, "5fa57e821bf1b551", "Some/Dir"),
+    (SAC_INI, "c2ccc6fbd474e28a", "out"),
+    ("", "67da3a7be3096e2c", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -419,7 +462,7 @@ def test_docstring_lists_exactly_the_settable_keys():
         ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
         ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 37
+    assert len(computed) == 30
     assert documented == computed
 
 

@@ -60,13 +60,10 @@ def test_overage_charged_on_application_days_only():
 def test_clamp_prevents_bonus_below_threshold():
     clamped = daily_reward(40.0, 0.0, 100.0, False, 0.0, CFG)
     assert clamped.overage_term == 0.0
-    literal = daily_reward(40.0, 0.0, 100.0, False, 0.0,
-                           RewardConfig(threshold=240.0, clamp_overage=False))
-    assert literal.overage_term == pytest.approx(100.0 - 240.0)
 
 
 def test_infinite_threshold_disables_overage():
-    cfg = RewardConfig(threshold=math.inf, clamp_overage=False)
+    cfg = RewardConfig(threshold=math.inf)
     assert daily_reward(160.0, 0.0, 5000.0, False, 0.0, cfg).overage_term == 0.0
 
 
