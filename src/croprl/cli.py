@@ -1,12 +1,12 @@
-"""Command-line entry points: train, evaluate, ablate, report.
+"""Command-line entry points: train, evaluate, ablate.
 
 All behavior is driven by one INI config file plus ``--set section.key=value``
 overrides; ``--seed`` and ``--out`` override ``run.seeds``/``run.trials`` and
 ``run.out_dir``. A key that no setting claims is rejected (see ``config``).
 
 Exit codes: 0 success; 1 configuration error (a malformed or unknown key, a
-bad value, a bad checkpoint or run directory), reported before any output is
-written; 2 runtime failure.
+bad value, a bad checkpoint), reported before any output is written; 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import apply_overrides, build_experiment, load_config
 from .errors import ConfigError
 from .harness import (ExperimentConfig, baseline_policy, evaluate_policy,
-                      load_checkpoint, reaggregate, run_ablation, run_training)
+                      load_checkpoint, run_ablation, run_training)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_abl)
     p_abl.add_argument("--axis", choices=("observation", "frequency"),
                        required=True)
-
-    p_rep = sub.add_parser("report", help="re-aggregate a run directory")
-    p_rep.add_argument("--run", required=True, help="existing run directory")
     return parser
 
 
@@ -114,18 +111,11 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    written = reaggregate(args.run)
-    for path in written:
-        print(path)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"train": _cmd_train, "evaluate": _cmd_evaluate,
-                "ablate": _cmd_ablate, "report": _cmd_report}
+                "ablate": _cmd_ablate}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -70,14 +70,14 @@ _RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()
 
 
 def load_config(path) -> dict[str, str]:
-    """Read an INI file into a flat {"section.key": "value"} dict."""
+    """Read a UTF-8 INI file into a flat {"section.key": "value"} dict."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
         return {f"{section}.{key}": value for section in parser.sections()
                 for key, value in parser.items(section)}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -42,7 +42,7 @@ TABLE_COLUMNS = ("method", "n_input", "leaching", "uptake", "topwt",
 AGENTS = {"dqn": DqnAgent, "sac": SacAgent}
 #: single doses the reference sweep applies at V5, kg/ha
 BASELINE_GRID = tuple(float(x) for x in range(0, 321, 40))
-#: what reading a damaged checkpoint or run file raises
+#: what reading a damaged checkpoint raises
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
@@ -72,6 +72,10 @@ class ExperimentConfig:
         if not all(0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
             raise ConfigError(f"baseline_grid amounts must lie in "
                               f"[0, {MAX_DOSE_KG:g}] kg/ha")
+        # each dose writes one table row and manifest key; 0 and -0 are one
+        if len(set(self.baseline_grid)) != len(self.baseline_grid):
+            raise ConfigError(f"run.baseline_grid doses must be distinct: "
+                              f"{self.baseline_grid}")
         if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
 
@@ -94,11 +98,6 @@ class EpisodeSummary:
         return {**asdict(self),
                 "applications": [list(a) for a in self.applications]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpisodeSummary":
-        return cls(**{**data, "applications": [tuple(a) for a in
-                                               data["applications"]]})
-
 
 @dataclass
 class TrialResult:
@@ -112,9 +111,6 @@ class TrialResult:
 
 @dataclass
 class RunReport:
-    config_digest: str
-    agent_kind: str
-    scenario_name: str
     trials: list[TrialResult] = field(default_factory=list)
     baselines: dict = field(default_factory=dict)  # amount -> EpisodeSummary
     elapsed_s: float = 0.0
@@ -338,9 +334,7 @@ def sweep_baselines(scenario: ScenarioConfig, grid, mask: ObservationMask
 def run_training(config: ExperimentConfig) -> RunReport:
     """Train all seeds, sweep baselines, and write the report directory."""
     t0 = time.time()
-    report = RunReport(config_digest=config_digest(config),
-                       agent_kind=config.agent_kind,
-                       scenario_name=config.scenario.name)
+    report = RunReport()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -506,14 +500,18 @@ def _write_csv(path, columns, rows):
 
 def _dose_key(amount: float) -> str:
     """A dose as written in labels and keys: exact, with no trailing .0."""
-    return repr(float(amount)).removesuffix(".0")
+    # adding 0.0 turns -0.0 into 0.0
+    return repr(float(amount) + 0.0).removesuffix(".0")
 
 
-def _write_tables(report: RunReport, out: Path) -> list[Path]:
-    """Write curves.csv and tables.csv."""
-    curves = out / "curves.csv"
-    _write_csv(curves, ("episode", "mean_reward", "var_reward",
-                        "mean_total_N", "mean_total_leach", "mean_topwt"),
+def emit_report(report: RunReport, out_dir, episodes_log: list,
+                config: ExperimentConfig) -> None:
+    """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "curves.csv",
+               ("episode", "mean_reward", "var_reward", "mean_total_N",
+                "mean_total_leach", "mean_topwt"),
                report.mean_variance_curves())
 
     rows = []
@@ -525,33 +523,21 @@ def _write_tables(report: RunReport, out: Path) -> list[Path]:
         if trial.summary is None:
             continue
         s = trial.summary
-        rows.append((f"{report.agent_kind}_seed{trial.seed}", s.total_n,
+        rows.append((f"{config.agent_kind}_seed{trial.seed}", s.total_n,
                      s.total_leach, s.total_uptake, s.topwt,
                      s.cumulative_reward))
-    tables = out / "tables.csv"
-    _write_csv(tables, TABLE_COLUMNS, rows)
-    return [curves, tables]
+    _write_csv(out / "tables.csv", TABLE_COLUMNS, rows)
 
-
-def emit_report(report: RunReport, out_dir, episodes_log: list,
-                config: ExperimentConfig) -> list[Path]:
-    """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = _write_tables(report, out)
-
-    path = out / "episodes.jsonl"
-    with open(path, "w") as fh:
+    with open(out / "episodes.jsonl", "w") as fh:
         for entry in episodes_log:
             for rec in entry["records"]:
                 fh.write(json.dumps({"method": entry["method"],
                                      **rec.as_dict()}, sort_keys=True) + "\n")
-    written.append(path)
 
     manifest = {
-        "config_digest": report.config_digest,
-        "agent_kind": report.agent_kind,
-        "scenario": report.scenario_name,
+        "config_digest": config_digest(config),
+        "agent_kind": config.agent_kind,
+        "scenario": config.scenario.name,
         "seeds": [t.seed for t in report.trials],
         "trials": [{"seed": t.seed, "failed": t.failed, "error": t.error,
                     "convergence_episode": t.convergence_episode,
@@ -563,45 +549,5 @@ def emit_report(report: RunReport, out_dir, episodes_log: list,
         "observation": config.observation,
         "episodes": config.hyper.episodes,
     }
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
+    with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    written.append(path)
-    return written
-
-
-def reaggregate(run_dir) -> list[Path]:
-    """Rebuild curves.csv and tables.csv from the manifest and the per-trial
-    curve files; the manifest itself is left as it is. A missing or damaged
-    file raises ``ConfigError``."""
-    run_dir = Path(run_dir)
-    try:
-        report = _read_run(run_dir)
-    except _UNREADABLE as exc:
-        raise ConfigError(f"cannot read run {run_dir}: {exc!r}") from exc
-    return _write_tables(report, run_dir)
-
-
-def _read_run(run_dir: Path) -> RunReport:
-    with open(run_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    report = RunReport(config_digest=manifest["config_digest"],
-                       agent_kind=manifest["agent_kind"],
-                       scenario_name=manifest["scenario"])
-    for entry in manifest["trials"]:
-        trial = TrialResult(seed=entry["seed"], failed=entry["failed"],
-                            error=entry.get("error", ""),
-                            convergence_episode=entry.get("convergence_episode"))
-        if entry.get("summary"):
-            trial.summary = EpisodeSummary.from_dict(entry["summary"])
-        # training writes one for every trial, failed ones included
-        curve_path = run_dir / f"trial_{trial.seed}_curve.csv"
-        rows = curve_path.read_text().strip().split("\n")[1:]
-        trial.curve = [tuple(float(v) for v in row.split(",")) for row in rows]
-        if any(len(row) != len(CURVE_COLUMNS) for row in trial.curve):
-            raise ValueError(f"{curve_path}: rows need "
-                             f"{len(CURVE_COLUMNS)} values")
-        report.trials.append(trial)
-    for amount, s in manifest.get("baselines", {}).items():
-        report.baselines[float(amount)] = EpisodeSummary.from_dict(s)
-    return report

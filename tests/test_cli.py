@@ -73,6 +73,9 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["run.baseline_grid=0,1e308"],
     ["run.seeds=-1"],
     ["run.trials=2", "run.seeds=1,1"],  # two trials on one seed's files
+    # one table row and manifest key a dose
+    ["run.baseline_grid=0,0"],
+    ["run.baseline_grid=0,-0"],
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -113,15 +116,16 @@ def test_negative_seed_flag_is_a_configuration_error(tiny_config, tmp_path,
 
 
 @pytest.mark.parametrize("text", [
-    "episodes = 1\n",                                  # no section header
-    "[agent]\nepisodes = 1\nepisodes = 2\n",            # a key twice
-    "[agent]\nepisodes = 1\n[run]\nout_dir = 10%\n",     # stray %
-    "[Agent]\nepisodes = 1\n",                         # sections are exact
+    b"episodes = 1\n",                                 # no section header
+    b"[agent]\nepisodes = 1\nepisodes = 2\n",           # a key twice
+    b"[agent]\nepisodes = 1\n[run]\nout_dir = 10%\n",    # stray %
+    b"[Agent]\nepisodes = 1\n",                        # sections are exact
+    b"[agent]\nepisodes = 1\xff\n",                    # not UTF-8
 ])
 def test_malformed_config_files_are_configuration_errors(tmp_path, capsys,
                                                          text):
     path = tmp_path / "bad.ini"
-    path.write_text(text)
+    path.write_bytes(text)
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
     assert "configuration error" in capsys.readouterr().err
@@ -137,22 +141,60 @@ def round_trip_config(tmp_path):
     return path
 
 
-def test_train_report_evaluate_round_trip(round_trip_config, tmp_path,
-                                          capsys):
+def _csv_columns(path) -> dict[str, np.ndarray]:
+    """A CSV of numbers as {column name: values}."""
+    header, *rows = Path(path).read_text().splitlines()
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), values.T))
+
+
+# tables.csv columns and the summary field each one reports
+TABLE_FIELDS = {"n_input": "total_n", "leaching": "total_leach",
+                "uptake": "total_uptake", "topwt": "topwt",
+                "cumulative_reward": "cumulative_reward"}
+
+
+def test_train_evaluate_round_trip(round_trip_config, tmp_path, capsys):
     config = str(round_trip_config)
     run, again = tmp_path / "run", tmp_path / "again"
     assert main(["train", "--config", config, "--out", str(run)]) == 0
-    written = {name: (run / name).read_bytes()
-               for name in ("curves.csv", "tables.csv", "manifest.json")}
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert [t["seed"] for t in manifest["trials"]] == [1, 2]
 
-    # report rebuilds the two CSVs from the per-trial files, byte for byte,
-    # and leaves the manifest alone
-    assert main(["report", "--run", str(run)]) == 0
-    assert {name: (run / name).read_bytes() for name in written} == written
+    # curves.csv: per episode, the mean and population variance of the two
+    # seeds' returns, and the means of their N, leaching and topwt
+    trials = [_csv_columns(run / f"trial_{seed}_curve.csv") for seed in (1, 2)]
+    curves = _csv_columns(run / "curves.csv")
+    assert [line.split(",")[0] for line in
+            (run / "curves.csv").read_text().splitlines()] == [
+        "episode", "0", "1", "2"]
+    rewards = np.array([t["cumulative_reward"] for t in trials])
+    assert rewards.var(axis=0).min() > 0  # the seeds differ every episode
+    expected = {"episode": trials[0]["episode"],
+                "mean_reward": rewards.mean(axis=0),
+                "var_reward": rewards.var(axis=0),
+                **{f"mean_{name}": np.mean([t[name] for t in trials], axis=0)
+                   for name in ("total_N", "total_leach", "topwt")}}
+    assert list(curves) == list(expected)
+    for name, values in expected.items():
+        np.testing.assert_allclose(curves[name], values, rtol=1e-12,
+                                   err_msg=name)
+
+    # tables.csv: each row is the summary the manifest records for it
+    header, *rows = (run / "tables.csv").read_text().splitlines()
+    assert header.split(",") == ["method", *TABLE_FIELDS]
+    summaries = {**{f"baseline_{dose}": summary for dose, summary
+                    in manifest["baselines"].items()},
+                 **{f"dqn_seed{t['seed']}": t["summary"]
+                    for t in manifest["trials"]}}
+    assert [row.split(",")[0] for row in rows] == [
+        "baseline_0", "baseline_160", "dqn_seed1", "dqn_seed2"]
+    for row in rows:
+        method, *values = row.split(",")
+        assert [float(v) for v in values] == [
+            summaries[method][name] for name in TABLE_FIELDS.values()], method
 
     # a checkpoint's greedy episode reproduces the trial summary
-    manifest = json.loads(written["manifest.json"])
-    assert [t["seed"] for t in manifest["trials"]] == [1, 2]
     for trial in manifest["trials"]:
         capsys.readouterr()
         checkpoint = run / f"trial_{trial['seed']}_checkpoint.json"
@@ -192,14 +234,11 @@ def test_fractional_baseline_doses_keep_their_rows(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--config", str(tiny_config),
                  "--set", "run.baseline_grid=50.2,50.7"]) == 0
-    written = (out / "tables.csv").read_bytes()
-    rows = written.decode().splitlines()[1:]
+    rows = (out / "tables.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows][:2] == ["baseline_50.2",
                                                        "baseline_50.7"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["baselines"]) == ["50.2", "50.7"]
-    assert main(["report", "--run", str(out)]) == 0
-    assert (out / "tables.csv").read_bytes() == written
 
 
 def test_ablation_with_a_failed_condition_is_a_runtime_error(
@@ -216,68 +255,6 @@ def test_ablation_with_a_failed_condition_is_a_runtime_error(
         trials = json.loads(
             (out / condition / "manifest.json").read_text())["trials"]
         assert [t["failed"] for t in trials] == [True]
-
-
-def _damage_none(run):
-    pass
-
-
-def _damage_manifest_json(run):
-    (run / "manifest.json").write_text('{"trials": [')
-
-
-def _damage_manifest_kind(run):
-    manifest = json.loads((run / "manifest.json").read_text())
-    del manifest["agent_kind"]
-    (run / "manifest.json").write_text(json.dumps(manifest))
-
-
-def _damage_curve(run):
-    with open(run / "trial_1_curve.csv", "a") as fh:
-        fh.write("1,0.5,lots,0,0,0\n")
-
-
-def _damage_curve_row(run):
-    with open(run / "trial_1_curve.csv", "a") as fh:
-        fh.write("1,0.5,12.5\n")
-
-
-def _damage_missing_manifest(run):
-    (run / "manifest.json").unlink()
-
-
-def _damage_missing_curve(run):
-    (run / "trial_1_curve.csv").unlink()
-
-
-@pytest.mark.parametrize("damage,status", [
-    (_damage_none, 0), (_damage_manifest_json, 1), (_damage_manifest_kind, 1),
-    (_damage_curve, 1), (_damage_curve_row, 1), (_damage_missing_manifest, 1),
-    (_damage_missing_curve, 1)],
-    ids=["intact", "malformed_manifest", "no_agent_kind", "curve_non_number",
-         "curve_short_row", "no_manifest", "missing_curve"])
-def test_report_on_a_damaged_run_is_a_configuration_error(tmp_path, capsys,
-                                                          damage, status):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "manifest.json").write_text(json.dumps({
-        "config_digest": "0" * 16, "agent_kind": "dqn", "scenario": "iowa",
-        "trials": [{"seed": 1, "failed": False, "error": "",
-                    "convergence_episode": None, "summary": None}],
-        "baselines": {}}))
-    (run / "trial_1_curve.csv").write_text(
-        "episode,epsilon,cumulative_reward,total_N,total_leach,topwt\n"
-        "0,1.0,12.5,40.0,0.1,900.0\n")
-    damage(run)
-    assert main(["report", "--run", str(run)]) == status
-    if status:
-        assert "configuration error" in capsys.readouterr().err
-        # refused before anything is written
-        assert not (run / "curves.csv").exists()
-        assert not (run / "tables.csv").exists()
-    else:
-        assert (run / "curves.csv").read_text().splitlines()[1] \
-            == "0,12.5,0.0,40.0,0.1,900.0"
 
 
 @pytest.fixture
@@ -475,11 +452,22 @@ def _ablate(tmp_path, axis, conditions):
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(config), "--axis", axis,
                  "--out", str(out)]) == 0
-    assert set(json.loads((out / "ablation.json").read_text())["conditions"]) \
-        == set(conditions)
+    result = json.loads((out / "ablation.json").read_text())
+    assert set(result["conditions"]) == set(conditions)
     rows = (out / "ablation.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [[axis, c]
                                                     for c in conditions]
+    # the deltas are the variant's change relative to the reference, in %,
+    # in the json and in the variant's row; the reference's row has zeros
+    ref, var = (result["conditions"][c] for c in conditions)
+    deltas = [(var[key] - ref[key]) / abs(ref[key]) * 100
+              for key in ("reward", "topwt")]
+    assert [result["reward_delta_pct"], result["topwt_delta_pct"]] \
+        == pytest.approx(deltas, rel=1e-12)
+    assert [float(v) for v in rows[0].split(",")[2:]] == [
+        ref["reward"], ref["topwt"], 0.0, 0.0]
+    assert [float(v) for v in rows[1].split(",")[2:]] == pytest.approx(
+        [var["reward"], var["topwt"], *deltas], rel=1e-12)
     for condition in conditions:
         names = sorted(p.name for p in (out / condition).glob("*_checkpoint.json"))
         assert names == ["trial_1_checkpoint.json", "trial_2_checkpoint.json"]

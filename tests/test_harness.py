@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
-from croprl.harness import (baseline_policy, convergence_episode,
-                            evaluate_policy, run_episode,
-                            verify_reward_identity)
+from croprl.harness import (_dose_key, _pct_delta, baseline_policy,
+                            convergence_episode, evaluate_policy,
+                            run_episode, verify_reward_identity)
 from croprl.state import ObservationMask
 
 
@@ -117,3 +117,17 @@ def test_convergence_matches_a_brute_force_search(data, window):
                for _, mean in means))
     assert convergence_episode(rewards, window=window) \
         == brute_force_convergence(rewards, window)
+
+
+def test_pct_delta_from_a_zero_reference():
+    assert _pct_delta(0.0, 0.0) == 0.0
+    assert _pct_delta(5.0, 0.0) == float("inf")
+    assert _pct_delta(-5.0, 0.0) == float("inf")
+    # a negative reference divides by its magnitude
+    assert _pct_delta(-3.0, -2.0) == -50.0
+
+
+@pytest.mark.parametrize("amount,key", [(-0.0, "0"), (160.0, "160"),
+                                        (50.2, "50.2")])
+def test_dose_keys_are_exact_without_a_trailing_zero(amount, key):
+    assert _dose_key(amount) == key
