@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import apply_overrides, build_experiment, load_config
 from .errors import ConfigError
 from .harness import (ExperimentConfig, baseline_policy, evaluate_policy,
-                      load_checkpoint, run_ablation, run_training)
+                      load_checkpoint, output_dir, run_ablation, run_training)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,15 +89,14 @@ def _cmd_evaluate(args) -> int:
     else:
         policy = baseline_policy(args.baseline)
         label = f"baseline:{args.baseline:g}"
+    out = output_dir(config.out_dir) if args.out else None
     mean, per_episode = evaluate_policy(policy, config.scenario, config.mask,
                                         n_episodes=args.episodes)
     result = {"policy": label, "episodes": args.episodes,
               "mean": mean.as_dict(),
               "per_episode": [s.as_dict() for s in per_episode]}
     print(json.dumps(result, indent=2, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "evaluation.json").write_text(
             json.dumps(result, indent=2, sort_keys=True))
     return 0

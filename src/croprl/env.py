@@ -24,7 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,8 +153,8 @@ class DayRecord:
     def as_dict(self) -> dict:
         return {"dap": self.dap, "action_requested": self.action_requested,
                 "action_applied": self.action_applied, "reward": self.reward,
-                "breakdown": asdict(self.breakdown),
-                "state": self.state.as_dict()}
+                "breakdown": self.breakdown._asdict(),
+                "state": self.state._asdict()}
 
 
 class NitrogenEnv:
@@ -162,13 +162,12 @@ class NitrogenEnv:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.weather_model = WeatherModel(config.climate, config.weather_mode,
-                                          config.weather_seed)
-        self._series: np.ndarray | None = None
         self._done = True
-        # the latest date of a terminal state; the weather table ends on
-        # DOY 366, so no episode wraps it
+        # the latest date of a terminal state, whose weather is the last an
+        # episode reads; the weather table ends on DOY 366, so none wraps it
         self._last_doy = config.latest_harvest_doy or 366
+        self.weather_model = WeatherModel(config.climate, config.weather_mode,
+                                          config.weather_seed, self._last_doy)
         self.records: list[DayRecord] = []
 
     # -- episode control ----------------------------------------------------
@@ -178,7 +177,8 @@ class NitrogenEnv:
         cfg = self.config
         episode_seed = np.random.SeedSequence(
             [cfg.weather_seed, int(seed)]).generate_state(1)[0]
-        self._series = self.weather_model.series_for_episode(int(episode_seed))
+        self._weather_rows = self.weather_model.series_for_episode(
+            int(episode_seed)).tolist()
         self._crop = CropState()
         self._soil = initial_soil_state(cfg.soil, cfg.initial_nitrate,
                                         cfg.initial_organic_n)
@@ -208,7 +208,7 @@ class NitrogenEnv:
 
         date = cfg.start_doy + self._day
         if date >= cfg.planting_doy and not self._crop.sown:
-            self._crop = replace(self._crop, sown=True, istage=SOWN)
+            self._crop = self._crop._replace(sown=True, istage=SOWN)
 
         self._crop, self._soil, fluxes, indices = advance_day(
             self._crop, self._soil, self._weather, applied, cfg.soil,
@@ -254,7 +254,7 @@ class NitrogenEnv:
         weather of the day the next step simulates."""
         cfg = self.config
         self._weather = weather = DailyWeather(
-            *self._series[cfg.start_doy + self._day - 1].tolist())
+            *self._weather_rows[cfg.start_doy + self._day - 1])
         crop, soil = self._crop, self._soil
         return StateVector(
             cumsumfert=self._cumsumfert,

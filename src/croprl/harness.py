@@ -69,9 +69,10 @@ class ExperimentConfig:
                               f"{self.seeds}")
         if self.observation not in OBSERVATIONS:
             raise ConfigError("run.observation must be full or partial")
-        if not all(0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
-            raise ConfigError(f"baseline_grid amounts must lie in "
-                              f"[0, {MAX_DOSE_KG:g}] kg/ha")
+        if not self.baseline_grid or not all(
+                0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
+            raise ConfigError(f"run.baseline_grid needs one or more doses, "
+                              f"each in [0, {MAX_DOSE_KG:g}] kg/ha")
         # each dose writes one table row and manifest key; 0 and -0 are one
         if len(set(self.baseline_grid)) != len(self.baseline_grid):
             raise ConfigError(f"run.baseline_grid doses must be distinct: "
@@ -335,8 +336,7 @@ def run_training(config: ExperimentConfig) -> RunReport:
     """Train all seeds, sweep baselines, and write the report directory."""
     t0 = time.time()
     report = RunReport()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(config.out_dir)
 
     episodes_log = []
     for seed in config.seeds:
@@ -457,8 +457,7 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
         "topwt_delta_pct": _pct_delta(var_topwt, ref_topwt),
         "seeds": list(config.seeds),
     }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(config.out_dir)
     _write_csv(out / "ablation.csv",
                ("axis", "condition", "reward", "topwt", "reward_delta_pct",
                 "topwt_delta_pct"),
@@ -498,17 +497,24 @@ def _write_csv(path, columns, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def output_dir(path) -> Path:
+    """Make the directory ``path``; a file in its way is a ConfigError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output path is not a directory: {exc}") from exc
+    return Path(path)
+
+
 def _dose_key(amount: float) -> str:
     """A dose as written in labels and keys: exact, with no trailing .0."""
     # adding 0.0 turns -0.0 into 0.0
     return repr(float(amount) + 0.0).removesuffix(".0")
 
 
-def emit_report(report: RunReport, out_dir, episodes_log: list,
+def emit_report(report: RunReport, out: Path, episodes_log: list,
                 config: ExperimentConfig) -> None:
     """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "curves.csv",
                ("episode", "mean_reward", "var_reward", "mean_total_N",
                 "mean_total_leach", "mean_topwt"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -36,8 +37,7 @@ class RewardConfig:
             raise ConfigError("reward threshold must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     yield_term: float
     fert_term: float
     leach_term: float

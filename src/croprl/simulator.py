@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .weather import DailyWeather
@@ -107,15 +108,13 @@ class NitrogenParams:
     evap_floor_frac: float = 0.5          # air-dry bound as fraction of wilting point
 
 
-@dataclass(frozen=True)
-class SoilState:
+class SoilState(NamedTuple):
     sw: tuple[float, ...]        # volumetric water per layer
     nitrate: tuple[float, ...]   # kg/ha per layer
     organic_n: float             # kg/ha mineralizable pool
 
 
-@dataclass(frozen=True)
-class CropState:
+class CropState(NamedTuple):
     sown: bool = False
     gdd: float = 0.0
     istage: int = PRESOWN
@@ -132,8 +131,7 @@ class CropState:
         return self.grain_n / self.grnwt if self.grnwt > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class DailyFluxes:
+class DailyFluxes(NamedTuple):
     tleachd: float = 0.0      # kg/ha nitrate leached below the profile
     tnoxd: float = 0.0        # kg/ha denitrified
     trnu: float = 0.0         # kg/ha crop uptake
@@ -144,8 +142,7 @@ class DailyFluxes:
     drainage: float = 0.0     # mm leaving the bottom of the profile
 
 
-@dataclass(frozen=True)
-class GrowthIndices:
+class GrowthIndices(NamedTuple):
     dtt: float = 0.0
     nstres: float = 1.0
     swfac: float = 1.0

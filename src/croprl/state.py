@@ -13,9 +13,10 @@ cumsumfert through tmin), which a grower can observe without sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ OBSERVATIONS: dict[str, tuple[str, ...]] = {"full": FIELD_ORDER,
                                             "partial": PARTIAL_FIELDS}
 
 
-@dataclass(frozen=True, slots=True)
-class StateVector:
+class StateVector(NamedTuple):
     """One day of environment state, in canonical field order."""
 
     cumsumfert: float
@@ -98,9 +98,6 @@ class StateVector:
     rtdep: float
     totaml: float
     sw: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
 
 @dataclass(frozen=True)

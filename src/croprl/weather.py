@@ -9,8 +9,8 @@ whose header is ``month`` followed by the fields of ``MonthlyClimate``.
 
 Two modes:
 
-* ``fixed-trace`` (default): one 366-day series is generated from the model
-  seed and reused for every episode, so the environment is deterministic.
+* ``fixed-trace`` (default): one series is generated from the model seed and
+  reused for every episode, so the environment is deterministic.
 * ``stochastic``: a fresh series is sampled per episode from a caller seed.
 """
 
@@ -20,6 +20,7 @@ import csv
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _DOY_MONTH = tuple(m for m, n in enumerate(MONTH_LENGTHS) for _ in range(n))
 
 
-@dataclass(frozen=True)
-class DailyWeather:
+class DailyWeather(NamedTuple):
     rain: float  # mm/d
     srad: float  # MJ/m2/d
     tmax: float  # degC
@@ -76,23 +76,24 @@ CLIMATE_COLUMNS = ("month", *(f.name for f in fields(MonthlyClimate)))
 class WeatherModel:
     """Daily weather source for one location.
 
-    In fixed-trace mode the 366-day series derived from ``seed`` is built
-    lazily once and then indexed; ``series_for_episode`` ignores the episode
-    seed. In stochastic mode each call to ``series_for_episode`` samples a
-    fresh year.
+    In fixed-trace mode the series derived from ``seed`` is built lazily
+    once and then indexed; ``series_for_episode`` ignores the episode seed.
+    In stochastic mode each call to ``series_for_episode`` samples a fresh
+    year. A series ends on ``last_doy``, the last day an episode can read.
     """
 
     def __init__(self, climate: MonthlyClimate, mode: str = "fixed-trace",
-                 seed: int = 0):
+                 seed: int = 0, last_doy: int = 366):
         if mode not in WEATHER_MODES:
             raise ConfigError(f"unknown weather mode: {mode!r}")
         self.climate = climate
         self.mode = mode
         self.seed = int(seed)
+        self.last_doy = last_doy
         self._trace: np.ndarray | None = None
 
     def sample_year(self, seed: int) -> np.ndarray:
-        """Sample a full 366-day series; rows are (rain, srad, tmax, tmin).
+        """Sample days 1 to ``last_doy``; rows are (rain, srad, tmax, tmin).
 
         Rain occurrence follows the wet/dry chain from a dry day before
         January 1st. Each day draws, in order: a uniform for occurrence, an
@@ -106,7 +107,7 @@ class WeatherModel:
                             for name in CLIMATE_COLUMNS[1:])))
         rows = []
         wet = False
-        for m in _DOY_MONTH:
+        for m in _DOY_MONTH[:self.last_doy]:
             (p_wet_dry, p_wet_wet, rain_mm, tmax_mean, tmax_sd, tmin_mean,
              tmin_sd, wet_temp_drop, srad_mean, srad_sd,
              wet_srad_factor) = months[m]

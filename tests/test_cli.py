@@ -76,6 +76,7 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     # one table row and manifest key a dose
     ["run.baseline_grid=0,0"],
     ["run.baseline_grid=0,-0"],
+    ["run.baseline_grid="],  # a table with no reference row
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -337,6 +338,22 @@ def test_bad_evaluation_requests_are_configuration_errors(
     argv = [arg.format(dir=bad_checkpoints) for arg in argv]
     assert main(["evaluate", "--config", str(tiny_config), *argv]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate", "--baseline", "160"],
+    ["ablate", "--axis", "observation"]], ids=lambda command: command[0])
+@pytest.mark.parametrize("out", ["afile", "afile/run"])
+def test_an_output_path_through_a_file_is_a_configuration_error(
+        tiny_config, tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("not a directory\n")
+    assert main([command[0], "--config", str(tiny_config), *command[1:],
+                 "--out", str(tmp_path / out)]) == 1
+    printed = capsys.readouterr()
+    assert "configuration error" in printed.err
+    assert printed.out == ""  # refused before any work or output
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "tiny.ini"]
 
 
 # every documented key, with every special spelling, and the digests of

@@ -12,6 +12,7 @@ from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
 from croprl.reward import daily_reward
 from croprl.state import ObservationMask, observe
+from croprl.weather import WEATHER_MODES, WeatherModel
 
 FULL = ObservationMask.full()
 
@@ -125,7 +126,7 @@ def test_largest_dose_every_day_stays_finite(preset):
     total = 0.0
     while not env.done:
         total += env.step(MAX_DOSE_KG).reward
-    values = [v for v in env.records[-1].state.as_dict().values()
+    values = [v for v in env.records[-1].state._asdict().values()
               if isinstance(v, float)]
     assert all(math.isfinite(v) for v in [total, *values])
 
@@ -241,6 +242,20 @@ def test_episode_log_records_every_day(iowa_env):
     logged = records[0].as_dict()
     assert need <= set(logged)
     assert len(logged["state"]) == 28
+
+
+@pytest.mark.parametrize("mode", WEATHER_MODES)
+@pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
+def test_weather_stops_at_the_last_day_an_episode_reads(preset, mode):
+    scenario = preset(weather_mode=mode, weather_seed=5)
+    last = scenario.latest_harvest_doy or 366
+    env = NitrogenEnv(scenario)
+    full_year = WeatherModel(scenario.climate, mode, seed=5)
+    for seed in (0, 1):
+        series = env.weather_model.series_for_episode(seed)
+        assert series.shape == (last, 4)
+        assert series.tobytes() == \
+            full_year.series_for_episode(seed)[:last].tobytes()
 
 
 # sha256 over the JSON of every DayRecord of three episodes (seeds 0, 1, 2)

@@ -1,17 +1,19 @@
 """Process-model unit tests, including the independent mass-balance oracle.
 
 The oracle sums inputs, outputs, and pool changes straight from the returned
-state/flux dataclasses; it shares no arithmetic with the update code.
+state/flux records; it shares no arithmetic with the update code.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from croprl.simulator import (CropParams, CropState, FLOWERING, GRAINFILL,
-                              MATURE, NitrogenParams, SOWN, SoilProfile,
-                              VEGETATIVE, advance_day, initial_soil_state,
-                              thermal_time)
+from croprl.reward import RewardBreakdown
+from croprl.simulator import (CropParams, CropState, DailyFluxes, FLOWERING,
+                              GRAINFILL, GrowthIndices, MATURE, NitrogenParams,
+                              SOWN, SoilProfile, VEGETATIVE, advance_day,
+                              initial_soil_state, thermal_time)
+from croprl.state import FIELD_ORDER, StateVector
 from croprl.weather import DailyWeather
 
 PROFILE = SoilProfile(depth_cm=150.0, field_capacity=0.30, saturation=0.36,
@@ -59,6 +61,32 @@ def balance_residuals(profile, soil0, soil1, weather, n_applied, fluxes):
     n_resid = abs(n_in - (n_delta + n_out))
     n_rel = n_resid / max(1.0, abs(n_in) + abs(n_delta) + abs(n_out))
     return w_rel, n_rel
+
+
+# ---------------------------------------------------------------------------
+# day records
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("record", [
+    CropState(), soil_at_fc(), DailyFluxes(), GrowthIndices(),
+    DailyWeather(0.0, 20.0, 30.0, 18.0), RewardBreakdown(1.0, 0.5, 0.25, 0.0),
+    StateVector(*(float(i) for i in range(len(FIELD_ORDER)))),
+], ids=lambda record: type(record).__name__)
+def test_day_records_refuse_assignment(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.note = "a field no record has"
+    assert getattr(record, name) == record[0]
+
+
+def test_day_records_compare_by_value():
+    assert CropState() == CropState()
+    assert CropState(gdd=1.0) != CropState()
+    assert CropState()._replace(sown=True, istage=SOWN) == CropState(
+        sown=True, istage=SOWN)
+    assert CropState(grnwt=200.0, grain_n=3.0).pcngrn == 3.0 / 200.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ def test_field_order_has_28_entries():
     assert FIELD_ORDER[-1] == "sw"
 
 
+def test_state_vector_is_the_field_table_in_order():
+    # the record type and STATE_FIELDS name the same fields in one order
+    assert StateVector._fields == FIELD_ORDER
+    state = make_state()
+    assert tuple(state._asdict()) == FIELD_ORDER
+    assert list(state._asdict().values()) == list(state)
+
+
 def test_partial_mask_is_the_ten_grower_visible_fields():
     assert PARTIAL_FIELDS == ("cumsumfert", "dap", "dtt", "istage", "vstage",
                               "pltpop", "rain", "srad", "tmax", "tmin")
