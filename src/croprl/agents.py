@@ -23,7 +23,7 @@ policy is ``harness.baseline_policy``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,21 +82,6 @@ def _check_hyper(h, least: dict[str, int]) -> None:
             f"buffer_capacity must hold max(batch_size, warmup) = "
             f"{max(h.batch_size, h.warmup)} transitions before the first "
             f"update: {h.buffer_capacity}")
-
-
-def _hyper_from_dict(cls, data: dict):
-    """A checkpoint's ``hyper`` entry, less the keys ``_RETIRED_HYPER``
-    lists for ``cls``; any other key ``cls`` lacks is an error."""
-    retired = _RETIRED_HYPER[cls]
-    for key, fixed in retired.items():
-        if fixed is not None and data.get(key, fixed) != fixed:
-            raise ConfigError(f"checkpoint hyper {key} must be {fixed!r}: "
-                              f"{data[key]!r}")
-    data = {k: v for k, v in data.items() if k not in retired}
-    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"checkpoint hyper has unknown keys {unknown}")
-    return cls(**{**data, "hidden": tuple(data["hidden"])})
 
 
 # ---------------------------------------------------------------------------
@@ -429,43 +414,34 @@ class SacAgent:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-#: hyper keys that older checkpoints carry, by hyper class. A key mapped to
-#: None only shaped training and is dropped; one mapped to a value is now a
-#: constant, and a file that recorded another value is refused, since its
-#: actor's output would mean other doses.
-_RETIRED_HYPER = {
-    DqnHyper: {"grad_steps_per_day": None},
-    SacHyper: {"alpha": None, "target_entropy": None, "reward_scale": None,
-               "log_std_min": None, "log_std_max": None,
-               "action_low": SAC_ACTION_RANGE_KG[0],
-               "action_high": SAC_ACTION_RANGE_KG[1]},
-}
-
-
 def policy_from_dict(data: dict):
     """The greedy policy of an ``agent`` entry that ``to_dict`` wrote, as
     ``(obs_dim, choose, dose)``: ``choose(obs)`` is the live agent's
     ``greedy_action`` and ``dose(action)`` its ``dose``. Only the policy net
-    is built: no replay buffer, critic, target or optimizer state."""
+    is built. Of ``hyper``, only a SAC file's action range is read: it fixes
+    which doses the actor's output means."""
     kind = data["kind"]
     if kind == "dqn":
-        hyper = _hyper_from_dict(DqnHyper, data["hyper"])
         qnet = net_from_dict(data["qnet"])
-        # one output per dose
-        if qnet.sizes[1:] != (*hyper.hidden, len(DISCRETE_ACTIONS_KG)):
-            raise ConfigError(f"Q-net sizes {qnet.sizes} do not match its "
-                              f"hyper or doses")
+        if qnet.sizes[-1] != len(DISCRETE_ACTIONS_KG):
+            raise ConfigError(f"Q-net sizes {qnet.sizes} need one output "
+                              f"per dose")
         rng = np.random.default_rng(0)  # never drawn from at epsilon 0
 
         def choose(obs):
             return dqn_select_action(qnet, obs, 0.0, rng)
         return qnet.sizes[0], choose, DqnAgent.dose
     if kind == "sac":
-        hyper = _hyper_from_dict(SacHyper, data["hyper"])
+        hyper = data.get("hyper", {})
+        for key, fixed in zip(("action_low", "action_high"),
+                              SAC_ACTION_RANGE_KG):
+            if hyper.get(key, fixed) != fixed:
+                raise ConfigError(f"checkpoint hyper {key} must be {fixed!r}: "
+                                  f"{hyper[key]!r}")
         actor = net_from_dict(data["actor"])
-        if actor.sizes[1:] != (*hyper.hidden, 2):
-            raise ConfigError(f"actor sizes {actor.sizes} do not match its "
-                              f"hyper")
+        if actor.sizes[-1] != 2:
+            raise ConfigError(f"actor sizes {actor.sizes} need 2 outputs, "
+                              f"the mean and log-std")
         return (actor.sizes[0], lambda obs: sac_mean_action(actor, obs),
                 SacAgent.dose)
     raise ConfigError(f"unknown agent kind {kind!r}")

@@ -4,9 +4,9 @@ All behavior is driven by one INI config file plus ``--set section.key=value``
 overrides; ``--seed`` and ``--out`` override ``run.seeds``/``run.trials`` and
 ``run.out_dir``. A key that no setting claims is rejected (see ``config``).
 
-Exit codes: 0 success; 1 configuration error (a malformed or unknown key, a
-bad value, a bad checkpoint), reported before any output is written; 2
-runtime failure.
+Exit codes: 0 success, ``--help`` included; 1 configuration error (a
+malformed command line, a malformed or unknown key, a bad value, a bad
+checkpoint), reported before any output is written; 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -110,8 +110,10 @@ def _cmd_ablate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is a config error
+        return 1 if exc.code else 0
     handlers = {"train": _cmd_train, "evaluate": _cmd_evaluate,
                 "ablate": _cmd_ablate}
     try:

@@ -433,8 +433,9 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
                          out_dir=Path(config.out_dir) / "every_10_days")
     else:
         raise ConfigError(f"unknown ablation axis {axis!r}")
-    # each condition is named by its directory
-    labels = (ref.out_dir.name, var.out_dir.name)
+    # each condition is named by its directory, both made before training
+    # so that a file in the way of either is refused before any work
+    labels = tuple(output_dir(c.out_dir).name for c in (ref, var))
 
     ref_report = run_training(ref)
     var_report = run_training(var)
@@ -457,7 +458,7 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
         "topwt_delta_pct": _pct_delta(var_topwt, ref_topwt),
         "seeds": list(config.seeds),
     }
-    out = output_dir(config.out_dir)
+    out = Path(config.out_dir)
     _write_csv(out / "ablation.csv",
                ("axis", "condition", "reward", "topwt", "reward_delta_pct",
                 "topwt_delta_pct"),

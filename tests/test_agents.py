@@ -392,11 +392,11 @@ def test_sac_checkpoint_reproduces_mean_action():
     assert_loaded_plays_greedy(updated_agent("sac"))
 
 
-def test_retired_hyper_keys_load_only_on_their_kind():
-    """Older files hold hyper keys that are now constants. Training-only
-    keys are dropped whatever their value; a SAC action range other than
-    0-200 kg/ha is refused, since its actor's output means other doses. A
-    key retired for the other kind, or never known, is refused."""
+def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
+    """Older files hold hyper keys that are now constants, or that the other
+    kind or no kind knows; the net loads whatever they hold, and without a
+    hyper at all. A SAC action range other than 0-200 kg/ha is refused,
+    since its actor's output means other doses."""
     retired = {"dqn": {"grad_steps_per_day": 2},
                "sac": {"alpha": None, "target_entropy": -0.5,
                        "reward_scale": 0.1, "log_std_min": -5.0,
@@ -406,19 +406,18 @@ def test_retired_hyper_keys_load_only_on_their_kind():
     def with_keys(data, keys):
         return {**data, "hyper": {**data["hyper"], **keys}}
 
-    old = {}
-    for kind in retired:
-        data = updated_agent(kind).to_dict()
+    current = {kind: updated_agent(kind).to_dict() for kind in retired}
+    for kind, data in current.items():
         assert not retired[kind].keys() & data["hyper"].keys()
-        old[kind] = with_keys(data, retired[kind])
-        assert policy_from_dict(old[kind])[0] == 4
-    for kind, other in (("dqn", "sac"), ("sac", "dqn")):
-        for key, value in [*retired[other].items(), ("log_std_mid", 0.0)]:
-            with pytest.raises(ConfigError, match=key):
-                policy_from_dict(with_keys(old[kind], {key: value}))
+        for keys in (*retired.values(), {"log_std_mid": 0.0},
+                     {"hidden": [99], "buffer_capacity": 0}):
+            assert policy_from_dict(with_keys(data, keys))[0] == 4
+        assert policy_from_dict(
+            {k: v for k, v in data.items() if k != "hyper"})[0] == 4
     for key, value in (("action_high", 160.0), ("action_low", -1.0)):
+        assert policy_from_dict(with_keys(current["dqn"], {key: value}))[0] == 4
         with pytest.raises(ConfigError, match=key):
-            policy_from_dict(with_keys(old["sac"], {key: value}))
+            policy_from_dict(with_keys(current["sac"], {key: value}))
 
 
 def test_sac_bandit_learns_the_optimum_single_seed():

@@ -265,16 +265,18 @@ def bad_checkpoints(tmp_path):
     agent = DqnAgent(30, hyper).to_dict()
     texts = {"not_json": "{\"agent\": ",
              "unknown_kind": json.dumps({"agent": {"kind": "ppo"}}),
-             "unknown_key": json.dumps({"agent": {
-                 **agent, "hyper": {**agent["hyper"], "tau": 0.1}}}),
+             "version_2": json.dumps({"agent": {
+                 **agent, "qnet": {**agent["qnet"], "version": 2}}}),
              "no_qnet": json.dumps({"agent": {
                  k: v for k, v in agent.items() if k != "qnet"}}),
-             "no_hyper": json.dumps({"agent": {"kind": "dqn"}}),
+             "kind_only": json.dumps({"agent": {"kind": "sac"}}),
              "agent_list": json.dumps({"agent": []}),
              "no_last_layer": json.dumps({"agent": {**agent, "qnet": {
                  **agent["qnet"], "params": agent["qnet"]["params"][:1]}}}),
-             "other_hidden": json.dumps({"agent": {
-                 **agent, "hyper": {**agent["hyper"], "hidden": [8]}}}),
+             # an actor gives a mean and a log-std
+             "sac_three_outputs": json.dumps({"agent": {
+                 "kind": "sac", "actor": net_to_dict(init_params(
+                     (30, 4, 3), np.random.default_rng(0)))}}),
              # the default config observes 30 values
              "narrow": json.dumps({"agent": DqnAgent(12, hyper).to_dict()}),
              # written for another site or schedule than the default's
@@ -316,12 +318,12 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/missing.json"],
     ["--checkpoint", "{dir}/not_json.json"],
     ["--checkpoint", "{dir}/unknown_kind.json"],
-    ["--checkpoint", "{dir}/unknown_key.json"],
+    ["--checkpoint", "{dir}/version_2.json"],
     ["--checkpoint", "{dir}/no_qnet.json"],
-    ["--checkpoint", "{dir}/no_hyper.json"],
+    ["--checkpoint", "{dir}/kind_only.json"],
     ["--checkpoint", "{dir}/agent_list.json"],
     ["--checkpoint", "{dir}/no_last_layer.json"],
-    ["--checkpoint", "{dir}/other_hidden.json"],
+    ["--checkpoint", "{dir}/sac_three_outputs.json"],
     ["--checkpoint", "{dir}/narrow.json"],
     ["--baseline", "1e308"],
     ["--checkpoint", "{dir}/florida.json"],
@@ -354,6 +356,43 @@ def test_an_output_path_through_a_file_is_a_configuration_error(
     assert printed.out == ""  # refused before any work or output
     assert (tmp_path / "afile").read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "tiny.ini"]
+
+
+@pytest.mark.parametrize("axis,blocked", [("observation", "partial"),
+                                          ("frequency", "every_10_days")])
+def test_ablate_refuses_a_file_in_either_condition_s_way_before_training(
+        tiny_config, tmp_path, capsys, axis, blocked):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / blocked).write_text("not a directory\n")
+    assert main(["ablate", "--config", str(tiny_config), "--axis", axis]) == 1
+    printed = capsys.readouterr()
+    assert "configuration error" in printed.err
+    assert printed.out == ""
+    assert [p for p in out.rglob("*") if p.is_file()] == [out / blocked]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["evaluate", "--baseline", "abc"], "--baseline: invalid float value"),
+    (["train", "--seed", "abc"], "--seed: invalid int value"),
+    (["evaluate", "--baseline", "0", "--episodes", "x"],
+     "--episodes: invalid int value"),
+    (["evaluate"], "one of the arguments --checkpoint --baseline is required"),
+    (["ablate", "--axis", "bogus"], "--axis: invalid choice: 'bogus'"),
+    (["report", "--run", "out"], "invalid choice: 'report'"),
+], ids=["baseline", "seed", "episodes", "no_policy", "axis", "report"])
+def test_a_malformed_command_line_is_a_configuration_error(
+        tiny_config, capsys, argv, error):
+    assert main([*argv, "--config", str(tiny_config)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert re.search(rf"^croprl( \w+)?: error: .*{re.escape(error)}",
+                     printed.err, re.M), printed.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: croprl" in capsys.readouterr().out
 
 
 # every documented key, with every special spelling, and the digests of
@@ -534,6 +573,42 @@ def test_version_1_checkpoints_evaluate_as_before(tmp_path, capsys, run,
                  "--checkpoint", str(checkpoint)]) == 0
     expected = json.loads((DATA / run / "evaluation.json").read_text())
     assert json.loads(capsys.readouterr().out)["mean"] == expected["mean"]
+
+
+def test_a_version_1_checkpoint_loads_whatever_its_hyper_holds(tmp_path,
+                                                              capsys):
+    """Only the net is read: a hyper that today's training checks refuse,
+    with a key no setting knows and hidden widths other than the net's,
+    still plays the net it holds."""
+    data = json.loads((DATA / "dqn_iowa" / "trial_1_checkpoint.json")
+                      .read_text())
+    data["agent"]["hyper"].update(buffer_capacity=16, tau=0.1, hidden=[99])
+    checkpoint = tmp_path / "trial_1_checkpoint.json"
+    checkpoint.write_text(json.dumps(data))
+    config = tmp_path / "eval.ini"
+    config.write_text("[scenario]\nlocation = iowa\n")
+    assert main(["evaluate", "--config", str(config),
+                 "--checkpoint", str(checkpoint)]) == 0
+    expected = json.loads((DATA / "dqn_iowa" / "evaluation.json").read_text())
+    assert json.loads(capsys.readouterr().out)["mean"] == expected["mean"]
+
+
+def test_train_with_a_seed_flag_trains_that_seed_only(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(tiny_config), "--seed", "7",
+                 "--set", "run.baseline_grid=0"]) == 0
+    assert sorted(p.name for p in out.glob("trial_*")) == [
+        "trial_7_checkpoint.json", "trial_7_curve.csv"]
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [7]
+
+
+def test_evaluate_writes_what_it_prints(tiny_config, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(tiny_config), "--baseline", "80",
+                 "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["policy"] == "baseline:80"
+    assert json.loads((out / "evaluation.json").read_text()) == printed
 
 
 @pytest.mark.parametrize("baseline,status", [("160", 0), ("nan", 1)])
