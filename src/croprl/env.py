@@ -174,6 +174,8 @@ class NitrogenEnv:
 
     def reset(self, seed: int = 0) -> StateVector:
         """Start a fresh episode; identical (config, seed) gives identical state."""
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"episode seed must be an integer >= 0: {seed!r}")
         cfg = self.config
         episode_seed = np.random.SeedSequence(
             [cfg.weather_seed, int(seed)]).generate_state(1)[0]
@@ -256,33 +258,34 @@ class NitrogenEnv:
         self._weather = weather = DailyWeather(
             *self._weather_rows[cfg.start_doy + self._day - 1])
         crop, soil = self._crop, self._soil
+        # positional, in FIELD_ORDER: keywords make a NamedTuple slower
         return StateVector(
-            cumsumfert=self._cumsumfert,
-            dap=self._day,
-            dtt=thermal_time(weather, cfg.crop.t_base),
-            istage=crop.istage,
-            vstage=crop.vstage,
-            pltpop=cfg.plant_density,
-            rain=weather.rain,
-            srad=weather.srad,
-            tmax=weather.tmax,
-            tmin=weather.tmin,
-            nstres=indices.nstres,
-            pcngrn=crop.pcngrn,
-            swfac=indices.swfac,
-            tleachd=fluxes.tleachd,
-            grnwt=crop.grnwt,
-            cleach=self._cleach,
-            cnox=self._cnox,
-            tnoxd=fluxes.tnoxd,
-            trnu=fluxes.trnu,
-            wtnup=self._wtnup,
-            xlai=crop.xlai,
-            topwt=crop.topwt,
-            es=fluxes.es,
-            runoff=fluxes.runoff,
-            wtdep=cfg.soil.depth_cm,
-            rtdep=crop.rtdep_cm,
-            totaml=self._totaml,
-            sw=soil.sw,
+            self._cumsumfert,                        # cumsumfert
+            self._day,                               # dap
+            thermal_time(weather, cfg.crop.t_base),  # dtt
+            crop.istage,                             # istage
+            crop.vstage,                             # vstage
+            cfg.plant_density,                       # pltpop
+            weather.rain,                            # rain
+            weather.srad,                            # srad
+            weather.tmax,                            # tmax
+            weather.tmin,                            # tmin
+            indices.nstres,                          # nstres
+            crop.pcngrn,                             # pcngrn
+            indices.swfac,                           # swfac
+            fluxes.tleachd,                          # tleachd
+            crop.grnwt,                              # grnwt
+            self._cleach,                            # cleach
+            self._cnox,                              # cnox
+            fluxes.tnoxd,                            # tnoxd
+            fluxes.trnu,                             # trnu
+            self._wtnup,                             # wtnup
+            crop.xlai,                               # xlai
+            crop.topwt,                              # topwt
+            fluxes.es,                               # es
+            fluxes.runoff,                           # runoff
+            cfg.soil.depth_cm,                       # wtdep
+            crop.rtdep_cm,                           # rtdep
+            self._totaml,                            # totaml
+            soil.sw,                                 # sw
         )

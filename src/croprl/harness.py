@@ -248,7 +248,8 @@ def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
             data = json.load(fh)
         obs_dim, choose, dose = policy_from_dict(data["agent"])
     except _UNREADABLE as exc:
-        raise ConfigError(f"cannot load checkpoint {path}: {exc!r}") from exc
+        why = exc if isinstance(exc, ConfigError) else repr(exc)
+        raise ConfigError(f"cannot load checkpoint {path}: {why}") from exc
     meta = {k: v for k, v in data.items() if k != "agent"}
     if config is not None:
         for key, wanted in (("scenario", config.scenario.name),

@@ -19,7 +19,8 @@ Biomass units are kg/ha of dry matter, water is tracked volumetrically per
 layer (converted to mm internally), nitrogen pools are kg/ha. The model is
 pure-functional: ``advance_day`` consumes and returns immutable state, so
 independent simulators can run in parallel. Within the day it works on
-local floats and per-layer lists, and it builds each returned record once.
+local floats and per-layer lists, and it builds each returned record once,
+positionally: a NamedTuple built from keywords costs more.
 Per-layer clamps are conditional expressions: they give the same values as
 ``min``/``max`` for a fraction of the cost of a builtin call.
 """
@@ -323,14 +324,10 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         grain_n += n_transfer
         plant_n -= n_transfer
 
-    return (CropState(sown=sown, gdd=gdd, istage=istage, vstage=vstage,
-                      xlai=xlai, topwt=crop.topwt + growth, grnwt=grnwt,
-                      rtdep_cm=rtdep_cm, plant_n=plant_n, grain_n=grain_n),
-            SoilState(sw=tuple([w / layer_mm for w in water]),
-                      nitrate=tuple(nitrate),
-                      organic_n=soil.organic_n - mineralized),
-            DailyFluxes(tleachd=tleachd, tnoxd=tnoxd, trnu=trnu,
-                        volatilized=volatilized, mineralized=mineralized,
-                        es=soil_evap + transp, runoff=runoff,
-                        drainage=drains[-1]),
-            GrowthIndices(dtt=dtt, nstres=nstres, swfac=swfac, growth=growth))
+    return (CropState(sown, gdd, istage, vstage, xlai, crop.topwt + growth,
+                      grnwt, rtdep_cm, plant_n, grain_n),
+            SoilState(tuple([w / layer_mm for w in water]), tuple(nitrate),
+                      soil.organic_n - mineralized),
+            DailyFluxes(tleachd, tnoxd, trnu, volatilized, mineralized,
+                        soil_evap + transp, runoff, drains[-1]),
+            GrowthIndices(dtt, nstres, swfac, growth))

@@ -12,12 +12,16 @@ Two modes:
 * ``fixed-trace`` (default): one series is generated from the model seed and
   reused for every episode, so the environment is deterministic.
 * ``stochastic``: a fresh series is sampled per episode from a caller seed.
+
+A year is a pure function of ``(climate, last_doy, seed)``: it is drawn once
+per process, memoized under that key, at most 256 years, and shared read-only.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +34,7 @@ WEATHER_MODES = ("fixed-trace", "stochastic")
 # 0-based month of each day of a 366-day (leap-layout) year
 MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _DOY_MONTH = tuple(m for m, n in enumerate(MONTH_LENGTHS) for _ in range(n))
+YEAR_MEMO_SIZE = 256  # years; 256 x 366 days x 4 floats is about 3 MB
 
 
 class DailyWeather(NamedTuple):
@@ -78,8 +83,8 @@ class WeatherModel:
 
     In fixed-trace mode the series derived from ``seed`` is built lazily
     once and then indexed; ``series_for_episode`` ignores the episode seed.
-    In stochastic mode each call to ``series_for_episode`` samples a fresh
-    year. A series ends on ``last_doy``, the last day an episode can read.
+    In stochastic mode ``series_for_episode`` returns the year of its episode
+    seed. A series ends on ``last_doy``, the last day an episode can read.
     """
 
     def __init__(self, climate: MonthlyClimate, mode: str = "fixed-trace",
@@ -93,37 +98,9 @@ class WeatherModel:
         self._trace: np.ndarray | None = None
 
     def sample_year(self, seed: int) -> np.ndarray:
-        """Sample days 1 to ``last_doy``; rows are (rain, srad, tmax, tmin).
-
-        Rain occurrence follows the wet/dry chain from a dry day before
-        January 1st. Each day draws, in order: a uniform for occurrence, an
-        exponential amount on wet days, then normals for tmax, tmin and srad.
-        """
-        rng = np.random.default_rng(seed)
-        uniform, exponential, normal = (rng.random, rng.exponential,
-                                        rng.standard_normal)
-        # one row of parameters per month, in CLIMATE_COLUMNS order
-        months = list(zip(*(getattr(self.climate, name)
-                            for name in CLIMATE_COLUMNS[1:])))
-        rows = []
-        wet = False
-        for m in _DOY_MONTH[:self.last_doy]:
-            (p_wet_dry, p_wet_wet, rain_mm, tmax_mean, tmax_sd, tmin_mean,
-             tmin_sd, wet_temp_drop, srad_mean, srad_sd,
-             wet_srad_factor) = months[m]
-            wet = uniform() < (p_wet_wet if wet else p_wet_dry)
-            rain = exponential(rain_mm) if wet else 0.0
-            tmax = tmax_mean + tmax_sd * normal()
-            tmin = tmin_mean + tmin_sd * normal()
-            if wet:
-                tmax -= wet_temp_drop
-            if tmin > tmax:
-                tmax, tmin = tmin, tmax
-            srad = srad_mean + srad_sd * normal()
-            if wet:
-                srad *= wet_srad_factor
-            rows.append((rain, max(srad, 0.1), tmax, tmin))
-        return np.array(rows)
+        """Days 1 to ``last_doy`` drawn from ``seed``: memoized per
+        ``(climate, last_doy, seed)``, at most 256 years, and read-only."""
+        return _draw_year(self.climate, self.last_doy, seed)
 
     def series_for_episode(self, episode_seed: int) -> np.ndarray:
         if self.mode == "stochastic":
@@ -131,6 +108,43 @@ class WeatherModel:
         if self._trace is None:
             self._trace = self.sample_year(self.seed)
         return self._trace
+
+
+@lru_cache(maxsize=YEAR_MEMO_SIZE)
+def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
+    """Sample days 1 to ``last_doy``; rows are (rain, srad, tmax, tmin).
+
+    Rain occurrence follows the wet/dry chain from a dry day before
+    January 1st. Each day draws, in order: a uniform for occurrence, an
+    exponential amount on wet days, then normals for tmax, tmin and srad.
+    """
+    rng = np.random.default_rng(seed)
+    uniform, exponential, normal = (rng.random, rng.exponential,
+                                    rng.standard_normal)
+    # one row of parameters per month, in CLIMATE_COLUMNS order
+    months = list(zip(*(getattr(climate, name)
+                        for name in CLIMATE_COLUMNS[1:])))
+    rows = []
+    wet = False
+    for m in _DOY_MONTH[:last_doy]:
+        (p_wet_dry, p_wet_wet, rain_mm, tmax_mean, tmax_sd, tmin_mean,
+         tmin_sd, wet_temp_drop, srad_mean, srad_sd,
+         wet_srad_factor) = months[m]
+        wet = uniform() < (p_wet_wet if wet else p_wet_dry)
+        rain = exponential(rain_mm) if wet else 0.0
+        tmax = tmax_mean + tmax_sd * normal()
+        tmin = tmin_mean + tmin_sd * normal()
+        if wet:
+            tmax -= wet_temp_drop
+        if tmin > tmax:
+            tmax, tmin = tmin, tmax
+        srad = srad_mean + srad_sd * normal()
+        if wet:
+            srad *= wet_srad_factor
+        rows.append((rain, max(srad, 0.1), tmax, tmin))
+    year = np.array(rows)
+    year.flags.writeable = False
+    return year
 
 
 def load_climate_csv(path) -> MonthlyClimate:

@@ -339,7 +339,9 @@ def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, capsys, argv):
     argv = [arg.format(dir=bad_checkpoints) for arg in argv]
     assert main(["evaluate", "--config", str(tiny_config), *argv]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "ConfigError(" not in err  # one plain message, not one wrapped
 
 
 @pytest.mark.parametrize("command", [

@@ -51,6 +51,17 @@ def test_reset_is_deterministic(iowa_env):
     a = iowa_env.reset(seed=7)
     b = iowa_env.reset(seed=7)
     assert a == b
+    # a numpy integer seed plays the same year as the int
+    env = NitrogenEnv(iowa_scenario(weather_mode="stochastic"))
+    assert env.reset(seed=np.int64(7)) == env.reset(seed=7) \
+        != env.reset(seed=8)
+
+
+@pytest.mark.parametrize("seed", [-3, np.int64(-1), 1.7, 1.0, "1", None])
+def test_an_episode_seed_must_be_an_integer_at_least_zero(seed):
+    env = NitrogenEnv(iowa_scenario(weather_mode="stochastic"))
+    with pytest.raises(ConfigError, match="episode seed"):
+        env.reset(seed=seed)
 
 
 def test_identical_seed_and_actions_give_identical_trajectory():

@@ -3,7 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from croprl import weather
+from croprl.env import iowa_scenario
 from croprl.errors import ConfigError
+from croprl.harness import BASELINE_GRID, baseline_policy, evaluate_policy
+from croprl.state import ObservationMask
 from croprl.weather import (CLIMATE_COLUMNS, MonthlyClimate, WeatherModel,
                             load_climate_csv, load_preset_climate)
 
@@ -40,6 +44,36 @@ def test_seeded_series_reproducible():
     s2 = model.sample_year(42)
     assert np.array_equal(s1, s2)
     assert not np.array_equal(s1, model.sample_year(43))
+
+
+def test_a_year_is_drawn_once_and_shared_read_only():
+    year = WeatherModel(flat_climate(), mode="stochastic").sample_year(42)
+    # another model of the same climate gets the same array
+    assert WeatherModel(flat_climate(), mode="stochastic").sample_year(42) \
+        is year
+    with pytest.raises(ValueError, match="read-only"):
+        year[0, 0] = 1.0
+
+
+def test_each_climate_and_last_day_has_its_own_year():
+    climate, wetter = flat_climate(), flat_climate(rain_mm=20.0)
+    full = WeatherModel(climate).sample_year(9)
+    short = WeatherModel(climate, last_doy=298).sample_year(9)
+    assert WeatherModel(climate, last_doy=298).sample_year(9) is short
+    assert short.shape == (298, 4) and full.shape == (366, 4)
+    # the first 298 days make the same draws
+    assert short.tobytes() == full[:298].tobytes()
+    other = WeatherModel(wetter).sample_year(9)
+    assert not np.array_equal(other, full)
+
+
+def test_a_dose_sweep_draws_each_weather_year_once():
+    scenario = iowa_scenario(weather_mode="stochastic")
+    weather._draw_year.cache_clear()
+    for dose in BASELINE_GRID:
+        evaluate_policy(baseline_policy(dose), scenario,
+                        ObservationMask.full(), n_episodes=4)
+    assert weather._draw_year.cache_info().misses == 4
 
 
 def test_degenerate_chain_never_rains():
