@@ -1,8 +1,10 @@
 """Experiment runner: multi-seed training, policy evaluation, ablations.
 
 ``run_training`` trains one agent per seed on a fresh environment, logs one
-curve row per episode, checkpoints the final policy, sweeps the single-dose
-reference grid, and writes a report directory:
+curve row per episode and checkpoints the final policy. ``score_episodes`` is
+the one scoring loop: it scores each trial's greedy policy, each single-dose
+reference and each ``evaluate_policy`` episode, and checks the reward identity
+of every episode it runs. A run writes a report directory:
 
     trial_<seed>_curve.csv        per-episode metrics for one seed
     trial_<seed>_checkpoint.json  greedy policy: DQN Q-net or SAC actor
@@ -182,7 +184,7 @@ def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
     """Recompute every day's reward from the logged actions and fluxes.
 
     Returns the maximum absolute discrepancy; raises if one exceeds ``tol``
-    or is NaN. Used by reports as an internal consistency check.
+    or is NaN. ``score_episodes`` checks every episode it scores with it.
     """
     worst = 0.0
     for i, rec in enumerate(records):
@@ -271,9 +273,8 @@ def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
 # ---------------------------------------------------------------------------
 
 def train_trial(config: ExperimentConfig, seed: int
-                ) -> tuple[TrialResult, object, list[DayRecord]]:
-    """Train one seed; returns the trial record, the trained agent and the
-    day records of its final greedy episode (empty if the trial failed)."""
+                ) -> tuple[TrialResult, object]:
+    """Train one seed; returns the trial record and the trained agent."""
     mask = config.mask
     env = NitrogenEnv(config.scenario)
     agent = AGENTS[config.agent_kind](mask.size(env.n_layers), config.hyper,
@@ -298,13 +299,10 @@ def train_trial(config: ExperimentConfig, seed: int
     except FloatingPointError as exc:
         trial.failed = True
         trial.error = str(exc)
-        return trial, agent, []
-
-    trial.convergence_episode = convergence_episode(
-        [row[2] for row in trial.curve])
-    trial.summary, records = run_episode(
-        env, agent_policy(agent.greedy_action, agent.dose), mask, seed=0)
-    return trial, agent, records
+    else:
+        trial.convergence_episode = convergence_episode(
+            [row[2] for row in trial.curve])
+    return trial, agent
 
 
 def convergence_episode(rewards, window: int = 50, rel_tol: float = 0.01):
@@ -325,12 +323,8 @@ def convergence_episode(rewards, window: int = 50, rel_tol: float = 0.01):
 
 def sweep_baselines(scenario: ScenarioConfig, grid, mask: ObservationMask
                     ) -> dict[float, EpisodeSummary]:
-    env = NitrogenEnv(scenario)
-    out = {}
-    for amount in grid:
-        summary, _ = run_episode(env, baseline_policy(amount), mask, seed=0)
-        out[float(amount)] = summary
-    return out
+    return {float(amount): next(score_episodes(
+        baseline_policy(amount), scenario, mask))[0] for amount in grid}
 
 
 def run_training(config: ExperimentConfig) -> RunReport:
@@ -341,15 +335,16 @@ def run_training(config: ExperimentConfig) -> RunReport:
 
     episodes_log = []
     for seed in config.seeds:
-        trial, agent, records = train_trial(config, seed)
+        trial, agent = train_trial(config, seed)
         report.trials.append(trial)
-        _write_csv(out / f"trial_{seed}_curve.csv", CURVE_COLUMNS, trial.curve)
         if not trial.failed:
-            _write_checkpoint(out / f"trial_{seed}_checkpoint.json", config,
-                              agent, seed)
-            verify_reward_identity(records, config.scenario.reward)
+            trial.summary, records = next(score_episodes(agent_policy(
+                agent.greedy_action, agent.dose), config.scenario, config.mask))
             episodes_log.append({"method": f"{config.agent_kind}_seed{seed}",
                                  "records": records})
+            _write_checkpoint(out / f"trial_{seed}_checkpoint.json", config,
+                              agent, seed)
+        _write_csv(out / f"trial_{seed}_curve.csv", CURVE_COLUMNS, trial.curve)
 
     report.baselines = sweep_baselines(config.scenario, config.baseline_grid,
                                        config.mask)
@@ -371,10 +366,23 @@ def _write_checkpoint(path, config: ExperimentConfig, agent, seed: int):
 # Evaluation entry point
 # ---------------------------------------------------------------------------
 
+def score_episodes(policy, scenario: ScenarioConfig, mask: ObservationMask,
+                   n_episodes: int = 1, base_seed: int = 0):
+    """The one scoring loop: ``n_episodes`` episodes of ``policy`` on one env,
+    seeds ``base_seed`` onward, each checked by ``verify_reward_identity``;
+    yields each one's (summary, day records)."""
+    env = NitrogenEnv(scenario)
+    for seed in range(base_seed, base_seed + n_episodes):
+        summary, records = run_episode(env, policy, mask, seed=seed)
+        verify_reward_identity(records, scenario.reward)
+        yield summary, records
+
+
 def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
                     n_episodes: int = 1, base_seed: int = 0
                     ) -> tuple[EpisodeSummary, list[EpisodeSummary]]:
-    """Greedy evaluation; with fixed-trace weather one episode suffices.
+    """Greedy evaluation by ``score_episodes``; with fixed-trace weather one
+    episode suffices.
 
     ``policy`` is a function of the day's state and observation, as
     ``run_episode`` takes it; every episode calls the same one.
@@ -386,12 +394,8 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
     """
     if n_episodes < 1:
         raise ConfigError(f"need at least one episode, got {n_episodes}")
-    env = NitrogenEnv(scenario)
-    per_episode = []
-    for k in range(n_episodes):
-        summary, records = run_episode(env, policy, mask, seed=base_seed + k)
-        verify_reward_identity(records, scenario.reward)
-        per_episode.append(summary)
+    per_episode = [summary for summary, _ in score_episodes(
+        policy, scenario, mask, n_episodes, base_seed)]
     applied: dict[int, float] = {}
     for s in per_episode:
         for dap, amount in s.applications:

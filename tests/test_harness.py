@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from croprl import harness
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
 from croprl.harness import (_dose_key, _pct_delta, baseline_policy,
                             convergence_episode, evaluate_policy,
-                            run_episode, verify_reward_identity)
+                            run_episode, score_episodes, sweep_baselines,
+                            verify_reward_identity)
 from croprl.state import ObservationMask
 
 
@@ -38,6 +40,33 @@ def test_mean_of_one_episode_is_that_episode():
                                     ObservationMask.full())
     assert mean.as_dict() == only.as_dict()
 
+
+
+def test_the_reference_sweep_checks_the_reward_identity(monkeypatch):
+    true_reward = harness.daily_reward
+
+    def skewed(**kwargs):
+        breakdown = true_reward(**kwargs)
+        return breakdown._replace(yield_term=breakdown.yield_term + 1.0)
+
+    monkeypatch.setattr(harness, "daily_reward", skewed)
+    with pytest.raises(AssertionError, match="reward identity violated"):
+        sweep_baselines(iowa_scenario(), (0.0, 160.0), ObservationMask.full())
+
+
+def test_scored_episodes_are_evaluate_policys_in_seed_order():
+    scenario = iowa_scenario(weather_mode="stochastic")
+    mask, policy = ObservationMask.full(), baseline_policy(160.0)
+    scored = list(score_episodes(policy, scenario, mask, 3, base_seed=5))
+    _, per = evaluate_policy(policy, scenario, mask, 3, 5)
+    assert [s.as_dict() for s, _ in scored] == [s.as_dict() for s in per]
+    env = NitrogenEnv(scenario)
+    for seed, (summary, records) in enumerate(scored, start=5):
+        alone, _ = run_episode(env, policy, mask, seed=seed)
+        assert summary.as_dict() == alone.as_dict()
+        # each episode keeps its own records, not the env's latest ones
+        assert records[-1].state.dap == summary.terminal_dap
+        assert verify_reward_identity(records, scenario.reward) == 0.0
 
 
 @pytest.mark.parametrize("frequency", [1, 7, 10])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from croprl.errors import ConfigError, ShapeError
-from croprl.net import (AdamState, ParamSet, adam_step, backward, forward,
-                        forward_cached, init_params, input_gradient,
-                        net_from_dict, net_to_dict)
+from croprl.net import (BETA1, AdamState, ParamSet, _below, adam_step,
+                        backward, forward, forward_cached, init_params,
+                        input_gradient, net_from_dict, net_to_dict)
 
 
 def net_of(pairs):
@@ -161,6 +161,23 @@ def test_split_passes_match_the_single_pass_bit_for_bit(dtype):
     assert gin.dtype == dtype and gin.tobytes() == want_gin.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_output_layer_backs_up_like_matmul_bit_for_bit(dtype):
+    """``_below`` skips matmul for a one-output layer; signed zeros in the
+    upstream gradient and the weights come out as matmul's would."""
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        params = init_params((5, 12, 1), rng, dtype=dtype)
+        _, cache = forward_cached(params, rng.normal(size=(16, 5)))
+        w = params[1][0]
+        w[rng.random(w.shape) < 0.3] = rng.choice([0.0, -0.0])
+        delta = rng.normal(size=(16, 1)).astype(dtype)
+        delta[rng.random(delta.shape) < 0.3] = rng.choice([0.0, -0.0])
+        want = np.multiply(delta @ w.T, cache[1] > 0.0)
+        got = _below(params, cache, delta, 1)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     params, x = safe_net(rng, (4, 8, 3))
@@ -300,6 +317,30 @@ def test_flat_adam_matches_per_array_reference_without_subnormals():
         assert not np.any(_subnormal(state.m)), f"step {t}"
         reference_had_subnormals |= any(np.any(_subnormal(m)) for m in ref_m)
     assert reference_had_subnormals
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_subnormal_flush_equals_a_masked_write_of_zero(dtype):
+    """Every first moment below ``tiny`` in magnitude, signed zeros and
+    subnormals alike, becomes +0.0; every other one keeps its bits."""
+    tiny = np.finfo(dtype).tiny
+    # moments that decay onto tiny or just beside it
+    near = dtype(tiny / BETA1) + np.arange(-3, 4) * np.spacing(tiny)
+    values = [0.0, tiny / 4, tiny / 1024, tiny, 2 * tiny, 1.5, 3e-20, *near]
+    m0 = np.array([s * v for v in values for s in (1.0, -1.0)], dtype=dtype)
+    params = ParamSet(np.ones(m0.size, dtype=dtype), [(1, m0.size // 2)])
+    state = AdamState.for_params(params, lr=1e-3)
+    state.m[:] = m0
+    # a gradient of -0.0 leaves m * BETA1 as it is, -0.0 included
+    g = np.full(m0.size, -0.0, dtype=dtype)
+    want = m0 * dtype(BETA1)
+    want += g * dtype(1 - BETA1)
+    assert np.any(want == tiny) and np.any(want == -tiny)
+    assert np.any((want != 0) & (np.abs(want) < tiny))
+    assert np.any(np.signbit(want) & (want == 0))
+    np.copyto(want, 0.0, where=np.abs(want) < tiny)
+    adam_step(params, params.like(g), state)
+    assert state.m.dtype == dtype and state.m.tobytes() == want.tobytes()
 
 
 def test_param_set_views_share_one_vector():
