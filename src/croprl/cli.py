@@ -89,6 +89,8 @@ def _cmd_evaluate(args) -> int:
     else:
         policy = baseline_policy(args.baseline)
         label = f"baseline:{args.baseline:g}"
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1: {args.episodes}")
     out = output_dir(config.out_dir) if args.out else None
     mean, per_episode = evaluate_policy(policy, config.scenario, config.mask,
                                         n_episodes=args.episodes)

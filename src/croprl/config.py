@@ -20,7 +20,7 @@ Recognized keys (defaults in parentheses):
     action_frequency (1)         days between permitted applications
 
 [reward] (RewardConfig)
-    w1, w2, w3 (0.1), w4 (1), threshold (preset)
+    w1, w2, w3 (0.1), w4 (1), threshold (preset)  w1-w4 in [0, 1e6]
 
 [agent] (DqnHyper or SacHyper)
     kind (dqn | sac), episodes (1200), gamma, batch_size, lr,

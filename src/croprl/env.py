@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +140,7 @@ def florida_scenario(**overrides) -> ScenarioConfig:
 SCENARIO_PRESETS = {"iowa": iowa_scenario, "florida": florida_scenario}
 
 
-@dataclass
-class DayRecord:
+class DayRecord(NamedTuple):
     """One day of the episode log; ``as_dict`` gives its JSON-lines form."""
 
     dap: int
@@ -151,9 +151,7 @@ class DayRecord:
     state: StateVector
 
     def as_dict(self) -> dict:
-        return {"dap": self.dap, "action_requested": self.action_requested,
-                "action_applied": self.action_applied, "reward": self.reward,
-                "breakdown": self.breakdown._asdict(),
+        return {**self._asdict(), "breakdown": self.breakdown._asdict(),
                 "state": self.state._asdict()}
 
 
@@ -185,11 +183,8 @@ class NitrogenEnv:
         self._soil = initial_soil_state(cfg.soil, cfg.initial_nitrate,
                                         cfg.initial_organic_n)
         self._day = 0
-        self._cumsumfert = 0.0
-        self._cleach = 0.0
-        self._cnox = 0.0
-        self._wtnup = 0.0
-        self._totaml = 0.0
+        self._cumsumfert = self._cleach = self._cnox = 0.0
+        self._wtnup = self._totaml = 0.0
         self._done = False
         self.records = []
         return self._build_state(DailyFluxes(), GrowthIndices())
@@ -226,15 +221,11 @@ class NitrogenEnv:
         self._done = (self._crop.istage >= MATURE
                       or cfg.start_doy + self._day >= self._last_doy)
 
-        breakdown = daily_reward(
-            a_t=applied, tleachd=fluxes.tleachd,
-            cumsumfert_incl_today=self._cumsumfert,
-            is_harvest=self._done, y=self._crop.topwt, cfg=cfg.reward)
-
-        record = DayRecord(
-            dap=self._day - 1, action_requested=requested,
-            action_applied=applied, reward=breakdown.total,
-            breakdown=breakdown, state=self._build_state(fluxes, indices))
+        # positional, like the records: keywords cost more
+        breakdown = daily_reward(applied, fluxes.tleachd, self._cumsumfert,
+                                 self._done, self._crop.topwt, cfg.reward)
+        record = DayRecord(self._day - 1, requested, applied, breakdown.total,
+                           breakdown, self._build_state(fluxes, indices))
         self.records.append(record)
         return record
 

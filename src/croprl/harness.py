@@ -189,11 +189,8 @@ def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
     worst = 0.0
     for i, rec in enumerate(records):
         st = rec.state
-        again = daily_reward(
-            a_t=rec.action_applied, tleachd=st.tleachd,
-            cumsumfert_incl_today=st.cumsumfert,
-            is_harvest=i == len(records) - 1,
-            y=st.topwt, cfg=reward_cfg)
+        again = daily_reward(rec.action_applied, st.tleachd, st.cumsumfert,
+                             i == len(records) - 1, st.topwt, reward_cfg)
         gap = abs(again.total - rec.reward)
         if not gap <= tol:
             raise AssertionError(

@@ -13,11 +13,13 @@ threshold earns no bonus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError
+
+#: Largest reward weight, far above any price ratio: every reward stays finite
+MAX_WEIGHT = 1e6
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,9 @@ class RewardConfig:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "w4"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"reward {name} must be finite and >= 0")
+            if not 0.0 <= getattr(self, name) <= MAX_WEIGHT:
+                raise ConfigError(f"[reward] {name} must lie in "
+                                  f"[0, {MAX_WEIGHT:g}]")
         # an infinite threshold never charges an overage
         if not self.threshold >= 0:
             raise ConfigError("reward threshold must be nonnegative")

@@ -21,8 +21,10 @@ pure-functional: ``advance_day`` consumes and returns immutable state, so
 independent simulators can run in parallel. Within the day it works on
 local floats and per-layer lists, and it builds each returned record once,
 positionally: a NamedTuple built from keywords costs more.
-Per-layer clamps are conditional expressions: they give the same values as
-``min``/``max`` for a fraction of the cost of a builtin call.
+Every clamp is a conditional expression, not a builtin call, which costs more:
+``min(a, b)`` is ``b if b < a else a`` and ``max(0.0, z)`` is
+``z if z > 0.0 else 0.0``, or ``x - y if x > y else 0.0`` when ``z = x - y``.
+Each returns the builtin's float, ties and NaNs included.
 """
 
 from __future__ import annotations
@@ -160,14 +162,8 @@ def initial_soil_state(profile: SoilProfile, nitrate: tuple[float, ...],
 
 
 def thermal_time(weather: DailyWeather, t_base: float) -> float:
-    return max(0.0, (weather.tmax + weather.tmin) / 2.0 - t_base)
-
-
-def _rooted(rtdep_cm: float, thickness_cm: float, n_layers: int) -> list[float]:
-    """Fraction of each layer inside the rooted depth."""
-    fractions = [(rtdep_cm - i * thickness_cm) / thickness_cm
-                 for i in range(n_layers)]
-    return [0.0 if f < 0.0 else 1.0 if f > 1.0 else f for f in fractions]
+    tavg = (weather.tmax + weather.tmin) / 2.0
+    return tavg - t_base if tavg > t_base else 0.0
 
 
 def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
@@ -181,6 +177,9 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     """
     if n_applied < 0:
         raise ConfigError("fertilizer application must be nonnegative")
+    (sown, gdd, istage, vstage, xlai, topwt, grnwt, rtdep_cm, plant_n,
+     grain_n) = crop
+    rain, srad, tmax, tmin = weather
     n_layers = profile.n_layers
     thickness_cm = profile.depth_cm / n_layers
     layer_mm = thickness_cm * 10.0
@@ -188,8 +187,7 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     sat_mm = profile.saturation * layer_mm
     wp_mm = profile.wilting_point * layer_mm
     air_dry_mm = nitro.evap_floor_frac * wp_mm
-    rain, srad = weather.rain, weather.srad
-    tavg = (weather.tmax + weather.tmin) / 2.0
+    drain_coef = profile.drain_coef
 
     water = [v * layer_mm for v in soil.sw]
     nitrate = list(soil.nitrate)
@@ -199,7 +197,8 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     nitrate[0] += n_applied - volatilized
 
     # 2a. runoff and infiltration into the top layer
-    runoff = max(0.0, rain - profile.runoff_threshold_mm)
+    threshold = profile.runoff_threshold_mm
+    runoff = rain - threshold if rain > threshold else 0.0
     infiltration = rain - runoff
     space = sat_mm - water[0]
     if infiltration > space:
@@ -207,20 +206,23 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         infiltration = space
     water[0] += infiltration
 
-    # 2b. evapotranspiration, split by canopy cover (start-of-day canopy)
+    # 2b. evapotranspiration, split by canopy cover (start-of-day canopy);
+    # roots reach the share f, in [0, 1], of each layer above the root depth
     pet = nitro.et_coef * srad
-    cover = 1.0 - math.exp(-params.k_extinction * crop.xlai)
+    cover = 1.0 - math.exp(-params.k_extinction * xlai)
     pot_soil_evap = pet * (1.0 - cover)
-    pot_transp = pet * cover if crop.istage in _ACTIVE_STAGES else 0.0
+    pot_transp = pet * cover if istage in _ACTIVE_STAGES else 0.0
 
-    soil_evap = min(pot_soil_evap, max(0.0, water[0] - air_dry_mm))
+    evaporable = water[0] - air_dry_mm if water[0] > air_dry_mm else 0.0
+    soil_evap = evaporable if evaporable < pot_soil_evap else pot_soil_evap
     water[0] -= soil_evap
 
-    root_frac = _rooted(crop.rtdep_cm, thickness_cm, n_layers)
-    avail = [(w - wp_mm if w > wp_mm else 0.0) * f
-             for w, f in zip(water, root_frac)]
+    avail = [(w - wp_mm if w > wp_mm else 0.0)
+             * (0.0 if (f := (rtdep_cm - i * thickness_cm) / thickness_cm)
+                < 0.0 else 1.0 if f > 1.0 else f)
+             for i, w in enumerate(water)]
     avail_total = sum(avail)
-    transp = min(pot_transp, avail_total)
+    transp = avail_total if avail_total < pot_transp else pot_transp
     if transp > 0.0:
         for i in range(n_layers):
             water[i] -= transp * avail[i] / avail_total
@@ -231,7 +233,7 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     drains = [0.0] * n_layers
     for i in range(n_layers):
         excess = water[i] - fc_mm if water[i] > fc_mm else 0.0
-        drain = profile.drain_coef * excess
+        drain = drain_coef * excess
         if i + 1 < n_layers:
             space = sat_mm - water[i + 1]
             if space < drain:
@@ -241,8 +243,9 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         drains[i] = drain
 
     # 3. mineralization (temperature-adjusted first-order supply)
-    tfac = nitro.q10 ** ((tavg - nitro.t_reference) / 10.0)
-    mineralized = min(soil.organic_n, nitro.mineralization_rate * tfac)
+    tfac = nitro.q10 ** (((tmax + tmin) / 2.0 - nitro.t_reference) / 10.0)
+    supply, organic_n = nitro.mineralization_rate * tfac, soil.organic_n
+    mineralized = supply if supply < organic_n else organic_n
     nitrate[0] += mineralized
 
     # 4. leaching: drainage carries a mixing-cell share of each layer's nitrate
@@ -259,10 +262,11 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
 
     # 5. denitrification in near-saturated layers
     denit_threshold = nitro.denitrification_sw_frac * sat_mm
+    denit_frac = nitro.denitrification_frac
     tnoxd = 0.0
     for i in range(n_layers):
         if water[i] > denit_threshold and nitrate[i] > 0.0:
-            loss = nitro.denitrification_frac * nitrate[i]
+            loss = denit_frac * nitrate[i]
             nitrate[i] -= loss
             tnoxd += loss
 
@@ -270,7 +274,6 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     # sowing and never reverse; leaves appear one per phyllochron from
     # emergence until flowering. Unsown and mature crops do not develop.
     dtt = thermal_time(weather, params.t_base)
-    sown, gdd, istage, vstage = crop.sown, crop.gdd, crop.istage, crop.vstage
     if sown and istage < MATURE:
         gdd += dtt
         if istage == SOWN and gdd >= params.gdd_emergence:
@@ -282,20 +285,22 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         if istage == GRAINFILL and gdd >= params.gdd_maturity:
             istage = MATURE
         if istage < FLOWERING:
-            vstage = max(min(params.max_leaves,
-                             max(0.0, gdd - params.gdd_emergence)
-                             / params.phyllochron), vstage)
-    rtdep_cm = crop.rtdep_cm
+            leaves = (gdd - params.gdd_emergence if gdd > params.gdd_emergence
+                      else 0.0) / params.phyllochron
+            max_leaves = params.max_leaves
+            leaves = leaves if leaves < max_leaves else max_leaves
+            vstage = vstage if vstage > leaves else leaves
     if sown and dtt > 0.0:
-        rtdep_cm = min(profile.depth_cm,
-                       rtdep_cm + params.root_growth_cm_per_day)
+        rtdep_cm += params.root_growth_cm_per_day
+        rtdep_cm = rtdep_cm if rtdep_cm < profile.depth_cm else profile.depth_cm
     # canopy from leaf number; linear senescence while grain fills
     xlai = vstage * params.leaf_area_per_leaf_m2 * pltpop
     if istage >= MATURE:
         xlai = 0.0
     elif istage == GRAINFILL:
-        span = params.gdd_maturity - params.gdd_grainfill
-        xlai *= max(0.0, (params.gdd_maturity - gdd) / span)
+        left = ((params.gdd_maturity - gdd)
+                / (params.gdd_maturity - params.gdd_grainfill))
+        xlai *= left if left > 0.0 else 0.0
 
     # 7. potential growth from intercepted radiation (g/m2 -> kg/ha is x10)
     if istage in _ACTIVE_STAGES:
@@ -306,28 +311,30 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
 
     # 8. uptake, stress, realized growth
     demand = growth_pot * params.demand_concentration(istage)
-    root_frac = _rooted(rtdep_cm, thickness_cm, n_layers)
-    avail_n = [n * f for n, f in zip(nitrate, root_frac)]
+    avail_n = [n * (0.0 if (f := (rtdep_cm - i * thickness_cm) / thickness_cm)
+                    < 0.0 else 1.0 if f > 1.0 else f)
+               for i, n in enumerate(nitrate)]
     avail_n_total = sum(avail_n)
-    trnu = min(demand, avail_n_total)
+    trnu = avail_n_total if avail_n_total < demand else demand
     if trnu > 0.0:
         for i in range(n_layers):
             nitrate[i] -= trnu * avail_n[i] / avail_n_total
     nstres = trnu / demand if demand > 1e-12 else 1.0
 
-    growth = growth_pot * min(nstres, swfac)
-    grnwt, grain_n, plant_n = crop.grnwt, crop.grain_n, crop.plant_n + trnu
+    growth = growth_pot * (swfac if swfac < nstres else nstres)
+    plant_n += trnu
     if istage == GRAINFILL and growth > 0.0:
         grain_inc = params.grain_fraction * growth
         grnwt += grain_inc
-        n_transfer = min(plant_n, params.grain_n_conc * grain_inc)
+        n_transfer = params.grain_n_conc * grain_inc
+        n_transfer = n_transfer if n_transfer < plant_n else plant_n
         grain_n += n_transfer
         plant_n -= n_transfer
 
-    return (CropState(sown, gdd, istage, vstage, xlai, crop.topwt + growth,
+    return (CropState(sown, gdd, istage, vstage, xlai, topwt + growth,
                       grnwt, rtdep_cm, plant_n, grain_n),
             SoilState(tuple([w / layer_mm for w in water]), tuple(nitrate),
-                      soil.organic_n - mineralized),
+                      organic_n - mineralized),
             DailyFluxes(tleachd, tnoxd, trnu, volatilized, mineralized,
                         soil_evap + transp, runoff, drains[-1]),
             GrowthIndices(dtt, nstres, swfac, growth))

@@ -178,5 +178,5 @@ def normalize_observation(obs: np.ndarray, mask: ObservationMask) -> np.ndarray:
     during heavy exploration (e.g. runaway cumulative fertilizer).
     """
     lo_arr, span = _mask_bounds(mask.included, obs.size)
-    scaled = (obs - lo_arr) / span
-    return scaled.clip(0.0, 1.0, out=scaled)
+    scaled = obs - lo_arr
+    return np.divide(scaled, span, out=scaled).clip(0.0, 1.0, out=scaled)

@@ -77,6 +77,7 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["run.baseline_grid=0,0"],
     ["run.baseline_grid=0,-0"],
     ["run.baseline_grid="],  # a table with no reference row
+    ["reward.w1=1e308"],  # finite, but the harvest reward would not be
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -334,14 +335,18 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/nan_weight.json"],
     ["--checkpoint", "{dir}/inf_bias.json"],
     ["--checkpoint", "{dir}/huge_weight.json"],
+    ["--baseline", "160", "--set", "reward.w1=1e308"],  # an infinite reward
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
-        tiny_config, bad_checkpoints, capsys, argv):
+        tiny_config, bad_checkpoints, tmp_path, capsys, argv):
     argv = [arg.format(dir=bad_checkpoints) for arg in argv]
-    assert main(["evaluate", "--config", str(tiny_config), *argv]) == 1
+    out = tmp_path / "never"
+    assert main(["evaluate", "--config", str(tiny_config), *argv,
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "ConfigError(" not in err  # one plain message, not one wrapped
+    assert not out.exists()  # refused before the output directory is made
 
 
 @pytest.mark.parametrize("command", [

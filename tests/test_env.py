@@ -10,8 +10,8 @@ from croprl.env import (DISCRETE_ACTIONS_KG, MAX_DOSE_KG, NitrogenEnv,
                         day_of_year, florida_scenario, iowa_scenario)
 from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
-from croprl.reward import daily_reward
-from croprl.state import ObservationMask, observe
+from croprl.reward import MAX_WEIGHT, RewardConfig, daily_reward
+from croprl.state import FIELD_ORDER, ObservationMask, observe
 from croprl.weather import WEATHER_MODES, WeatherModel
 
 FULL = ObservationMask.full()
@@ -132,7 +132,8 @@ def test_non_finite_dose_rejected(iowa_env, dose):
 
 @pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
 def test_largest_dose_every_day_stays_finite(preset):
-    env = NitrogenEnv(preset())
+    # under the heaviest reward weights too
+    env = NitrogenEnv(preset(reward=RewardConfig(*(MAX_WEIGHT,) * 4, 0.0)))
     env.reset(seed=0)
     total = 0.0
     while not env.done:
@@ -255,6 +256,18 @@ def test_episode_log_records_every_day(iowa_env):
     assert len(logged["state"]) == 28
 
 
+def test_day_record_fields_and_log_keys_keep_their_order(iowa_env):
+    iowa_env.reset(seed=0)
+    record = iowa_env.step(40.0)
+    order = ("dap", "action_requested", "action_applied", "reward",
+             "breakdown", "state")
+    assert type(record)._fields == order
+    logged = record.as_dict()
+    assert tuple(logged) == order
+    assert logged["breakdown"] == record.breakdown._asdict()
+    assert tuple(logged["state"]) == FIELD_ORDER
+
+
 @pytest.mark.parametrize("mode", WEATHER_MODES)
 @pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
 def test_weather_stops_at_the_last_day_an_episode_reads(preset, mode):
@@ -285,15 +298,40 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("location,mode", sorted(GOLDEN))
-def test_golden_trajectories(location, mode):
+def trajectory_digest(location, mode, schedule):
     maker = {"iowa": iowa_scenario, "florida": florida_scenario}[location]
     env = NitrogenEnv(maker(weather_mode=mode, weather_seed=5))
     digest = hashlib.sha256()
     for seed in (0, 1, 2):
         env.reset(seed=seed)
         while not env.done:
-            env.step(GOLDEN_SCHEDULE[len(env.records) % len(GOLDEN_SCHEDULE)])
+            env.step(schedule[len(env.records) % len(schedule)])
         for rec in env.records:
             digest.update(json.dumps(rec.as_dict(), sort_keys=True).encode())
-    assert digest.hexdigest() == GOLDEN[location, mode]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("location,mode", sorted(GOLDEN))
+def test_golden_trajectories(location, mode):
+    assert trajectory_digest(location, mode, GOLDEN_SCHEDULE) \
+        == GOLDEN[location, mode]
+
+
+# the same hash without fertilizer: most of these days are N-limited
+# (nstres < 1), a branch the GOLDEN_SCHEDULE days never reach
+GOLDEN_ZERO_DOSE = {
+    ("iowa", "fixed-trace"):
+        "b32cba0dfa9f5187848c16aac01854a5a13c496a63888314dc72df89a26f7ba9",
+    ("iowa", "stochastic"):
+        "399cfc0008c4da045f78ea3f3b6932059f4772fbc0c59bab6f8200c186310e7c",
+    ("florida", "fixed-trace"):
+        "3397d453b08c8203559e081fb790bbf0fe7a001c52f27c5b3f369d3a6b0178c8",
+    ("florida", "stochastic"):
+        "cfa1d592d8019ae0cbb125438ab1c4d1dd5845336d53e485e7046df3559ff660",
+}
+
+
+@pytest.mark.parametrize("location,mode", sorted(GOLDEN_ZERO_DOSE))
+def test_zero_dose_golden_trajectories(location, mode):
+    assert trajectory_digest(location, mode, (0.0,)) \
+        == GOLDEN_ZERO_DOSE[location, mode]

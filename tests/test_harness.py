@@ -15,8 +15,9 @@ from croprl.state import ObservationMask
 def test_reward_identity_catches_a_wrong_or_nan_reward(shift):
     env = NitrogenEnv(iowa_scenario())
     _, records = run_episode(env, baseline_policy(160.0), ObservationMask.full())
-    day = records[len(records) // 2]
-    day.reward += shift
+    i = len(records) // 2
+    day = records[i]
+    records[i] = day._replace(reward=day.reward + shift)
     with pytest.raises(AssertionError, match=f"day {day.dap}"):
         verify_reward_identity(records, env.config.reward)
 
@@ -45,8 +46,8 @@ def test_mean_of_one_episode_is_that_episode():
 def test_the_reference_sweep_checks_the_reward_identity(monkeypatch):
     true_reward = harness.daily_reward
 
-    def skewed(**kwargs):
-        breakdown = true_reward(**kwargs)
+    def skewed(*args, **kwargs):
+        breakdown = true_reward(*args, **kwargs)
         return breakdown._replace(yield_term=breakdown.yield_term + 1.0)
 
     monkeypatch.setattr(harness, "daily_reward", skewed)

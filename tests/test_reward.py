@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from croprl.errors import ConfigError
-from croprl.reward import RewardBreakdown, RewardConfig, daily_reward
+from croprl.reward import (MAX_WEIGHT, RewardBreakdown, RewardConfig,
+                           daily_reward)
 
 CFG = RewardConfig(w1=0.1, w2=0.1, w3=0.1, w4=1.0, threshold=240.0)
 
@@ -79,6 +80,15 @@ def test_negative_inputs_rejected():
         daily_reward(0.0, -0.1, 0.0, False, 0.0, CFG)
     with pytest.raises(ConfigError):
         RewardConfig(w2=-0.1)
+
+
+@pytest.mark.parametrize("weight", [MAX_WEIGHT * 1.0000001, 1e308, math.inf,
+                                    math.nan])
+@pytest.mark.parametrize("name", ["w1", "w2", "w3", "w4"])
+def test_a_weight_above_the_largest_is_refused(name, weight):
+    assert getattr(RewardConfig(**{name: MAX_WEIGHT}), name) == MAX_WEIGHT
+    with pytest.raises(ConfigError, match=rf"\[reward\] {name} "):
+        RewardConfig(**{name: weight})
 
 
 def test_all_zero_breakdowns_sum_to_zero():

@@ -4,6 +4,8 @@ The oracle sums inputs, outputs, and pool changes straight from the returned
 state/flux records; it shares no arithmetic with the update code.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +229,38 @@ def test_nstres_zero_with_empty_soil_and_demand():
                                     0.0, PROFILE, CROP, NITRO, PLTPOP)
     assert fluxes.trnu == 0.0
     assert idx.nstres == 0.0
+
+
+def digest(day) -> str:
+    """sha256 of the repr of advance_day's four records: every bit shows."""
+    return hashlib.sha256(repr(day).encode()).hexdigest()
+
+
+def test_mineralization_is_capped_by_the_organic_pool():
+    # a warm day supplies 0.05 * 2 ** 0.5 kg/ha, more than the pool holds
+    day = advance_day(active_crop(), soil_at_fc(organic=0.03),
+                      DailyWeather(0.0, 20.0, 30.0, 20.0), 0.0, PROFILE,
+                      CROP, NITRO, PLTPOP)
+    assert day[2].mineralized == 0.03
+    assert day[1].organic_n == 0.0
+    assert digest(day) == ("3b6007fe4ead62adcac08117e5cc34de"
+                           "ba1ed3ec3381d938643a245c8e94933f")
+
+
+def test_grain_n_transfer_is_capped_by_plant_n():
+    # grain at 4% N asks for more than the empty plant takes up today
+    crop = active_crop(gdd=1000.0, istage=GRAINFILL, vstage=20.0, xlai=1.5,
+                       grnwt=500.0, plant_n=0.0, grain_n=5.0)
+    params = CropParams(grain_n_conc=0.04)
+    day = advance_day(crop, soil_at_fc(), DailyWeather(0.0, 20.0, 30.0, 20.0),
+                      0.0, PROFILE, params, NITRO, PLTPOP)
+    new_crop, _, fluxes, idx = day
+    assert params.grain_n_conc * params.grain_fraction * idx.growth \
+        > fluxes.trnu > 0.0
+    assert new_crop.plant_n == 0.0
+    assert new_crop.grain_n == 5.0 + fluxes.trnu
+    assert digest(day) == ("36ca65a28242ee30894f0b74f8dcfe33"
+                           "df7aa38ff5885eeb1d134438c3a7c4c8")
 
 
 @given(extra=st.floats(0.0, 200.0))
