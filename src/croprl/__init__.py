@@ -4,7 +4,7 @@ from .agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
                      discretize_action, epsilon_schedule)
 from .env import (DISCRETE_ACTIONS_KG, NitrogenEnv, ScenarioConfig,
                   day_of_year, florida_scenario, iowa_scenario)
-from .errors import (ConfigError, EpisodeFinishedError, MaskError, ShapeError)
+from .errors import ConfigError, EpisodeFinishedError, ShapeError
 from .harness import (EpisodeSummary, ExperimentConfig, RunReport,
                       baseline_policy, evaluate_policy, run_ablation,
                       run_episode, run_training)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DISCRETE_ACTIONS_KG", "DailyWeather",
     "DqnAgent", "DqnHyper", "EpisodeFinishedError", "EpisodeSummary",
-    "ExperimentConfig", "MaskError", "MonthlyClimate", "NitrogenEnv",
+    "ExperimentConfig", "MonthlyClimate", "NitrogenEnv",
     "ObservationMask", "RewardBreakdown", "RewardConfig", "RunReport",
     "SacAgent", "SacHyper", "ScenarioConfig", "ShapeError", "StateVector",
     "WeatherModel", "baseline_policy", "daily_reward",

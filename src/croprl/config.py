@@ -29,7 +29,8 @@ Recognized keys (defaults in parentheses):
     tau                                     sac only
 
 [run] (ExperimentConfig)
-    trials (5), seeds (1..trials), observation (full | partial),
+    trials (5, or the number of seeds), seeds (1..trials),
+    observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
 """
 
@@ -40,16 +41,14 @@ from dataclasses import replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .agents import DqnHyper, SacHyper
 from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
-from .harness import ExperimentConfig
+from .harness import HYPERS, ExperimentConfig
 from .reward import RewardConfig
 from .simulator import SoilProfile
 
 # Iowa and Florida trained with different exploration decay rates
 PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
-_HYPERS = {"dqn": DqnHyper, "sac": SacHyper}
 
 
 # the annotation of every key, by section; ``location`` names the preset and
@@ -63,7 +62,7 @@ _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
 _REWARD = get_type_hints(RewardConfig)
 _AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
                  **get_type_hints(cls)}
-          for kind, cls in _HYPERS.items()}
+          for kind, cls in HYPERS.items()}
 # the other ExperimentConfig fields are built from their own sections
 _RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()
         if name not in ("scenario", "agent_kind", "hyper")}
@@ -139,18 +138,20 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
 def build_agent_hyper(cfg: dict[str, str], location: str):
     """Return (kind, hyper) from the [agent] section."""
     kind = _parse(str, cfg.get("agent.kind", ExperimentConfig.agent_kind))
-    if kind not in _HYPERS:
+    if kind not in HYPERS:
         raise ConfigError(f"unknown agent kind {kind!r}")
     values = _read(cfg, "agent", _AGENT[kind])
     values.pop("kind", None)
     if kind == "dqn" and location in PRESET_EPSILON_DECAY:
         values.setdefault("epsilon_decay", PRESET_EPSILON_DECAY[location])
-    return kind, _HYPERS[kind](**values)
+    return kind, HYPERS[kind](**values)
 
 
 def build_run_settings(cfg: dict[str, str]) -> dict:
     """Parse the [run] section; ``ExperimentConfig`` validates the values."""
     given = _read(cfg, "run", _RUN)
+    if "seeds" in given:
+        given.setdefault("trials", len(given["seeds"]))
     run = {name: getattr(ExperimentConfig, name) for name in _RUN}
     run["seeds"] = tuple(range(1, given.get("trials", run["trials"]) + 1))
     return run | given

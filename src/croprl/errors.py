@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Raised for invalid scenario, reward, or experiment configuration."""
 
 
-class MaskError(ValueError):
-    """Raised when an observation mask names an unknown state field."""
-
-
 class ShapeError(ValueError):
     """Raised when array shapes do not match a network specification."""
 

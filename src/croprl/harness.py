@@ -42,6 +42,7 @@ CURVE_COLUMNS = ("episode", "epsilon", "cumulative_reward", "total_N",
 TABLE_COLUMNS = ("method", "n_input", "leaching", "uptake", "topwt",
                  "cumulative_reward")
 AGENTS = {"dqn": DqnAgent, "sac": SacAgent}
+HYPERS = {"dqn": DqnHyper, "sac": SacHyper}
 #: single doses the reference sweep applies at V5, kg/ha
 BASELINE_GRID = tuple(float(x) for x in range(0, 321, 40))
 #: what reading a damaged checkpoint raises
@@ -81,10 +82,13 @@ class ExperimentConfig:
                               f"{self.baseline_grid}")
         if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
+        if not isinstance(self.hyper, HYPERS[self.agent_kind]):
+            raise ConfigError(f"agent kind {self.agent_kind!r} does not take "
+                              f"a {type(self.hyper).__name__}")
 
     @property
     def mask(self) -> ObservationMask:
-        return ObservationMask.of_kind(self.observation)
+        return ObservationMask(self.observation)
 
 
 @dataclass
@@ -443,7 +447,7 @@ def run_ablation(config: ExperimentConfig, axis: str) -> dict:
     var_report = run_training(var)
 
     def finals(report, label):
-        good = [t.summary for t in report.successful() if t.summary]
+        good = [t.summary for t in report.successful()]
         if not good:
             raise RuntimeError(f"every trial of condition {label} failed; "
                                f"see its manifest")
@@ -529,8 +533,6 @@ def emit_report(report: RunReport, out: Path, episodes_log: list,
         rows.append((f"baseline_{_dose_key(amount)}", s.total_n, s.total_leach,
                      s.total_uptake, s.topwt, s.cumulative_reward))
     for trial in report.successful():
-        if trial.summary is None:
-            continue
         s = trial.summary
         rows.append((f"{config.agent_kind}_seed{trial.seed}", s.total_n,
                      s.total_leach, s.total_uptake, s.topwt,

@@ -6,21 +6,21 @@ used for fixed affine normalization of observations (no running statistics,
 so normalization is deterministic and checkpoint-portable). ``sw`` is
 vector-valued (one entry per soil layer) and is flattened when observed.
 
-``OBSERVATIONS`` maps each observation kind to the fields an agent sees:
-``full`` is every field, ``partial`` the first ten (``PARTIAL_FIELDS``,
-cumsumfert through tmin), which a grower can observe without sampling.
+There are two observation kinds, the keys of ``OBSERVATIONS`` and the
+members of ``ObservationMask``: ``full`` is every field, ``partial`` the
+first ten (``PARTIAL_FIELDS``, cumsumfert through tmin), which a grower can
+observe without sampling. ``sw`` is the last field and the partial fields
+are a prefix of the canonical order, so ``observe`` takes one slice of the
+state per kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import MaskError
 
 
 # name -> (unit, (plausible_low, plausible_high))
@@ -100,44 +100,24 @@ class StateVector(NamedTuple):
     sw: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ObservationMask:
-    """Ordered subset of state fields exposed to an agent.
+class ObservationMask(Enum):
+    """The state fields exposed to an agent: every one (``FULL``) or the ten
+    of ``PARTIAL_FIELDS`` (``PARTIAL``). The values are the kinds of
+    ``OBSERVATIONS``, so ``ObservationMask(kind)`` is that kind's mask."""
 
-    ``sw`` expands to one entry per soil layer at its position in the mask
-    (the end of the canonical order for the full mask).
-    """
+    FULL = "full"
+    PARTIAL = "partial"
 
-    included: tuple[str, ...]
-
-    def __post_init__(self):
-        for name in self.included:
-            if name not in STATE_FIELDS:
-                raise MaskError(f"unknown state field: {name!r}")
+    def __init__(self, kind: str):
+        self.included = OBSERVATIONS[kind]
 
     @classmethod
     def full(cls) -> "ObservationMask":
-        return cls(FIELD_ORDER)
+        return cls.FULL
 
     @classmethod
     def partial(cls) -> "ObservationMask":
-        return cls(PARTIAL_FIELDS)
-
-    @classmethod
-    def of_kind(cls, kind: str) -> "ObservationMask":
-        if kind not in OBSERVATIONS:
-            raise MaskError(f"unknown mask kind: {kind!r}")
-        return cls(OBSERVATIONS[kind])
-
-    @cached_property
-    def _reader(self):
-        """(read, at): ``read(state)`` is the tuple of the masked fields of
-        ``state``, with ``sw`` as one entry at index ``at`` (-1 if absent).
-        An attrgetter of one name returns a bare value, not a tuple."""
-        names = self.included
-        read = attrgetter(*names) if len(names) > 1 else (
-            lambda state: tuple(getattr(state, n) for n in names))
-        return read, names.index("sw") if "sw" in names else -1
+        return cls.PARTIAL
 
     def size(self, n_layers: int) -> int:
         n = len(self.included)
@@ -147,15 +127,11 @@ class ObservationMask:
 
 
 def observe(state: StateVector, mask: ObservationMask) -> np.ndarray:
-    """Flatten the masked fields of ``state`` into a float vector.
-
-    The mask checked its field names when it was built.
-    """
-    read, at = mask._reader
-    values = read(state)
-    if at >= 0:
-        values = (*values[:at], *values[at], *values[at + 1:])
-    return np.array(values, dtype=np.float64)
+    """The masked fields of ``state`` as a float vector: the full mask
+    flattens ``sw``, the last field, and the partial mask is a prefix."""
+    if mask.included is FIELD_ORDER:
+        return np.array((*state[:-1], *state.sw), dtype=np.float64)
+    return np.array(state[:len(mask.included)], dtype=np.float64)
 
 
 @lru_cache(maxsize=None)

@@ -78,6 +78,7 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["run.baseline_grid=0,-0"],
     ["run.baseline_grid="],  # a table with no reference row
     ["reward.w1=1e308"],  # finite, but the harvest reward would not be
+    ["run.seeds=1,2", "run.trials=3"],  # seeds give the count unless it is set
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -486,6 +487,13 @@ def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     experiment = configmod.build_experiment(configmod.load_config(path))
     assert config_digest(experiment) == digest
     assert experiment.out_dir == Path(out_dir)
+
+
+def test_seeds_alone_give_the_number_of_trials(tmp_path):
+    path = tmp_path / "seeds.ini"
+    path.write_text("[run]\nseeds = 7, 8\n")
+    experiment = configmod.build_experiment(configmod.load_config(path))
+    assert (experiment.trials, experiment.seeds) == (2, (7, 8))
 
 
 def test_docstring_lists_exactly_the_settable_keys():

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from croprl import harness
+from croprl.agents import DqnHyper, SacHyper
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
-from croprl.harness import (_dose_key, _pct_delta, baseline_policy,
-                            convergence_episode, evaluate_policy,
-                            run_episode, score_episodes, sweep_baselines,
+from croprl.errors import ConfigError
+from croprl.harness import (ExperimentConfig, _dose_key, _pct_delta,
+                            baseline_policy, convergence_episode,
+                            evaluate_policy, run_episode, run_training,
+                            score_episodes, sweep_baselines,
                             verify_reward_identity)
 from croprl.state import ObservationMask
 
@@ -161,3 +164,20 @@ def test_pct_delta_from_a_zero_reference():
                                         (50.2, "50.2")])
 def test_dose_keys_are_exact_without_a_trailing_zero(amount, key):
     assert _dose_key(amount) == key
+
+
+@pytest.mark.parametrize("kind,hyper", [("sac", DqnHyper()),
+                                        ("dqn", SacHyper())])
+def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError,
+                       match=f"'{kind}' does not take a {type(hyper).__name__}"):
+        run_training(ExperimentConfig(iowa_scenario(), agent_kind=kind,
+                                      hyper=hyper, trials=1, seeds=(1,),
+                                      out_dir=out))
+    assert not out.exists()
+
+
+def test_an_unknown_observation_kind_is_refused():
+    with pytest.raises(ConfigError, match="run.observation"):
+        ExperimentConfig(iowa_scenario(), observation="bogus")

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from croprl.reward import RewardBreakdown
 from croprl.simulator import (CropParams, CropState, DailyFluxes, FLOWERING,
                               GRAINFILL, GrowthIndices, MATURE, NitrogenParams,
-                              SOWN, SoilProfile, VEGETATIVE, advance_day,
-                              initial_soil_state, thermal_time)
+                              SOWN, SoilProfile, SoilState, VEGETATIVE,
+                              advance_day, initial_soil_state, thermal_time)
 from croprl.state import FIELD_ORDER, StateVector
 from croprl.weather import DailyWeather
 
@@ -261,6 +261,26 @@ def test_grain_n_transfer_is_capped_by_plant_n():
     assert new_crop.grain_n == 5.0 + fluxes.trnu
     assert digest(day) == ("36ca65a28242ee30894f0b74f8dcfe33"
                            "df7aa38ff5885eeb1d134438c3a7c4c8")
+
+
+def test_drainage_is_capped_by_the_space_in_the_layer_below():
+    # a saturated top layer over one 0.5 mm short of saturation
+    soil = SoilState((0.36, 0.359, 0.30), (10.0, 5.0, 5.0), 2000.0)
+    weather = DailyWeather(0.0, 10.0, 25.0, 15.0)
+    day = advance_day(active_crop(), soil, weather, 0.0, PROFILE, CROP, NITRO,
+                      PLTPOP)
+    _, soil1, fluxes, _ = day
+    fc, sat = PROFILE.field_capacity, PROFILE.saturation
+    # the top layer keeps more than its uncapped share of the excess ...
+    assert soil1.sw[0] > fc + (1.0 - PROFILE.drain_coef) * (sat - fc)
+    # ... and the layer below fills to saturation, then drains its own share
+    assert soil1.sw[1] == pytest.approx(sat - PROFILE.drain_coef * (sat - fc),
+                                        abs=1e-12)
+    w_rel, n_rel = balance_residuals(PROFILE, soil, soil1, weather, 0.0,
+                                     fluxes)
+    assert w_rel < 1e-12 and n_rel < 1e-12
+    assert digest(day) == ("485cb884845fc0d07efe46dea1a620c3"
+                           "f3ce06b1410c78081404295243f19bdc")
 
 
 @given(extra=st.floats(0.0, 200.0))
