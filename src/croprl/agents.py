@@ -14,10 +14,11 @@ Two trainable agents:
   action stays continuous.
 
 Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
-its weights. Both agents store normalized observations. ``policy_from_dict``
-turns the greedy policy that either ``to_dict`` writes back into plain
-functions, without building a learner. The fixed single-dose reference
-policy is ``harness.baseline_policy``.
+its weights. Both agents store normalized observations. Each agent's ``act``
+is a policy in ``harness.run_episode``'s one shape, ``(dose_kg, action)``.
+``policy_from_dict`` builds the greedy policy that ``to_dict`` writes in that
+shape, without a learner: a run scores it and a checkpoint loads it. The
+fixed single-dose reference policy is ``harness.baseline_policy``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import DISCRETE_ACTIONS_KG
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .net import (AdamState, ParamSet, adam_step, backward, forward,
                   forward_cached, init_params, input_gradient, net_from_dict,
                   net_to_dict)
@@ -63,9 +64,7 @@ def discretize_action(a: float) -> float:
 def _check_hyper(h, least: dict[str, int]) -> None:
     """Checks shared by DqnHyper and SacHyper; ``least`` gives the minimums
     of integer fields beyond the shared sizes."""
-    for name, value in h.__dict__.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite: {value}")
+    check_fields(h)
     # gamma = 0 is allowed: targets then reduce to the immediate rewards
     if not 0.0 <= h.gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1]: {h.gamma}")
@@ -107,9 +106,10 @@ class DqnHyper:
 
 
 def dqn_select_action(params: ParamSet, obs: np.ndarray, epsilon: float,
-                      rng: np.random.Generator) -> int:
+                      rng: np.random.Generator | None) -> int:
     """Epsilon-greedy over the Q-net's outputs, one per action; greedy ties
-    break toward the lowest index."""
+    break toward the lowest index. At epsilon 0 nothing is drawn from
+    ``rng``, which may be None."""
     n_in = params[0][0].shape[0]
     if np.ndim(obs) != 1 or len(obs) != n_in:
         raise ShapeError(f"observation length {np.shape(obs)} != {n_in}")
@@ -151,16 +151,11 @@ class DqnAgent:
         self.epsilon = epsilon_schedule(episode, self.hyper.epsilon_decay)
         return self.epsilon
 
-    def act(self, obs: np.ndarray) -> int:
-        return dqn_select_action(self.params, obs, self.epsilon, self.rng)
-
-    def greedy_action(self, obs: np.ndarray) -> int:
-        return dqn_select_action(self.params, obs, 0.0, self.rng)
-
-    @staticmethod
-    def dose(action_index: int) -> float:
-        """The amount in kg/ha that an action index applies."""
-        return DISCRETE_ACTIONS_KG[action_index]
+    def act(self, state, obs: np.ndarray) -> tuple[float, int]:
+        """The epsilon-greedy policy: the dose of the chosen index, and the
+        index."""
+        i = dqn_select_action(self.params, obs, self.epsilon, self.rng)
+        return DISCRETE_ACTIONS_KG[i], i
 
     def observe(self, obs, action_index, reward, next_obs, done) -> None:
         self.buffer.push(obs, action_index, reward, next_obs, done)
@@ -281,22 +276,14 @@ class SacAgent:
     def alpha(self) -> float:
         return math.exp(self.log_alpha)
 
-    def greedy_action(self, obs: np.ndarray) -> float:
-        return sac_mean_action(self.actor, obs)
-
-    def act(self, obs: np.ndarray) -> float:
-        """Draw a raw continuous action from the squashed Gaussian."""
+    def act(self, state, obs: np.ndarray) -> tuple[float, float]:
+        """The stochastic policy: the dose nearest a raw continuous action
+        drawn from the squashed Gaussian, and that raw action."""
         out = forward(self.actor, obs)
         log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
         xi = self.rng.standard_normal()
-        u = out[0] + math.exp(log_std) * xi
-        return _MID + _HALF * math.tanh(u)
-
-    @staticmethod
-    def dose(raw_action: float) -> float:
-        """The amount in kg/ha that a raw action applies: the nearest
-        discrete one."""
-        return discretize_action(raw_action)
+        raw = _MID + _HALF * math.tanh(out[0] + math.exp(log_std) * xi)
+        return discretize_action(raw), raw
 
     def observe(self, obs, raw_action, reward, next_obs, done) -> None:
         self.buffer.push(obs, raw_action, reward, next_obs, done)
@@ -359,24 +346,14 @@ class SacAgent:
         clip_mask = ((out[:, 1] > LOG_STD_MIN)
                      & (out[:, 1] < LOG_STD_MAX)).astype(float)
 
+        # d(minQ)/d(action input) is the smaller critic's, the first on ties;
+        # each row's input gradient reads only that row
         xin_pi = self._critic_input(obs, t)
-        q_pi = []
-        caches_pi = []
-        for i in range(2):
-            q, cache = forward_cached(self.critics[i], xin_pi)
-            q_pi.append(q[:, 0])
-            caches_pi.append(cache)
-        which = np.argmin(np.stack(q_pi, axis=1), axis=1)
-        # d(minQ)/d(action input): input-gradient of the smaller critic
-        dq_da = np.zeros(len(t))
-        for i in range(2):
-            sel = which == i
-            if not np.any(sel):
-                continue
-            gout = np.zeros((len(t), 1))
-            gout[sel, 0] = 1.0
-            gin = input_gradient(self.critics[i], caches_pi[i], gout)
-            dq_da[sel] = gin[sel, -1]
+        (q0, c0), (q1, c1) = (forward_cached(c, xin_pi) for c in self.critics)
+        ones = np.ones((len(t), 1))
+        dq_da = np.where(q0[:, 0] <= q1[:, 0],
+                         input_gradient(self.critics[0], c0, ones)[:, -1],
+                         input_gradient(self.critics[1], c1, ones)[:, -1])
 
         dlogp_du = 2.0 * t * one_m_t2 / (one_m_t2 + 1e-6 / _HALF)
         dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(t)
@@ -416,9 +393,9 @@ class SacAgent:
 
 def policy_from_dict(data: dict):
     """The greedy policy of an ``agent`` entry that ``to_dict`` wrote, as
-    ``(obs_dim, choose, dose)``: ``choose(obs)`` is the live agent's
-    ``greedy_action`` and ``dose(action)`` its ``dose``. Only the policy net
-    is built. Of ``hyper``, only a SAC file's action range is read: it fixes
+    ``(obs_dim, policy)``, with ``policy`` in ``act``'s shape: the Q-net's
+    argmax at epsilon 0, or the actor's mean action. Only the policy net is
+    built. Of ``hyper``, only a SAC file's action range is read: it fixes
     which doses the actor's output means."""
     kind = data["kind"]
     if kind == "dqn":
@@ -426,11 +403,11 @@ def policy_from_dict(data: dict):
         if qnet.sizes[-1] != len(DISCRETE_ACTIONS_KG):
             raise ConfigError(f"Q-net sizes {qnet.sizes} need one output "
                               f"per dose")
-        rng = np.random.default_rng(0)  # never drawn from at epsilon 0
 
-        def choose(obs):
-            return dqn_select_action(qnet, obs, 0.0, rng)
-        return qnet.sizes[0], choose, DqnAgent.dose
+        def greedy(state, obs):
+            i = dqn_select_action(qnet, obs, 0.0, None)
+            return DISCRETE_ACTIONS_KG[i], i
+        return qnet.sizes[0], greedy
     if kind == "sac":
         hyper = data.get("hyper", {})
         for key, fixed in zip(("action_low", "action_high"),
@@ -442,6 +419,9 @@ def policy_from_dict(data: dict):
         if actor.sizes[-1] != 2:
             raise ConfigError(f"actor sizes {actor.sizes} need 2 outputs, "
                               f"the mean and log-std")
-        return (actor.sizes[0], lambda obs: sac_mean_action(actor, obs),
-                SacAgent.dose)
+
+        def greedy(state, obs):
+            raw = sac_mean_action(actor, obs)
+            return discretize_action(raw), raw
+        return actor.sizes[0], greedy
     raise ConfigError(f"unknown agent kind {kind!r}")

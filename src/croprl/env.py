@@ -23,20 +23,19 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EpisodeFinishedError
+from .errors import ConfigError, EpisodeFinishedError, check_fields
 from .reward import RewardBreakdown, RewardConfig, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
                         initial_soil_state, thermal_time)
 from .state import StateVector
-from .weather import (MONTH_LENGTHS, WEATHER_MODES, DailyWeather,
-                      MonthlyClimate, WeatherModel, load_preset_climate)
+from .weather import (MONTH_LENGTHS, WEATHER_MODES, MonthlyClimate,
+                      WeatherModel, load_preset_climate)
 
 #: Discrete fertilizer amounts available to the agents, kg/ha.
 DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
@@ -73,6 +72,7 @@ class ScenarioConfig:
     action_frequency: int = 1       # days between permitted applications
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("start_doy", "planting_doy", "latest_harvest_doy"):
             doy = getattr(self, name)
             if doy is not None and not 1 <= doy <= 366:
@@ -82,9 +82,14 @@ class ScenarioConfig:
             raise ConfigError("planting date must come after simulation start")
         if self.latest_harvest_doy is not None \
                 and self.latest_harvest_doy <= self.planting_doy:
-            raise ConfigError("latest harvest must come after planting")
-        if not 0.0 < self.plant_density < math.inf:
-            raise ConfigError("plant_density must be finite and positive")
+            raise ConfigError("latest_harvest_doy must follow planting_doy")
+        if not self.plant_density > 0.0:
+            raise ConfigError("plant_density must be positive")
+        if len(self.initial_nitrate) != self.soil.n_layers:
+            raise ConfigError("initial_nitrate must give one value per layer")
+        if min(*self.initial_nitrate, self.initial_organic_n) < 0.0:
+            raise ConfigError("initial_nitrate and initial_organic_n must "
+                              "be nonnegative")
         if self.action_frequency < 1:
             raise ConfigError("action frequency must be >= 1")
         if self.weather_mode not in WEATHER_MODES:
@@ -178,7 +183,7 @@ class NitrogenEnv:
         episode_seed = np.random.SeedSequence(
             [cfg.weather_seed, int(seed)]).generate_state(1)[0]
         self._weather_rows = self.weather_model.series_for_episode(
-            int(episode_seed)).tolist()
+            int(episode_seed))
         self._crop = CropState()
         self._soil = initial_soil_state(cfg.soil, cfg.initial_nitrate,
                                         cfg.initial_organic_n)
@@ -246,8 +251,8 @@ class NitrogenEnv:
         """The state after ``fluxes`` and ``indices``; it also fetches the
         weather of the day the next step simulates."""
         cfg = self.config
-        self._weather = weather = DailyWeather(
-            *self._weather_rows[cfg.start_doy + self._day - 1])
+        self._weather = weather = self._weather_rows[
+            cfg.start_doy + self._day - 1]
         crop, soil = self._crop, self._soil
         # positional, in FIELD_ORDER: keywords make a NamedTuple slower
         return StateVector(

@@ -1,10 +1,13 @@
 """Experiment runner: multi-seed training, policy evaluation, ablations.
 
+Every policy has the one shape ``run_episode`` defines; learners' ``act`` and
+checkpoints' greedy policies (``agents.policy_from_dict``) produce it.
 ``run_training`` trains one agent per seed on a fresh environment, logs one
-curve row per episode and checkpoints the final policy. ``score_episodes`` is
-the one scoring loop: it scores each trial's greedy policy, each single-dose
-reference and each ``evaluate_policy`` episode, and checks the reward identity
-of every episode it runs. A run writes a report directory:
+curve row per episode, and scores the greedy policy built from the checkpoint
+it writes. ``score_episodes`` is the one scoring loop: it scores each trial's
+greedy policy, each single-dose reference and each ``evaluate_policy``
+episode, and checks the reward identity of every episode it runs. A run
+writes a report directory:
 
     trial_<seed>_curve.csv        per-episode metrics for one seed
     trial_<seed>_checkpoint.json  greedy policy: DQN Q-net or SAC actor
@@ -114,6 +117,7 @@ class TrialResult:
     curve: list = field(default_factory=list)  # CURVE_COLUMNS rows
     convergence_episode: int | None = None
     summary: EpisodeSummary | None = None
+    records: list = field(default_factory=list)  # the greedy episode's days
 
 
 @dataclass
@@ -155,12 +159,13 @@ def run_episode(env: NitrogenEnv, policy, mask: ObservationMask,
                 ) -> tuple[EpisodeSummary, list[DayRecord]]:
     """Roll out one episode; every episode in the package runs through here.
 
-    ``policy(state, normalized_obs)`` returns ``(dose_kg, action)``: the
-    dose goes to ``env.step`` and the action is what a learner stores (the
-    DQN action index, or SAC's raw continuous action; fixed policies return
-    the dose twice). ``on_step(obs, action, reward, next_obs, done)`` runs
-    after every step; training passes the agent's ``observe``. Returns the
-    summary and the episode's day records.
+    ``policy(state, normalized_obs)`` returns ``(dose_kg, action)``, the one
+    policy shape of the package: learners' ``act`` and checkpoints' greedy
+    policies have it too. The dose goes to ``env.step`` and the action is
+    what a learner stores: the DQN action index, or SAC's raw continuous
+    action; fixed policies return the dose twice. ``on_step(obs, action,
+    reward, next_obs, done)`` runs after every step; training passes the
+    agent's ``observe``. Returns the summary and the episode's day records.
     """
     state = env.reset(seed=seed)
     obs = normalize_observation(observe(state, mask), mask)
@@ -228,16 +233,6 @@ def baseline_policy(amount: float):
     return call
 
 
-def agent_policy(choose, dose):
-    """A policy that takes ``choose(obs)`` as its action and applies
-    ``dose(action)`` kg/ha: an agent's ``act`` (exploring) or
-    ``greedy_action`` with its ``dose``, or a loaded checkpoint's pair."""
-    def call(state, obs):
-        action = choose(obs)
-        return dose(action), action
-    return call
-
-
 def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
     """Load a checkpoint's greedy policy; returns (policy, metadata dict).
 
@@ -249,7 +244,7 @@ def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        obs_dim, choose, dose = policy_from_dict(data["agent"])
+        obs_dim, policy = policy_from_dict(data["agent"])
     except _UNREADABLE as exc:
         why = exc if isinstance(exc, ConfigError) else repr(exc)
         raise ConfigError(f"cannot load checkpoint {path}: {why}") from exc
@@ -266,7 +261,7 @@ def load_checkpoint(path, config: ExperimentConfig | None = None) -> tuple:
         if obs_dim != size:
             raise ConfigError(f"checkpoint policy reads {obs_dim} "
                               f"observation values, config gives {size}")
-    return agent_policy(choose, dose), meta
+    return policy, meta
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,6 @@ def train_trial(config: ExperimentConfig, seed: int
     agent = AGENTS[config.agent_kind](mask.size(env.n_layers), config.hyper,
                                       seed=seed)
     trial = TrialResult(seed=seed)
-    explore = agent_policy(agent.act, agent.dose)
 
     # the first overflow or NaN fails the trial, whatever the warning filter
     try:
@@ -289,7 +283,7 @@ def train_trial(config: ExperimentConfig, seed: int
             for ep in range(config.hyper.episodes):
                 epsilon = (agent.begin_episode(ep)
                            if config.agent_kind == "dqn" else 0.0)
-                summary, _ = run_episode(env, explore, mask, seed=ep,
+                summary, _ = run_episode(env, agent.act, mask, seed=ep,
                                          on_step=agent.observe)
                 total = summary.cumulative_reward
                 if not np.isfinite(total):
@@ -334,28 +328,29 @@ def run_training(config: ExperimentConfig) -> RunReport:
     report = RunReport()
     out = output_dir(config.out_dir)
 
-    episodes_log = []
     for seed in config.seeds:
         trial, agent = train_trial(config, seed)
         report.trials.append(trial)
         if not trial.failed:
-            trial.summary, records = next(score_episodes(agent_policy(
-                agent.greedy_action, agent.dose), config.scenario, config.mask))
-            episodes_log.append({"method": f"{config.agent_kind}_seed{seed}",
-                                 "records": records})
+            # the greedy policy scored is the one the checkpoint holds
+            entry = agent.to_dict()
+            trial.summary, trial.records = next(score_episodes(
+                policy_from_dict(entry)[1], config.scenario, config.mask))
             _write_checkpoint(out / f"trial_{seed}_checkpoint.json", config,
-                              agent, seed)
+                              entry, seed)
         _write_csv(out / f"trial_{seed}_curve.csv", CURVE_COLUMNS, trial.curve)
 
     report.baselines = sweep_baselines(config.scenario, config.baseline_grid,
                                        config.mask)
     report.elapsed_s = time.time() - t0
-    emit_report(report, out, episodes_log, config)
+    emit_report(report, out, config)
     return report
 
 
-def _write_checkpoint(path, config: ExperimentConfig, agent, seed: int):
-    data = {"agent": agent.to_dict(), "scenario": config.scenario.name,
+def _write_checkpoint(path, config: ExperimentConfig, entry: dict,
+                      seed: int):
+    """Write ``entry``, an agent's ``to_dict``, with the run's keys."""
+    data = {"agent": entry, "scenario": config.scenario.name,
             "action_frequency": config.scenario.action_frequency,
             "observation": config.observation, "seed": seed,
             "episodes": config.hyper.episodes,
@@ -519,7 +514,7 @@ def _dose_key(amount: float) -> str:
     return repr(float(amount) + 0.0).removesuffix(".0")
 
 
-def emit_report(report: RunReport, out: Path, episodes_log: list,
+def emit_report(report: RunReport, out: Path,
                 config: ExperimentConfig) -> None:
     """Write curves.csv, tables.csv, episodes.jsonl, and manifest.json."""
     _write_csv(out / "curves.csv",
@@ -532,18 +527,15 @@ def emit_report(report: RunReport, out: Path, episodes_log: list,
         s = report.baselines[amount]
         rows.append((f"baseline_{_dose_key(amount)}", s.total_n, s.total_leach,
                      s.total_uptake, s.topwt, s.cumulative_reward))
-    for trial in report.successful():
-        s = trial.summary
-        rows.append((f"{config.agent_kind}_seed{trial.seed}", s.total_n,
-                     s.total_leach, s.total_uptake, s.topwt,
-                     s.cumulative_reward))
-    _write_csv(out / "tables.csv", TABLE_COLUMNS, rows)
-
     with open(out / "episodes.jsonl", "w") as fh:
-        for entry in episodes_log:
-            for rec in entry["records"]:
-                fh.write(json.dumps({"method": entry["method"],
-                                     **rec.as_dict()}, sort_keys=True) + "\n")
+        for trial in report.successful():
+            method, s = f"{config.agent_kind}_seed{trial.seed}", trial.summary
+            rows.append((method, s.total_n, s.total_leach, s.total_uptake,
+                         s.topwt, s.cumulative_reward))
+            for rec in trial.records:
+                fh.write(json.dumps({"method": method, **rec.as_dict()},
+                                    sort_keys=True) + "\n")
+    _write_csv(out / "tables.csv", TABLE_COLUMNS, rows)
 
     manifest = {
         "config_digest": config_digest(config),

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .weather import DailyWeather
 
 # growth-stage codes (istage)
@@ -63,6 +63,7 @@ class SoilProfile:
         if not 0.0 < self.depth_cm < math.inf or self.n_layers < 1:
             raise ConfigError("soil needs a finite positive soil_depth_cm "
                               "and layers")
+        check_fields(self, ("drain_coef",))
         if not 0 < self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
 
@@ -89,6 +90,11 @@ class CropParams:
     n_conc_flowering: float = 0.016
     n_conc_grainfill: float = 0.011
 
+    def __post_init__(self):
+        check_fields(self, ("grain_fraction",))
+        if not self.phyllochron > 0.0:
+            raise ConfigError("phyllochron must be positive")
+
     def demand_concentration(self, istage: int) -> float:
         if istage == VEGETATIVE:
             return self.n_conc_vegetative
@@ -109,6 +115,9 @@ class NitrogenParams:
     denitrification_sw_frac: float = 0.95  # of saturation
     et_coef: float = 0.6 / 2.45           # mm of water per MJ/m2 of radiation
     evap_floor_frac: float = 0.5          # air-dry bound as fraction of wilting point
+
+    def __post_init__(self):
+        check_fields(self, ("volatilization_frac", "denitrification_frac"))
 
 
 class SoilState(NamedTuple):
@@ -155,8 +164,6 @@ class GrowthIndices(NamedTuple):
 def initial_soil_state(profile: SoilProfile, nitrate: tuple[float, ...],
                        organic_n: float) -> SoilState:
     """Every layer at field capacity, with the given nitrate and organic N."""
-    if len(nitrate) != profile.n_layers:
-        raise ConfigError("initial nitrate must give one value per layer")
     return SoilState(sw=(profile.field_capacity,) * profile.n_layers,
                      nitrate=tuple(nitrate), organic_n=organic_n)
 

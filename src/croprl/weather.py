@@ -14,7 +14,8 @@ Two modes:
 * ``stochastic``: a fresh series is sampled per episode from a caller seed.
 
 A year is a pure function of ``(climate, last_doy, seed)``: it is drawn once
-per process, memoized under that key, at most 256 years, and shared read-only.
+per process, memoized under that key, at most 256 years, and shared as an
+immutable tuple of ``DailyWeather`` rows, one per day from January 1st.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 WEATHER_MODES = ("fixed-trace", "stochastic")
 # 0-based month of each day of a 366-day (leap-layout) year
 MONTH_LENGTHS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _DOY_MONTH = tuple(m for m, n in enumerate(MONTH_LENGTHS) for _ in range(n))
-YEAR_MEMO_SIZE = 256  # years; 256 x 366 days x 4 floats is about 3 MB
+YEAR_MEMO_SIZE = 256  # years; a 366-day tuple is about 60 KB, so about 16 MB
 
 
 class DailyWeather(NamedTuple):
@@ -61,14 +62,10 @@ class MonthlyClimate:
     wet_srad_factor: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("p_wet_dry", "p_wet_wet"):
-            if any(not 0.0 <= p <= 1.0 for p in getattr(self, name)):
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        check_fields(self, ("p_wet_dry", "p_wet_wet", "wet_srad_factor"))
         for name in ("rain_mm", "tmax_sd", "tmin_sd", "srad_mean", "srad_sd"):
             if any(v <= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be positive")
-        if any(not 0.0 <= f <= 1.0 for f in self.wet_srad_factor):
-            raise ConfigError("wet_srad_factor must lie in [0, 1]")
         for name in self.__dataclass_fields__:
             if len(getattr(self, name)) != 12:
                 raise ConfigError(f"{name} needs 12 monthly entries")
@@ -95,14 +92,15 @@ class WeatherModel:
         self.mode = mode
         self.seed = int(seed)
         self.last_doy = last_doy
-        self._trace: np.ndarray | None = None
+        self._trace: tuple[DailyWeather, ...] | None = None
 
-    def sample_year(self, seed: int) -> np.ndarray:
+    def sample_year(self, seed: int) -> tuple[DailyWeather, ...]:
         """Days 1 to ``last_doy`` drawn from ``seed``: memoized per
-        ``(climate, last_doy, seed)``, at most 256 years, and read-only."""
+        ``(climate, last_doy, seed)``, at most 256 years, and immutable."""
         return _draw_year(self.climate, self.last_doy, seed)
 
-    def series_for_episode(self, episode_seed: int) -> np.ndarray:
+    def series_for_episode(self, episode_seed: int
+                           ) -> tuple[DailyWeather, ...]:
         if self.mode == "stochastic":
             return self.sample_year(episode_seed)
         if self._trace is None:
@@ -112,7 +110,7 @@ class WeatherModel:
 
 @lru_cache(maxsize=YEAR_MEMO_SIZE)
 def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
-    """Sample days 1 to ``last_doy``; rows are (rain, srad, tmax, tmin).
+    """Sample days 1 to ``last_doy`` as ``DailyWeather`` rows of floats.
 
     Rain occurrence follows the wet/dry chain from a dry day before
     January 1st. Each day draws, in order: a uniform for occurrence, an
@@ -141,10 +139,8 @@ def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
         srad = srad_mean + srad_sd * normal()
         if wet:
             srad *= wet_srad_factor
-        rows.append((rain, max(srad, 0.1), tmax, tmin))
-    year = np.array(rows)
-    year.flags.writeable = False
-    return year
+        rows.append(DailyWeather(rain, max(srad, 0.1), tmax, tmin))
+    return tuple(rows)
 
 
 def load_climate_csv(path) -> MonthlyClimate:

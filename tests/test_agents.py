@@ -9,7 +9,7 @@ from croprl import agents
 from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
                            discretize_action, dqn_select_action,
                            dqn_td_targets, epsilon_schedule, policy_from_dict,
-                           polyak_update)
+                           polyak_update, sac_mean_action)
 from croprl.env import DISCRETE_ACTIONS_KG
 from croprl.errors import ConfigError, ShapeError
 from croprl.harness import baseline_policy, load_checkpoint
@@ -251,17 +251,30 @@ def updated_agent(kind):
     return agent
 
 
+def greedy_of(agent, obs):
+    """The live agent's greedy (dose, action): the Q-net's first argmax, or
+    the actor's mean action and the dose nearest it."""
+    if isinstance(agent, DqnAgent):
+        i = int(np.argmax(forward(agent.params, obs)))
+        return DISCRETE_ACTIONS_KG[i], i
+    raw = sac_mean_action(agent.actor, obs)
+    return discretize_action(raw), raw
+
+
 def assert_loaded_plays_greedy(agent):
     """The checkpoint's loaded policy gives the live agent's greedy
-    (dose, action) on 50 observations."""
-    obs_dim, choose, dose = policy_from_dict(
+    (dose, action) on 50 observations; at epsilon 0 a DQN agent's ``act``
+    gives it too."""
+    obs_dim, policy = policy_from_dict(
         json.loads(json.dumps(agent.to_dict())))
     assert obs_dim == 4
     rng = np.random.default_rng(6)
     for _ in range(50):
         obs = rng.uniform(size=4)
-        action = agent.greedy_action(obs)
-        assert (dose(choose(obs)), choose(obs)) == (agent.dose(action), action)
+        assert policy(None, obs) == greedy_of(agent, obs)
+        if isinstance(agent, DqnAgent):
+            agent.epsilon = 0.0
+            assert agent.act(None, obs) == greedy_of(agent, obs)
 
 
 def test_dqn_checkpoint_reproduces_greedy_policy():
@@ -375,17 +388,16 @@ def test_loading_a_checkpoint_builds_no_learner(tmp_path, monkeypatch, kind):
         type(agent)(4, agent.hyper)
     policy, _ = load_checkpoint(path)
     obs = np.full(4, 0.5)
-    action = agent.greedy_action(obs)
-    assert policy(None, obs) == (agent.dose(action), action)
+    assert policy(None, obs) == greedy_of(agent, obs)
 
 
 def test_sac_actions_respect_bounds_and_discretization():
     agent = SacAgent(3, SacHyper(hidden=(8,)), seed=1)
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = agent.act(rng.uniform(size=3))
+        dose, a = agent.act(None, rng.uniform(size=3))
         assert 0.0 <= a <= 200.0
-        assert discretize_action(a) in DISCRETE_ACTIONS_KG
+        assert dose == discretize_action(a) and dose in DISCRETE_ACTIONS_KG
 
 
 def test_sac_checkpoint_reproduces_mean_action():
@@ -427,6 +439,6 @@ def test_sac_bandit_learns_the_optimum_single_seed():
     agent = SacAgent(1, hyper, seed=0)
     obs = np.zeros(1)
     while agent.updates < 1500:
-        a = agent.act(obs)
+        _, a = agent.act(None, obs)
         agent.observe(obs, a, -0.01 * (a - 120.0) ** 2, obs, True)
-    assert abs(agent.greedy_action(obs) - 120.0) <= 15.0
+    assert abs(sac_mean_action(agent.actor, obs) - 120.0) <= 15.0

@@ -79,6 +79,14 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["run.baseline_grid="],  # a table with no reference row
     ["reward.w1=1e308"],  # finite, but the harvest reward would not be
     ["run.seeds=1,2", "run.trials=3"],  # seeds give the count unless it is set
+    ["agent.episodes"],  # an override with no value
+    ["episodes=2"],  # an override with no section
+    ["scenario.location=mars"],
+    ["agent.kind=ppo"],
+    ["scenario.latest_harvest_doy=100"],  # before Iowa's planting date
+    ["agent.gamma=2"],
+    ["agent.epsilon_decay=1"],  # never decays
+    ["agent.kind=sac", "agent.tau=0"],  # targets never move
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -337,6 +345,7 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/inf_bias.json"],
     ["--checkpoint", "{dir}/huge_weight.json"],
     ["--baseline", "160", "--set", "reward.w1=1e308"],  # an infinite reward
+    ["--baseline", "160", "--config", "{dir}/missing.ini"],  # the last wins
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, tmp_path, capsys, argv):

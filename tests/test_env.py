@@ -89,6 +89,45 @@ def test_invalid_configs_rejected():
         iowa_scenario(action_frequency=0)
 
 
+NAN = float("nan")
+TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
+
+
+@pytest.mark.parametrize("part,name,value", [
+    # a value that is not finite, in each config dataclass
+    ("soil", "drain_coef", NAN),
+    ("crop", "t_base", math.inf),
+    ("nitro", "mineralization_rate", NAN),
+    ("climate", "tmax_mean", TWELVE_WITH_NAN),
+    ("climate", "rain_mm", TWELVE_WITH_NAN),
+    ("scenario", "initial_organic_n", NAN),
+    ("scenario", "initial_nitrate", (8.0, NAN, 3.0)),
+    # a divisor of zero
+    ("crop", "phyllochron", 0.0),
+    # a fraction outside [0, 1]
+    ("soil", "drain_coef", 1.5),
+    ("nitro", "volatilization_frac", -0.1),
+    ("nitro", "denitrification_frac", 2.0),
+    ("crop", "grain_fraction", 1.1),
+    # negative or misshapen initial pools
+    ("scenario", "initial_nitrate", (-50.0, 0.0, 0.0)),
+    ("scenario", "initial_organic_n", -1.0),
+    ("scenario", "initial_nitrate", (8.0, 4.0)),
+], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
+    str(v).replace(" ", ""))
+def test_bad_physical_parameters_are_refused_at_construction(part, name,
+                                                             value):
+    """Refused when the scenario is built, not mid-episode or as wrong
+    numbers at its end."""
+    scenario = iowa_scenario()
+    with pytest.raises(ConfigError, match=name):
+        if part == "scenario":
+            dataclasses.replace(scenario, **{name: value})
+        else:
+            dataclasses.replace(scenario, **{part: dataclasses.replace(
+                getattr(scenario, part), **{name: value})})
+
+
 @pytest.mark.parametrize("field,doy", [
     ("start_doy", 0), ("planting_doy", 400), ("latest_harvest_doy", 367),
     ("latest_harvest_doy", -5)])
@@ -277,9 +316,8 @@ def test_weather_stops_at_the_last_day_an_episode_reads(preset, mode):
     full_year = WeatherModel(scenario.climate, mode, seed=5)
     for seed in (0, 1):
         series = env.weather_model.series_for_episode(seed)
-        assert series.shape == (last, 4)
-        assert series.tobytes() == \
-            full_year.series_for_episode(seed)[:last].tobytes()
+        assert len(series) == last
+        assert series == full_year.series_for_episode(seed)[:last]
 
 
 # sha256 over the JSON of every DayRecord of three episodes (seeds 0, 1, 2)

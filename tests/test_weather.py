@@ -8,8 +8,9 @@ from croprl.env import iowa_scenario
 from croprl.errors import ConfigError
 from croprl.harness import BASELINE_GRID, baseline_policy, evaluate_policy
 from croprl.state import ObservationMask
-from croprl.weather import (CLIMATE_COLUMNS, MonthlyClimate, WeatherModel,
-                            load_climate_csv, load_preset_climate)
+from croprl.weather import (CLIMATE_COLUMNS, DailyWeather, MonthlyClimate,
+                            WeatherModel, load_climate_csv,
+                            load_preset_climate)
 
 
 def flat_climate(p_wet_dry=0.3, p_wet_wet=0.5, rain_mm=12.0):
@@ -28,31 +29,37 @@ def test_each_day_draws_from_its_month_of_the_leap_calendar():
     p = tuple(1.0 if m == 1 else 0.0 for m in range(12))
     climate = dataclasses.replace(flat_climate(), p_wet_dry=p, p_wet_wet=p)
     series = WeatherModel(climate, mode="stochastic").sample_year(4)
-    wet_days = np.flatnonzero(series[:, 0] > 0.0) + 1
-    assert wet_days.tolist() == list(range(32, 61))
+    wet_days = [doy for doy, day in enumerate(series, 1) if day.rain > 0.0]
+    assert wet_days == list(range(32, 61))
 
 
 def test_fixed_trace_ignores_the_episode_seed():
     model = WeatherModel(flat_climate(), mode="fixed-trace", seed=3)
     assert model.series_for_episode(1) is model.series_for_episode(2)
-    assert np.array_equal(model.series_for_episode(1), model.sample_year(3))
+    assert model.series_for_episode(1) == model.sample_year(3)
 
 
 def test_seeded_series_reproducible():
     model = WeatherModel(flat_climate(), seed=11)
     s1 = model.sample_year(42)
     s2 = model.sample_year(42)
-    assert np.array_equal(s1, s2)
-    assert not np.array_equal(s1, model.sample_year(43))
+    assert s1 == s2
+    assert s1 != model.sample_year(43)
 
 
 def test_a_year_is_drawn_once_and_shared_read_only():
     year = WeatherModel(flat_climate(), mode="stochastic").sample_year(42)
-    # another model of the same climate gets the same array
+    # another model of the same climate gets the same tuple
     assert WeatherModel(flat_climate(), mode="stochastic").sample_year(42) \
         is year
-    with pytest.raises(ValueError, match="read-only"):
-        year[0, 0] = 1.0
+    # a row of Python floats per day, neither of them writable
+    assert type(year) is tuple and len(year) == 366
+    assert all(type(day) is DailyWeather for day in year)
+    assert {type(value) for day in year for value in day} == {float}
+    with pytest.raises(TypeError):
+        year[0] = year[1]
+    with pytest.raises(AttributeError):
+        year[0].rain = 1.0
 
 
 def test_each_climate_and_last_day_has_its_own_year():
@@ -60,11 +67,11 @@ def test_each_climate_and_last_day_has_its_own_year():
     full = WeatherModel(climate).sample_year(9)
     short = WeatherModel(climate, last_doy=298).sample_year(9)
     assert WeatherModel(climate, last_doy=298).sample_year(9) is short
-    assert short.shape == (298, 4) and full.shape == (366, 4)
+    assert len(short) == 298 and len(full) == 366
     # the first 298 days make the same draws
-    assert short.tobytes() == full[:298].tobytes()
+    assert short == full[:298]
     other = WeatherModel(wetter).sample_year(9)
-    assert not np.array_equal(other, full)
+    assert other != full
 
 
 def test_a_dose_sweep_draws_each_weather_year_once():
@@ -79,26 +86,24 @@ def test_a_dose_sweep_draws_each_weather_year_once():
 def test_degenerate_chain_never_rains():
     model = WeatherModel(flat_climate(p_wet_dry=0.0, p_wet_wet=0.0),
                          mode="stochastic", seed=0)
-    series = model.sample_year(5)
-    assert np.all(series[:, 0] == 0.0)
+    assert all(day.rain == 0.0 for day in model.sample_year(5))
 
 
 def test_tmax_never_below_tmin():
     model = WeatherModel(flat_climate(), seed=2)
     for seed in range(5):
-        series = model.sample_year(seed)
-        assert np.all(series[:, 2] >= series[:, 3])
-        assert np.all(series[:, 0] >= 0.0)
-        assert np.all(series[:, 1] > 0.0)
+        for day in model.sample_year(seed):
+            assert day.tmax >= day.tmin
+            assert day.rain >= 0.0
+            assert day.srad > 0.0
 
 
 def test_wet_day_rain_matches_exponential_mean():
     """Monte-Carlo check of the wet-day amount parameter (mean 12 mm)."""
     model = WeatherModel(flat_climate(rain_mm=12.0), mode="stochastic", seed=0)
-    amounts = np.concatenate([model.sample_year(seed)[:, 0]
-                              for seed in range(80)])
-    amounts = amounts[amounts > 0.0]
-    assert amounts.size > 10_000
+    amounts = [day.rain for seed in range(80)
+               for day in model.sample_year(seed) if day.rain > 0.0]
+    assert len(amounts) > 10_000
     mean = float(np.mean(amounts))
     assert abs(mean - 12.0) / 12.0 < 0.05
 
@@ -170,5 +175,5 @@ def test_sample_year_matches_the_per_day_reference_bit_for_bit(preset):
     climate = load_preset_climate(preset)
     model = WeatherModel(climate, mode="stochastic")
     for seed in (0, 1, 17, 2**40 + 3):
-        assert model.sample_year(seed).tobytes() == \
+        assert np.array(model.sample_year(seed)).tobytes() == \
             reference_year(climate, seed).tobytes()
