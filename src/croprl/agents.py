@@ -24,7 +24,7 @@ fixed single-dose reference policy is ``harness.baseline_policy``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,21 +61,13 @@ def discretize_action(a: float) -> float:
     return best
 
 
-def _check_hyper(h, least: dict[str, int]) -> None:
-    """Checks shared by DqnHyper and SacHyper; ``least`` gives the minimums
-    of integer fields beyond the shared sizes."""
-    check_fields(h)
+def _check_hyper(h, **bounds: str) -> None:
+    """Checks shared by DqnHyper and SacHyper; ``bounds`` gives the
+    intervals of the fields beyond the shared ones."""
     # gamma = 0 is allowed: targets then reduce to the immediate rewards
-    if not 0.0 <= h.gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1]: {h.gamma}")
-    if h.lr <= 0.0:
-        raise ConfigError(f"lr must be positive: {h.lr}")
-    for name, low in {"batch_size": 1, "buffer_capacity": 1, "episodes": 0,
-                      "warmup": 0, **least}.items():
-        if getattr(h, name) < low:
-            raise ConfigError(f"{name} must be >= {low}: {getattr(h, name)}")
-    if min(h.hidden, default=1) < 1:
-        raise ConfigError(f"hidden layer widths must be >= 1: {h.hidden}")
+    check_fields(h, gamma="[0, 1]", lr="(0, inf)", batch_size="[1, inf)",
+                 buffer_capacity="[1, inf)", hidden="[1, inf)",
+                 episodes="[0, inf)", warmup="[0, inf)", **bounds)
     if h.buffer_capacity < max(h.batch_size, h.warmup):
         raise ConfigError(
             f"buffer_capacity must hold max(batch_size, warmup) = "
@@ -100,9 +92,8 @@ class DqnHyper:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        _check_hyper(self, {"target_update_interval": 1})
-        if not 0.0 < self.epsilon_decay < 1.0:
-            raise ConfigError("epsilon_decay must lie in (0, 1)")
+        _check_hyper(self, epsilon_decay="(0, 1)",
+                     target_update_interval="[1, inf)")
 
 
 def dqn_select_action(params: ParamSet, obs: np.ndarray, epsilon: float,
@@ -188,7 +179,7 @@ class DqnAgent:
     def to_dict(self) -> dict:
         """The greedy policy only: the Q-net and its hyper."""
         return {"kind": "dqn",
-                "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
+                "hyper": asdict(self.hyper) | {"hidden": list(self.hyper.hidden)},
                 "qnet": net_to_dict(self.params)}
 
 
@@ -210,9 +201,7 @@ class SacHyper:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        _check_hyper(self, {})
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1]: {self.tau}")
+        _check_hyper(self, tau="(0, 1]")
 
 
 #: the clamp on the SAC actor's log-std output
@@ -265,7 +254,6 @@ class SacAgent:
         self.log_alpha = 0.0
         self._log_alpha_m = 0.0
         self._log_alpha_v = 0.0
-        self._alpha_steps = 0
         self.buffer = ReplayBuffer(h.buffer_capacity, obs_dim,
                                    dtype=self.dtype)
         self.updates = 0
@@ -364,17 +352,16 @@ class SacAgent:
 
         # temperature
         g = -float(np.mean(logp + TARGET_ENTROPY)) * math.exp(self.log_alpha)
-        self._alpha_steps += 1
+        self.updates += 1
         self._log_alpha_m = 0.9 * self._log_alpha_m + 0.1 * g
         self._log_alpha_v = 0.999 * self._log_alpha_v + 0.001 * g * g
-        mhat = self._log_alpha_m / (1 - 0.9 ** self._alpha_steps)
-        vhat = self._log_alpha_v / (1 - 0.999 ** self._alpha_steps)
+        mhat = self._log_alpha_m / (1 - 0.9 ** self.updates)
+        vhat = self._log_alpha_v / (1 - 0.999 ** self.updates)
         self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
 
         # Polyak-averaged targets
         for i in range(2):
             polyak_update(self.targets[i], self.critics[i], h.tau)
-        self.updates += 1
         # the critics' regression loss, before their step
         return float(np.mean(critic_mse))
 
@@ -383,7 +370,7 @@ class SacAgent:
     def to_dict(self) -> dict:
         """The greedy policy only: the actor and its hyper."""
         return {"kind": "sac",
-                "hyper": self.hyper.__dict__.copy() | {"hidden": list(self.hyper.hidden)},
+                "hyper": asdict(self.hyper) | {"hidden": list(self.hyper.hidden)},
                 "actor": net_to_dict(self.actor)}
 
 

@@ -13,20 +13,23 @@ Recognized keys (defaults in parentheses):
 
 [scenario] (ScenarioConfig)
     location (iowa | florida)    preset supplying all omitted values
-    start_doy, planting_doy      day-of-year integers in 1..366
-    latest_harvest_doy           integer in 1..366 or ``none``
-    soil_depth_cm, plant_density, weather_seed
+    start_doy, planting_doy      day of year in [1, 366]
+    latest_harvest_doy           day of year in [1, 366], or ``none``
+    soil_depth_cm, plant_density  in (0, inf)
+    weather_seed                 in [0, inf)
     weather_mode                 fixed-trace | stochastic
-    action_frequency (1)         days between permitted applications
+    action_frequency (1)         days between applications, in [1, inf)
 
 [reward] (RewardConfig)
-    w1, w2, w3 (0.1), w4 (1), threshold (preset)  w1-w4 in [0, 1e6]
+    w1, w2, w3 (0.1), w4 (1)     each in [0, 1e+06]
+    threshold (preset)           in [0, inf]; ``inf`` charges no overage
 
 [agent] (DqnHyper or SacHyper)
-    kind (dqn | sac), episodes (1200), gamma, batch_size, lr,
-    hidden (e.g. ``128,128``), buffer_capacity, warmup
-    epsilon_decay, target_update_interval   dqn only
-    tau                                     sac only
+    kind (dqn | sac), gamma, lr  gamma in [0, 1], lr in (0, inf)
+    episodes (1200), warmup      in [0, inf)
+    batch_size, buffer_capacity, hidden (e.g. ``128,128``)  in [1, inf), each
+    epsilon_decay, target_update_interval   dqn only: in (0, 1), [1, inf)
+    tau                                     sac only: in (0, 1]
 
 [run] (ExperimentConfig)
     trials (5, or the number of seeds), seeds (1..trials),
@@ -129,8 +132,11 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
     if location not in SCENARIO_PRESETS:
         raise ConfigError(f"unknown scenario location {location!r}")
     scen = SCENARIO_PRESETS[location]()
-    soil = replace(scen.soil, depth_cm=values.pop("soil_depth_cm",
-                                                  scen.soil.depth_cm))
+    try:  # name the key the user typed, not the field it sets
+        soil = replace(scen.soil, depth_cm=values.pop("soil_depth_cm",
+                                                      scen.soil.depth_cm))
+    except ConfigError as exc:
+        raise ConfigError(f"scenario.soil_depth_cm: {exc}") from exc
     reward = replace(scen.reward, **_read(cfg, "reward", _REWARD))
     return replace(scen, soil=soil, reward=reward, **values)
 

@@ -72,30 +72,19 @@ class ScenarioConfig:
     action_frequency: int = 1       # days between permitted applications
 
     def __post_init__(self):
-        check_fields(self)
-        for name in ("start_doy", "planting_doy", "latest_harvest_doy"):
-            doy = getattr(self, name)
-            if doy is not None and not 1 <= doy <= 366:
-                raise ConfigError(f"{name} must be a day of year in 1..366: "
-                                  f"{doy}")
+        check_fields(self, start_doy="[1, 366]", planting_doy="[1, 366]",
+                     latest_harvest_doy="[1, 366]", initial_nitrate="[0, inf)",
+                     initial_organic_n="[0, inf)", plant_density="(0, inf)",
+                     weather_seed="[0, inf)", action_frequency="[1, inf)")
         if self.planting_doy <= self.start_doy:
             raise ConfigError("planting date must come after simulation start")
         if self.latest_harvest_doy is not None \
                 and self.latest_harvest_doy <= self.planting_doy:
             raise ConfigError("latest_harvest_doy must follow planting_doy")
-        if not self.plant_density > 0.0:
-            raise ConfigError("plant_density must be positive")
         if len(self.initial_nitrate) != self.soil.n_layers:
             raise ConfigError("initial_nitrate must give one value per layer")
-        if min(*self.initial_nitrate, self.initial_organic_n) < 0.0:
-            raise ConfigError("initial_nitrate and initial_organic_n must "
-                              "be nonnegative")
-        if self.action_frequency < 1:
-            raise ConfigError("action frequency must be >= 1")
         if self.weather_mode not in WEATHER_MODES:
             raise ConfigError(f"unknown weather_mode {self.weather_mode!r}")
-        if self.weather_seed < 0:
-            raise ConfigError("weather_seed must be >= 0")
 
 
 def iowa_scenario(**overrides) -> ScenarioConfig:

@@ -1,6 +1,5 @@
-"""Exception types, and the field check the config dataclasses share."""
+"""Exception types, and the range check the config dataclasses share."""
 
-import math
 from dataclasses import fields
 
 
@@ -16,15 +15,25 @@ class EpisodeFinishedError(RuntimeError):
     """Raised when step() is called on an environment whose episode is done."""
 
 
-def check_fields(obj, fractions=()) -> None:
-    """Refuse a non-finite float in any field of the dataclass ``obj``, or
-    in one of its tuple fields, and a value of a field named in
-    ``fractions`` outside [0, 1]. It reads each field by name: touching
-    ``obj.__dict__`` would slow every later attribute read of ``obj``."""
+def check_fields(obj, **bounds: str) -> None:
+    """Refuse a field of the dataclass ``obj`` outside its interval, as
+    ``"{name} must lie in {interval}: {value}"``. ``bounds`` maps a field
+    name to an interval in the usual notation: ``"[0, 1]"``, ``"(0, inf)"``,
+    ``"[0, inf]"``. An unlisted float field gets ``"(-inf, inf)"``, and an
+    unlisted int field is not checked. NaN lies in no interval, each entry
+    of a tuple field is checked, and None is skipped. Fields are read by
+    name: reading ``obj.__dict__`` would slow later attribute reads."""
     for f in fields(obj):
-        name, value = f.name, getattr(obj, f.name)
+        value = getattr(obj, f.name)
         values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"{name} must be finite: {value}")
-        if name in fractions and not all(0.0 <= v <= 1.0 for v in values):
-            raise ConfigError(f"{name} must lie in [0, 1]: {value}")
+        interval = bounds.pop(f.name, None)
+        if interval is None:
+            interval = "(-inf, inf)"
+            values = [v for v in values if isinstance(v, float)]
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not all((lo < v if interval[0] == "(" else lo <= v)
+                   and (v < hi if interval[-1] == ")" else v <= hi)
+                   for v in values if v is not None):
+            raise ConfigError(f"{f.name} must lie in {interval}: {value}")
+    if bounds:
+        raise TypeError(f"no field {list(bounds)} in {type(obj).__name__}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 #: Largest reward weight, far above any price ratio: every reward stays finite
 MAX_WEIGHT = 1e6
@@ -31,13 +31,9 @@ class RewardConfig:
     threshold: float = 240.0   # allowable total nitrogen input, kg/ha
 
     def __post_init__(self):
-        for name in ("w1", "w2", "w3", "w4"):
-            if not 0.0 <= getattr(self, name) <= MAX_WEIGHT:
-                raise ConfigError(f"[reward] {name} must lie in "
-                                  f"[0, {MAX_WEIGHT:g}]")
         # an infinite threshold never charges an overage
-        if not self.threshold >= 0:
-            raise ConfigError("reward threshold must be nonnegative")
+        check_fields(self, threshold="[0, inf]", **dict.fromkeys(
+            ("w1", "w2", "w3", "w4"), f"[0, {MAX_WEIGHT:g}]"))
 
 
 class RewardBreakdown(NamedTuple):

@@ -60,11 +60,10 @@ class SoilProfile:
     runoff_threshold_mm: float = 40.0
 
     def __post_init__(self):
-        if not 0.0 < self.depth_cm < math.inf or self.n_layers < 1:
-            raise ConfigError("soil needs a finite positive soil_depth_cm "
-                              "and layers")
-        check_fields(self, ("drain_coef",))
-        if not 0 < self.wilting_point < self.field_capacity < self.saturation:
+        check_fields(self, depth_cm="(0, inf)", n_layers="[1, inf)",
+                     wilting_point="(0, inf)", drain_coef="[0, 1]",
+                     runoff_threshold_mm="[0, inf)")
+        if not self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
 
 
@@ -91,9 +90,12 @@ class CropParams:
     n_conc_grainfill: float = 0.011
 
     def __post_init__(self):
-        check_fields(self, ("grain_fraction",))
-        if not self.phyllochron > 0.0:
-            raise ConfigError("phyllochron must be positive")
+        check_fields(self, phyllochron="(0, inf)", max_leaves="[0, inf)",
+                     rue_g_per_mj="[0, inf)", k_extinction="[0, inf)",
+                     leaf_area_per_leaf_m2="[0, inf)",
+                     root_growth_cm_per_day="[0, inf)", grain_fraction="[0, 1]",
+                     grain_n_conc="[0, 1]", n_conc_vegetative="[0, 1]",
+                     n_conc_flowering="[0, 1]", n_conc_grainfill="[0, 1]")
 
     def demand_concentration(self, istage: int) -> float:
         if istage == VEGETATIVE:
@@ -117,7 +119,10 @@ class NitrogenParams:
     evap_floor_frac: float = 0.5          # air-dry bound as fraction of wilting point
 
     def __post_init__(self):
-        check_fields(self, ("volatilization_frac", "denitrification_frac"))
+        check_fields(self, volatilization_frac="[0, 1]", q10="(0, inf)",
+                     denitrification_frac="[0, 1]", evap_floor_frac="[0, 1]",
+                     denitrification_sw_frac="[0, 1]", et_coef="[0, inf)",
+                     mineralization_rate="[0, inf)")
 
 
 class SoilState(NamedTuple):

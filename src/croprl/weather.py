@@ -62,10 +62,10 @@ class MonthlyClimate:
     wet_srad_factor: tuple[float, ...]
 
     def __post_init__(self):
-        check_fields(self, ("p_wet_dry", "p_wet_wet", "wet_srad_factor"))
-        for name in ("rain_mm", "tmax_sd", "tmin_sd", "srad_mean", "srad_sd"):
-            if any(v <= 0.0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be positive")
+        check_fields(self, p_wet_dry="[0, 1]", p_wet_wet="[0, 1]",
+                     wet_srad_factor="[0, 1]", rain_mm="(0, inf)",
+                     tmax_sd="(0, inf)", tmin_sd="(0, inf)",
+                     srad_mean="(0, inf)", srad_sd="(0, inf)")
         for name in self.__dataclass_fields__:
             if len(getattr(self, name)) != 12:
                 raise ConfigError(f"{name} needs 12 monthly entries")
@@ -146,23 +146,27 @@ def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
 def load_climate_csv(path) -> MonthlyClimate:
     """Read a 12-row monthly parameter table.
 
-    Header row is required and must match ``CLIMATE_COLUMNS`` exactly; rows
-    must cover months 1..12 in order.
+    Header row is required and must match ``CLIMATE_COLUMNS`` exactly; each
+    row holds one number per column, and rows cover months 1..12 in order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CLIMATE_COLUMNS:
             raise ConfigError(
                 f"climate CSV header mismatch: expected {CLIMATE_COLUMNS}, "
                 f"got {header}")
-        rows = [row for row in reader if row]
-    if len(rows) != 12 or [int(r[0]) for r in rows] != list(range(1, 13)):
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, not {len(header)}")
+                rows.append(tuple(map(float, row)))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    if [r[0] for r in rows] != list(range(1, 13)):
         raise ConfigError("climate CSV must list months 1..12 in order")
-    cols = list(zip(*rows))
-    values = {name: tuple(float(v) for v in cols[i])
-              for i, name in enumerate(CLIMATE_COLUMNS) if name != "month"}
-    return MonthlyClimate(**values)
+    return MonthlyClimate(*list(zip(*rows))[1:])
 
 
 def load_preset_climate(name: str) -> MonthlyClimate:

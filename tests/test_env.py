@@ -113,6 +113,26 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("scenario", "initial_nitrate", (-50.0, 0.0, 0.0)),
     ("scenario", "initial_organic_n", -1.0),
     ("scenario", "initial_nitrate", (8.0, 4.0)),
+    # a divisor of zero, and a complex temperature factor
+    ("nitro", "q10", 0.0),
+    ("nitro", "q10", -2.0),
+    # a negative demand that creates nitrogen
+    ("crop", "n_conc_vegetative", -0.02),
+    ("crop", "n_conc_flowering", -0.02),
+    ("crop", "n_conc_grainfill", -0.02),
+    # a negative rate that ends in a negative harvest yield
+    ("crop", "rue_g_per_mj", -1.0),
+    ("crop", "k_extinction", -1.0),
+    ("crop", "leaf_area_per_leaf_m2", -0.01),
+    ("nitro", "mineralization_rate", -1.0),
+    # one that runs to wrong numbers
+    ("nitro", "et_coef", -1.0),
+    ("nitro", "denitrification_sw_frac", -1.0),
+    ("nitro", "evap_floor_frac", 5.0),
+    ("crop", "max_leaves", -1.0),
+    ("crop", "root_growth_cm_per_day", -1.0),
+    ("soil", "runoff_threshold_mm", -10.0),
+    ("crop", "grain_n_conc", -0.01),
 ], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
     str(v).replace(" ", ""))
 def test_bad_physical_parameters_are_refused_at_construction(part, name,

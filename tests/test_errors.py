@@ -1,0 +1,73 @@
+import math
+from dataclasses import dataclass
+
+import pytest
+
+from croprl.errors import ConfigError, check_fields
+
+
+@dataclass(frozen=True)
+class Probe:
+    x: float = 0.5
+    n: int = 1
+    xs: tuple[float, ...] = (0.5,)
+    day: int | None = None
+    label: str = "probe"
+
+
+def refused(probe, **bounds):
+    try:
+        check_fields(probe, **bounds)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("interval,inside,outside", [
+    ("[0, 1]", (0.0, 1.0), (-1e-9, 1.0 + 1e-9)),
+    ("(0, 1)", (1e-9, 1.0 - 1e-9), (0.0, 1.0)),
+    ("(0, 1]", (1e-9, 1.0), (0.0, 1.0 + 1e-9)),
+    ("[0, 1)", (0.0, 1.0 - 1e-9), (-1e-9, 1.0)),
+    ("[0, inf)", (0.0, 1e308), (-1e-9, math.inf)),
+    ("[0, inf]", (0.0, math.inf), (-1e-9, -math.inf)),
+    ("[0, 1e+06]", (0.0, 1e6), (-1e-9, 1e6 * 1.0000001)),
+])
+def test_each_end_is_open_or_closed_as_written(interval, inside, outside):
+    for x in inside:
+        assert refused(Probe(x=x), x=interval) is None
+    for x in (*outside, math.nan):
+        assert refused(Probe(x=x), x=interval) == \
+            f"x must lie in {interval}: {x}"
+
+
+def test_an_unlisted_float_must_be_finite():
+    for x in (math.nan, math.inf, -math.inf):
+        assert refused(Probe(x=x)) == f"x must lie in (-inf, inf): {x}"
+        assert refused(Probe(xs=(0.5, x))) == \
+            f"xs must lie in (-inf, inf): {(0.5, x)}"
+    assert refused(Probe(x=-1e308)) is None
+
+
+def test_each_tuple_entry_is_checked():
+    assert refused(Probe(xs=(0.0, 0.5, 1.0)), xs="[0, 1]") is None
+    assert refused(Probe(xs=()), xs="[0, 1]") is None
+    for bad in ((2.0, 0.5), (0.5, 2.0), (0.5, math.nan)):
+        assert refused(Probe(xs=bad), xs="[0, 1]") == \
+            f"xs must lie in [0, 1]: {bad}"
+
+
+def test_none_is_skipped():
+    assert refused(Probe(day=None), day="[1, 366]") is None
+    assert refused(Probe(day=0), day="[1, 366]") == \
+        "day must lie in [1, 366]: 0"
+
+
+def test_an_int_field_is_checked_only_when_listed():
+    assert refused(Probe(n=-5)) is None
+    assert refused(Probe(n=-5), n="[0, inf)") == "n must lie in [0, inf): -5"
+    assert refused(Probe(n=0), n="[1, inf)") == "n must lie in [1, inf): 0"
+
+
+def test_a_bound_must_name_a_field():
+    with pytest.raises(TypeError, match="nx"):
+        check_fields(Probe(), nx="[0, 1]")

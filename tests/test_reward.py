@@ -87,7 +87,8 @@ def test_negative_inputs_rejected():
 @pytest.mark.parametrize("name", ["w1", "w2", "w3", "w4"])
 def test_a_weight_above_the_largest_is_refused(name, weight):
     assert getattr(RewardConfig(**{name: MAX_WEIGHT}), name) == MAX_WEIGHT
-    with pytest.raises(ConfigError, match=rf"\[reward\] {name} "):
+    with pytest.raises(ConfigError,
+                       match=rf"^{name} must lie in \[0, 1e\+06\]: "):
         RewardConfig(**{name: weight})
 
 

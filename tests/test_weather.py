@@ -135,6 +135,32 @@ def test_climate_csv_header_is_mandatory(tmp_path):
         load_climate_csv(path)
 
 
+def test_an_empty_climate_csv_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ConfigError, match="header"):
+        load_climate_csv(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cells: cells[:-1],           # one cell fewer than the header
+    lambda cells: cells + ["0.5"],      # one cell more
+    lambda cells: cells[:3] + ["wet"] + cells[4:],  # not a number
+], ids=["short", "long", "text"])
+def test_a_malformed_climate_csv_row_is_refused_by_line(tmp_path, edit):
+    climate = flat_climate()
+    rows = [",".join(CLIMATE_COLUMNS)]
+    for m in range(12):
+        cells = [str(m + 1)] + [repr(getattr(climate, name)[m])
+                                for name in CLIMATE_COLUMNS[1:]]
+        rows.append(",".join(edit(cells) if m == 4 else cells))
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join(rows) + "\n")
+    # month 5 is on line 6, below the header
+    with pytest.raises(ConfigError, match=r"c\.csv:6: "):
+        load_climate_csv(path)
+
+
 def test_bundled_presets_load():
     for name in ("ames", "gainesville"):
         climate = load_preset_climate(name)
