@@ -42,6 +42,7 @@ DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
 #: Largest dose one step accepts, kg/ha: well above any agronomic single
 #: dose, and small enough that the daily arithmetic stays finite.
 MAX_DOSE_KG = 1000.0
+_tuple_new = tuple.__new__  # as in ``simulator``
 
 
 def day_of_year(month: int, day: int) -> int:
@@ -215,11 +216,14 @@ class NitrogenEnv:
         self._done = (self._crop.istage >= MATURE
                       or cfg.start_doy + self._day >= self._last_doy)
 
-        # positional, like the records: keywords cost more
         breakdown = daily_reward(applied, fluxes.tleachd, self._cumsumfert,
                                  self._done, self._crop.topwt, cfg.reward)
-        record = DayRecord(self._day - 1, requested, applied, breakdown.total,
-                           breakdown, self._build_state(fluxes, indices))
+        # the C tuple constructor, in field order: it skips the Python frame
+        # of NamedTuple's __new__ but does not count the values, which
+        # test_day_record_fields_and_log_keys_keep_their_order does
+        record = _tuple_new(DayRecord, (self._day - 1, requested, applied,
+                                        breakdown.total, breakdown,
+                                        self._build_state(fluxes, indices)))
         self.records.append(record)
         return record
 
@@ -243,8 +247,8 @@ class NitrogenEnv:
         self._weather = weather = self._weather_rows[
             cfg.start_doy + self._day - 1]
         crop, soil = self._crop, self._soil
-        # positional, in FIELD_ORDER: keywords make a NamedTuple slower
-        return StateVector(
+        # the C tuple constructor, in FIELD_ORDER, as for the DayRecord
+        return _tuple_new(StateVector, (
             self._cumsumfert,                        # cumsumfert
             self._day,                               # dap
             thermal_time(weather, cfg.crop.t_base),  # dtt
@@ -273,4 +277,4 @@ class NitrogenEnv:
             crop.rtdep_cm,                           # rtdep
             self._totaml,                            # totaml
             soil.sw,                                 # sw
-        )
+        ))

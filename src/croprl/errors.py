@@ -1,6 +1,10 @@
 """Exception types, and the range check the config dataclasses share."""
 
 from dataclasses import fields
+from numbers import Integral
+
+#: annotations, kept as strings, of the fields that must hold integers
+_INTEGER_TYPES = ("int", "int | None", "tuple[int, ...]")
 
 
 class ConfigError(ValueError):
@@ -21,11 +25,17 @@ def check_fields(obj, **bounds: str) -> None:
     name to an interval in the usual notation: ``"[0, 1]"``, ``"(0, inf)"``,
     ``"[0, inf]"``. An unlisted float field gets ``"(-inf, inf)"``, and an
     unlisted int field is not checked. NaN lies in no interval, each entry
-    of a tuple field is checked, and None is skipped. Fields are read by
-    name: reading ``obj.__dict__`` would slow later attribute reads."""
+    of a tuple field is checked, and None is skipped. A field annotated
+    ``int``, ``int | None`` or ``tuple[int, ...]`` must hold integers, as
+    ``"{name} must be integral: {value}"``; numpy integers count. Fields are
+    read by name: reading ``obj.__dict__`` would slow later attribute
+    reads."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         values = value if isinstance(value, tuple) else (value,)
+        if f.type in _INTEGER_TYPES and not all(
+                isinstance(v, Integral) for v in values if v is not None):
+            raise ConfigError(f"{f.name} must be integral: {value}")
         interval = bounds.pop(f.name, None)
         if interval is None:
             interval = "(-inf, inf)"

@@ -30,13 +30,14 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .reward import RewardConfig, daily_reward
 from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
@@ -64,6 +65,7 @@ class ExperimentConfig:
     out_dir: Path = Path("run_output")
 
     def __post_init__(self):
+        check_fields(self)  # integral trials and seeds
         if self.trials < 1:
             raise ConfigError(f"run.trials must be >= 1: {self.trials}")
         if self.trials != len(self.seeds):
@@ -388,8 +390,8 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
     any episode applied N, with the amount summed over episodes and divided
     by ``n_episodes``.
     """
-    if n_episodes < 1:
-        raise ConfigError(f"need at least one episode, got {n_episodes}")
+    if not isinstance(n_episodes, Integral) or n_episodes < 1:
+        raise ConfigError(f"n_episodes must be an integer >= 1: {n_episodes}")
     per_episode = [summary for summary, _ in score_episodes(
         policy, scenario, mask, n_episodes, base_seed)]
     applied: dict[int, float] = {}

@@ -20,6 +20,7 @@ from .errors import ConfigError, check_fields
 
 #: Largest reward weight, far above any price ratio: every reward stays finite
 MAX_WEIGHT = 1e6
+_tuple_new = tuple.__new__  # as in ``simulator``
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,7 @@ def daily_reward(a_t: float, tleachd: float, cumsumfert_incl_today: float,
     overage = (max(0.0, cumsumfert_incl_today - cfg.threshold)
                if a_t != 0.0 else 0.0)
 
-    return RewardBreakdown(
-        yield_term=cfg.w1 * y if is_harvest else 0.0,
-        fert_term=cfg.w2 * a_t,
-        leach_term=cfg.w3 * tleachd,
-        overage_term=cfg.w4 * overage,
-    )
+    # in field order
+    return _tuple_new(RewardBreakdown, (cfg.w1 * y if is_harvest else 0.0,
+                                        cfg.w2 * a_t, cfg.w3 * tleachd,
+                                        cfg.w4 * overage))

@@ -19,8 +19,11 @@ Biomass units are kg/ha of dry matter, water is tracked volumetrically per
 layer (converted to mm internally), nitrogen pools are kg/ha. The model is
 pure-functional: ``advance_day`` consumes and returns immutable state, so
 independent simulators can run in parallel. Within the day it works on
-local floats and per-layer lists, and it builds each returned record once,
-positionally: a NamedTuple built from keywords costs more.
+local floats and per-layer lists, and it builds each returned record once
+with the C tuple constructor, ``tuple.__new__(Cls, values)`` in field order:
+the ``__new__`` that ``NamedTuple`` generates is a Python frame around that
+same call. Unlike it, ``tuple.__new__`` does not count the values, so
+``test_day_record_fields_and_log_keys_keep_their_order`` checks the arity.
 Every clamp is a conditional expression, not a builtin call, which costs more:
 ``min(a, b)`` is ``b if b < a else a`` and ``max(0.0, z)`` is
 ``z if z > 0.0 else 0.0``, or ``x - y if x > y else 0.0`` when ``z = x - y``.
@@ -45,6 +48,7 @@ GRAINFILL = 4
 MATURE = 5
 
 _ACTIVE_STAGES = (VEGETATIVE, FLOWERING, GRAINFILL)
+_tuple_new = tuple.__new__  # builds the day's records; see above
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class SoilProfile:
 
     def __post_init__(self):
         check_fields(self, depth_cm="(0, inf)", n_layers="[1, inf)",
-                     wilting_point="(0, inf)", drain_coef="[0, 1]",
-                     runoff_threshold_mm="[0, inf)")
+                     wilting_point="(0, inf)", saturation="(0, 1]",
+                     drain_coef="[0, 1]", runoff_threshold_mm="[0, inf)")
         if not self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
 
@@ -96,6 +100,10 @@ class CropParams:
                      root_growth_cm_per_day="[0, inf)", grain_fraction="[0, 1]",
                      grain_n_conc="[0, 1]", n_conc_vegetative="[0, 1]",
                      n_conc_flowering="[0, 1]", n_conc_grainfill="[0, 1]")
+        if not (self.gdd_emergence < self.gdd_flowering < self.gdd_grainfill
+                < self.gdd_maturity):
+            raise ConfigError("need gdd_emergence < gdd_flowering < "
+                              "gdd_grainfill < gdd_maturity")
 
     def demand_concentration(self, istage: int) -> float:
         if istage == VEGETATIVE:
@@ -343,10 +351,11 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         grain_n += n_transfer
         plant_n -= n_transfer
 
-    return (CropState(sown, gdd, istage, vstage, xlai, topwt + growth,
-                      grnwt, rtdep_cm, plant_n, grain_n),
-            SoilState(tuple([w / layer_mm for w in water]), tuple(nitrate),
-                      organic_n - mineralized),
-            DailyFluxes(tleachd, tnoxd, trnu, volatilized, mineralized,
-                        soil_evap + transp, runoff, drains[-1]),
-            GrowthIndices(dtt, nstres, swfac, growth))
+    new = _tuple_new
+    return (new(CropState, (sown, gdd, istage, vstage, xlai, topwt + growth,
+                            grnwt, rtdep_cm, plant_n, grain_n)),
+            new(SoilState, (tuple([w / layer_mm for w in water]),
+                            tuple(nitrate), organic_n - mineralized)),
+            new(DailyFluxes, (tleachd, tnoxd, trnu, volatilized, mineralized,
+                              soil_evap + transp, runoff, drains[-1])),
+            new(GrowthIndices, (dtt, nstres, swfac, growth)))

@@ -11,8 +11,10 @@ from croprl.env import (DISCRETE_ACTIONS_KG, MAX_DOSE_KG, NitrogenEnv,
 from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
 from croprl.reward import MAX_WEIGHT, RewardConfig, daily_reward
+from croprl.simulator import (SOWN, CropState, advance_day,
+                              initial_soil_state)
 from croprl.state import FIELD_ORDER, ObservationMask, observe
-from croprl.weather import WEATHER_MODES, WeatherModel
+from croprl.weather import WEATHER_MODES, DailyWeather, WeatherModel
 
 FULL = ObservationMask.full()
 
@@ -133,6 +135,10 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("crop", "root_growth_cm_per_day", -1.0),
     ("soil", "runoff_threshold_mm", -10.0),
     ("crop", "grain_n_conc", -0.01),
+    # growth stages out of order, and a water content above the soil volume
+    ("crop", "gdd_maturity", 700.0),
+    ("crop", "gdd_emergence", 2000.0),
+    ("soil", "saturation", 1.5),
 ], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
     str(v).replace(" ", ""))
 def test_bad_physical_parameters_are_refused_at_construction(part, name,
@@ -315,16 +321,29 @@ def test_episode_log_records_every_day(iowa_env):
     assert len(logged["state"]) == 28
 
 
-def test_day_record_fields_and_log_keys_keep_their_order(iowa_env):
-    iowa_env.reset(seed=0)
-    record = iowa_env.step(40.0)
+def test_day_record_fields_and_log_keys_keep_their_order(iowa_env,
+                                                        florida_env):
     order = ("dap", "action_requested", "action_applied", "reward",
              "breakdown", "state")
-    assert type(record)._fields == order
-    logged = record.as_dict()
-    assert tuple(logged) == order
-    assert logged["breakdown"] == record.breakdown._asdict()
-    assert tuple(logged["state"]) == FIELD_ORDER
+    for env in (iowa_env, florida_env):
+        cfg = env.config
+        reset_state = env.reset(seed=0)
+        record = env.step(40.0)
+        assert type(record)._fields == order
+        logged = record.as_dict()
+        assert tuple(logged) == order
+        assert logged["breakdown"] == record.breakdown._asdict()
+        assert tuple(logged["state"]) == FIELD_ORDER
+        # the records are built by tuple.__new__, which does not count the
+        # values against the fields as a NamedTuple's own __new__ does
+        day = advance_day(
+            CropState(sown=True, istage=SOWN),
+            initial_soil_state(cfg.soil, cfg.initial_nitrate,
+                               cfg.initial_organic_n),
+            DailyWeather(5.0, 20.0, 28.0, 15.0), 40.0, cfg.soil, cfg.crop,
+            cfg.nitro, cfg.plant_density)
+        for r in (*day, record, record.breakdown, record.state, reset_state):
+            assert len(r) == len(type(r)._fields), type(r).__name__
 
 
 @pytest.mark.parametrize("mode", WEATHER_MODES)

@@ -1,6 +1,9 @@
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from croprl.errors import ConfigError, check_fields
@@ -71,3 +74,11 @@ def test_an_int_field_is_checked_only_when_listed():
 def test_a_bound_must_name_a_field():
     with pytest.raises(TypeError, match="nx"):
         check_fields(Probe(), nx="[0, 1]")
+
+
+def test_an_int_field_holds_integers_numpy_ones_included():
+    for good in (Probe(n=np.int64(2)), Probe(day=np.int32(5)),
+                 Probe(day=None)):
+        assert refused(good, n="[1, inf)", day="[1, 366]") is None
+    assert refused(Probe(n=2.0)) == "n must be integral: 2.0"
+    assert refused(Probe(day=np.float64(5.0))) == "day must be integral: 5.0"

@@ -11,6 +11,7 @@ from croprl.harness import (ExperimentConfig, _dose_key, _pct_delta,
                             evaluate_policy, run_episode, run_training,
                             score_episodes, sweep_baselines,
                             verify_reward_identity)
+from croprl.simulator import SoilProfile
 from croprl.state import ObservationMask
 
 
@@ -176,6 +177,26 @@ def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
                                       hyper=hyper, trials=1, seeds=(1,),
                                       out_dir=out))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,build", [
+    ("action_frequency", lambda: iowa_scenario(action_frequency=2.5)),
+    ("start_doy", lambda: iowa_scenario(start_doy=100.5)),
+    ("latest_harvest_doy", lambda: iowa_scenario(latest_harvest_doy=290.0)),
+    ("n_layers", lambda: SoilProfile(depth_cm=150.0, n_layers=3.0)),
+    ("seeds", lambda: ExperimentConfig(iowa_scenario(), trials=1,
+                                       seeds=(1.5,))),
+    ("batch_size", lambda: DqnHyper(batch_size=8.0)),
+    ("hidden", lambda: SacHyper(hidden=(16, 16.5))),
+    ("n_episodes", lambda: evaluate_policy(
+        baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
+        n_episodes=2.5)),
+])
+def test_an_integer_setting_refuses_a_non_integer(name, build):
+    # before, these ran (every 5th day dosed at a frequency of 2.5) or
+    # failed later with a bare TypeError
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        build()
 
 
 def test_an_unknown_observation_kind_is_refused():
