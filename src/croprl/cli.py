@@ -17,8 +17,9 @@ import sys
 
 from .config import apply_overrides, build_experiment, load_config
 from .errors import ConfigError
-from .harness import (ExperimentConfig, baseline_policy, evaluate_policy,
-                      load_checkpoint, output_dir, run_ablation, run_training)
+from .harness import (ABLATIONS, ExperimentConfig, baseline_policy,
+                      evaluate_policy, load_checkpoint, output_dir,
+                      run_ablation, run_training)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="paired-condition ablation")
     common(p_abl)
-    p_abl.add_argument("--axis", choices=("observation", "frequency"),
-                       required=True)
+    p_abl.add_argument("--axis", choices=ABLATIONS, required=True)
     return parser
 
 
@@ -97,10 +97,10 @@ def _cmd_evaluate(args) -> int:
     result = {"policy": label, "episodes": args.episodes,
               "mean": mean.as_dict(),
               "per_episode": [s.as_dict() for s in per_episode]}
-    print(json.dumps(result, indent=2, sort_keys=True))
+    text = json.dumps(result, indent=2, sort_keys=True)
+    print(text)
     if out:
-        (out / "evaluation.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True))
+        (out / "evaluation.json").write_text(text)
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EpisodeFinishedError, check_fields
+from .errors import ConfigError, EpisodeFinishedError, check_fields, is_integer
 from .reward import RewardBreakdown, RewardConfig, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
@@ -167,7 +167,7 @@ class NitrogenEnv:
 
     def reset(self, seed: int = 0) -> StateVector:
         """Start a fresh episode; identical (config, seed) gives identical state."""
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not is_integer(seed) or seed < 0:
             raise ConfigError(f"episode seed must be an integer >= 0: {seed!r}")
         cfg = self.config
         episode_seed = np.random.SeedSequence(

@@ -1,4 +1,4 @@
-"""Exception types, and the range check the config dataclasses share."""
+"""Exception types, and the integer and range checks configs share."""
 
 from dataclasses import fields
 from numbers import Integral
@@ -19,6 +19,11 @@ class EpisodeFinishedError(RuntimeError):
     """Raised when step() is called on an environment whose episode is done."""
 
 
+def is_integer(value) -> bool:
+    """An integer, numpy ones included; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_fields(obj, **bounds: str) -> None:
     """Refuse a field of the dataclass ``obj`` outside its interval, as
     ``"{name} must lie in {interval}: {value}"``. ``bounds`` maps a field
@@ -27,14 +32,14 @@ def check_fields(obj, **bounds: str) -> None:
     unlisted int field is not checked. NaN lies in no interval, each entry
     of a tuple field is checked, and None is skipped. A field annotated
     ``int``, ``int | None`` or ``tuple[int, ...]`` must hold integers, as
-    ``"{name} must be integral: {value}"``; numpy integers count. Fields are
+    ``"{name} must be integral: {value}"`` (see ``is_integer``). Fields are
     read by name: reading ``obj.__dict__`` would slow later attribute
     reads."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         values = value if isinstance(value, tuple) else (value,)
         if f.type in _INTEGER_TYPES and not all(
-                isinstance(v, Integral) for v in values if v is not None):
+                is_integer(v) for v in values if v is not None):
             raise ConfigError(f"{f.name} must be integral: {value}")
         interval = bounds.pop(f.name, None)
         if interval is None:

@@ -6,8 +6,10 @@ checkpoints' greedy policies (``agents.policy_from_dict``) produce it.
 curve row per episode, and scores the greedy policy built from the checkpoint
 it writes. ``score_episodes`` is the one scoring loop: it scores each trial's
 greedy policy, each single-dose reference and each ``evaluate_policy``
-episode, and checks the reward identity of every episode it runs. A run
-writes a report directory:
+episode, and checks the reward identity of every episode it runs.
+``mean_summary`` is the one mean of summaries, of an evaluation's episodes
+and of an ablation condition's trials, and ``ABLATIONS`` the one list of
+ablation conditions. A run writes a report directory:
 
     trial_<seed>_curve.csv        per-episode metrics for one seed
     trial_<seed>_checkpoint.json  greedy policy: DQN Q-net or SAC actor
@@ -29,15 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, is_integer
 from .reward import RewardConfig, daily_reward
 from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
@@ -385,89 +386,86 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
     ``policy`` is a function of the day's state and observation, as
     ``run_episode`` takes it; every episode calls the same one.
 
-    Returns (mean summary, per-episode summaries). Every field of the mean
-    is the mean over episodes; its ``applications`` list each DAP on which
-    any episode applied N, with the amount summed over episodes and divided
-    by ``n_episodes``.
+    Returns (``mean_summary`` of the episodes, per-episode summaries).
     """
-    if not isinstance(n_episodes, Integral) or n_episodes < 1:
+    if not is_integer(n_episodes) or n_episodes < 1:
         raise ConfigError(f"n_episodes must be an integer >= 1: {n_episodes}")
     per_episode = [summary for summary, _ in score_episodes(
         policy, scenario, mask, n_episodes, base_seed)]
+    return mean_summary(per_episode), per_episode
+
+
+def mean_summary(summaries: list[EpisodeSummary]) -> EpisodeSummary:
+    """Every field is the mean over ``summaries``; ``applications`` lists
+    each DAP on which any of them applied N, with the amount summed and
+    divided by ``len(summaries)``."""
     applied: dict[int, float] = {}
-    for s in per_episode:
+    for s in summaries:
         for dap, amount in s.applications:
             applied[dap] = applied.get(dap, 0.0) + amount
-    mean = EpisodeSummary(
-        **{f.name: float(np.mean([getattr(s, f.name) for s in per_episode]))
+    return EpisodeSummary(
+        **{f.name: float(np.mean([getattr(s, f.name) for s in summaries]))
            for f in fields(EpisodeSummary) if f.name != "applications"},
-        applications=[(dap, applied[dap] / n_episodes)
+        applications=[(dap, applied[dap] / len(summaries))
                       for dap in sorted(applied)])
-    return mean, per_episode
 
 
 # ---------------------------------------------------------------------------
 # Ablations
 # ---------------------------------------------------------------------------
 
+#: axis -> {reference, then variant: condition directory -> config change}
+ABLATIONS = {
+    "observation": {"full": lambda c: replace(c, observation="full"),
+                    "partial": lambda c: replace(c, observation="partial")},
+    "frequency": {
+        "every_day": lambda c: replace(c, scenario=replace(
+            c.scenario, action_frequency=1)),
+        "every_10_days": lambda c: replace(c, scenario=replace(
+            c.scenario, action_frequency=10))},
+}
+
+
 def run_ablation(config: ExperimentConfig, axis: str) -> dict:
-    """Train paired conditions with identical seeds and report % deltas.
+    """Train the paired conditions of ``ABLATIONS[axis]`` with identical
+    seeds and report % deltas.
 
-    axis="observation": full vs partial state vector.
-    axis="frequency":   daily actions vs one permitted day in ten.
-    Deltas are (variant - reference) / reference * 100, averaged over seeds,
-    for final-policy cumulative reward and top weight. A condition with no
-    successful trial raises ``RuntimeError`` before any ablation file is
-    written.
+    Each condition writes its run to ``out_dir/<condition>``. Its final
+    policies are scored by the ``mean_summary`` of its successful trials.
+    Deltas are (variant - reference) / |reference| * 100 for that mean's
+    cumulative reward and top weight. A condition with no successful trial
+    raises ``RuntimeError`` before any ablation file is written.
     """
-    from dataclasses import replace as dc_replace
-
-    if axis == "observation":
-        ref = dc_replace(config, observation="full",
-                         out_dir=Path(config.out_dir) / "full")
-        var = dc_replace(config, observation="partial",
-                         out_dir=Path(config.out_dir) / "partial")
-    elif axis == "frequency":
-        ref = dc_replace(config,
-                         scenario=dc_replace(config.scenario, action_frequency=1),
-                         out_dir=Path(config.out_dir) / "every_day")
-        var = dc_replace(config,
-                         scenario=dc_replace(config.scenario, action_frequency=10),
-                         out_dir=Path(config.out_dir) / "every_10_days")
-    else:
+    if axis not in ABLATIONS:
         raise ConfigError(f"unknown ablation axis {axis!r}")
-    # each condition is named by its directory, both made before training
-    # so that a file in the way of either is refused before any work
-    labels = tuple(output_dir(c.out_dir).name for c in (ref, var))
-
-    ref_report = run_training(ref)
-    var_report = run_training(var)
-
-    def finals(report, label):
-        good = [t.summary for t in report.successful()]
-        if not good:
-            raise RuntimeError(f"every trial of condition {label} failed; "
+    out = Path(config.out_dir)
+    # every directory is made before training, so that a file in the way of
+    # any is refused before any work
+    conditions = {name: replace(change(config), out_dir=output_dir(out / name))
+                  for name, change in ABLATIONS[axis].items()}
+    good = {name: [t.summary for t in run_training(c).successful()]
+            for name, c in conditions.items()}
+    for name, summaries in good.items():
+        if not summaries:
+            raise RuntimeError(f"every trial of condition {name} failed; "
                                f"see its manifest")
-        return (float(np.mean([s.cumulative_reward for s in good])),
-                float(np.mean([s.topwt for s in good])))
+    means = {name: mean_summary(summaries) for name, summaries in good.items()}
 
-    ref_reward, ref_topwt = finals(ref_report, labels[0])
-    var_reward, var_topwt = finals(var_report, labels[1])
+    ref = next(iter(means.values()))
+    rows = [(axis, name, s.cumulative_reward, s.topwt,
+             _pct_delta(s.cumulative_reward, ref.cumulative_reward),
+             _pct_delta(s.topwt, ref.topwt)) for name, s in means.items()]
     result = {
         "axis": axis,
-        "conditions": {labels[0]: {"reward": ref_reward, "topwt": ref_topwt},
-                       labels[1]: {"reward": var_reward, "topwt": var_topwt}},
-        "reward_delta_pct": _pct_delta(var_reward, ref_reward),
-        "topwt_delta_pct": _pct_delta(var_topwt, ref_topwt),
+        "conditions": {name: {"reward": s.cumulative_reward, "topwt": s.topwt}
+                       for name, s in means.items()},
+        "reward_delta_pct": rows[-1][4],  # the variant's row
+        "topwt_delta_pct": rows[-1][5],
         "seeds": list(config.seeds),
     }
-    out = Path(config.out_dir)
     _write_csv(out / "ablation.csv",
                ("axis", "condition", "reward", "topwt", "reward_delta_pct",
-                "topwt_delta_pct"),
-               [(axis, labels[0], ref_reward, ref_topwt, 0.0, 0.0),
-                (axis, labels[1], var_reward, var_topwt,
-                 result["reward_delta_pct"], result["topwt_delta_pct"])])
+                "topwt_delta_pct"), rows)
     with open(out / "ablation.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     return result
@@ -524,20 +522,18 @@ def emit_report(report: RunReport, out: Path,
                 "mean_total_leach", "mean_topwt"),
                report.mean_variance_curves())
 
-    rows = []
-    for amount in sorted(report.baselines):
-        s = report.baselines[amount]
-        rows.append((f"baseline_{_dose_key(amount)}", s.total_n, s.total_leach,
-                     s.total_uptake, s.topwt, s.cumulative_reward))
+    methods = [(f"baseline_{_dose_key(a)}", s)
+               for a, s in sorted(report.baselines.items())]
     with open(out / "episodes.jsonl", "w") as fh:
         for trial in report.successful():
-            method, s = f"{config.agent_kind}_seed{trial.seed}", trial.summary
-            rows.append((method, s.total_n, s.total_leach, s.total_uptake,
-                         s.topwt, s.cumulative_reward))
+            method = f"{config.agent_kind}_seed{trial.seed}"
+            methods.append((method, trial.summary))
             for rec in trial.records:
                 fh.write(json.dumps({"method": method, **rec.as_dict()},
                                     sort_keys=True) + "\n")
-    _write_csv(out / "tables.csv", TABLE_COLUMNS, rows)
+    _write_csv(out / "tables.csv", TABLE_COLUMNS, [
+        (method, s.total_n, s.total_leach, s.total_uptake, s.topwt,
+         s.cumulative_reward) for method, s in methods])
 
     manifest = {
         "config_digest": config_digest(config),

@@ -67,37 +67,11 @@ OBSERVATIONS: dict[str, tuple[str, ...]] = {"full": FIELD_ORDER,
                                             "partial": PARTIAL_FIELDS}
 
 
-class StateVector(NamedTuple):
-    """One day of environment state, in canonical field order."""
-
-    cumsumfert: float
-    dap: int
-    dtt: float
-    istage: int
-    vstage: float
-    pltpop: float
-    rain: float
-    srad: float
-    tmax: float
-    tmin: float
-    nstres: float
-    pcngrn: float
-    swfac: float
-    tleachd: float
-    grnwt: float
-    cleach: float
-    cnox: float
-    tnoxd: float
-    trnu: float
-    wtnup: float
-    xlai: float
-    topwt: float
-    es: float
-    runoff: float
-    wtdep: float
-    rtdep: float
-    totaml: float
-    sw: tuple[float, ...]
+_FIELD_TYPES = {"dap": int, "istage": int, "sw": tuple[float, ...]}
+StateVector = NamedTuple("StateVector", [(name, _FIELD_TYPES.get(name, float))
+                                         for name in FIELD_ORDER])
+StateVector.__doc__ = """One day of state, made from ``FIELD_ORDER``: ``dap``
+and ``istage`` are ints, ``sw`` a tuple (a float per layer), else floats."""
 
 
 class ObservationMask(Enum):

@@ -410,6 +410,9 @@ def test_a_malformed_command_line_is_a_configuration_error(
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: croprl" in capsys.readouterr().out
+    # the axes are the keys of harness.ABLATIONS
+    assert main(["ablate", "--help"]) == 0
+    assert "--axis {observation,frequency}" in capsys.readouterr().out
 
 
 # every documented key, with every special spelling, and the digests of
@@ -534,6 +537,16 @@ def _ablate(tmp_path, axis, conditions):
                  "--out", str(out)]) == 0
     result = json.loads((out / "ablation.json").read_text())
     assert set(result["conditions"]) == set(conditions)
+    # each condition's numbers are the means over its trials' summaries
+    for condition in conditions:
+        trials = json.loads(
+            (out / condition / "manifest.json").read_text())["trials"]
+        summaries = [t["summary"] for t in trials if not t["failed"]]
+        assert len(summaries) == 2
+        assert result["conditions"][condition] == {
+            "reward": float(np.mean([s["cumulative_reward"]
+                                     for s in summaries])),
+            "topwt": float(np.mean([s["topwt"] for s in summaries]))}
     rows = (out / "ablation.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [[axis, c]
                                                     for c in conditions]

@@ -59,7 +59,8 @@ def test_reset_is_deterministic(iowa_env):
         != env.reset(seed=8)
 
 
-@pytest.mark.parametrize("seed", [-3, np.int64(-1), 1.7, 1.0, "1", None])
+@pytest.mark.parametrize("seed", [-3, np.int64(-1), 1.7, 1.0, "1", None,
+                                  True])
 def test_an_episode_seed_must_be_an_integer_at_least_zero(seed):
     env = NitrogenEnv(iowa_scenario(weather_mode="stochastic"))
     with pytest.raises(ConfigError, match="episode seed"):

@@ -82,3 +82,7 @@ def test_an_int_field_holds_integers_numpy_ones_included():
         assert refused(good, n="[1, inf)", day="[1, 366]") is None
     assert refused(Probe(n=2.0)) == "n must be integral: 2.0"
     assert refused(Probe(day=np.float64(5.0))) == "day must be integral: 5.0"
+    # a bool is not an integer, Python's or numpy's
+    assert refused(Probe(n=True)) == "n must be integral: True"
+    assert refused(Probe(day=False)) == "day must be integral: False"
+    assert refused(Probe(n=np.True_)) == "n must be integral: True"

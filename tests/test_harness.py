@@ -8,8 +8,8 @@ from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
 from croprl.errors import ConfigError
 from croprl.harness import (ExperimentConfig, _dose_key, _pct_delta,
                             baseline_policy, convergence_episode,
-                            evaluate_policy, run_episode, run_training,
-                            score_episodes, sweep_baselines,
+                            evaluate_policy, run_ablation, run_episode,
+                            run_training, score_episodes, sweep_baselines,
                             verify_reward_identity)
 from croprl.simulator import SoilProfile
 from croprl.state import ObservationMask
@@ -191,12 +191,30 @@ def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
     ("n_episodes", lambda: evaluate_policy(
         baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
         n_episodes=2.5)),
+    # a bool is not an integer: before, these ran one trial named
+    # trial_True, a batch of 1 and one episode
+    pytest.param("seeds", lambda: ExperimentConfig(
+        iowa_scenario(), trials=1, seeds=(True,)), id="seeds-True"),
+    pytest.param("batch_size", lambda: DqnHyper(batch_size=True, warmup=0),
+                 id="batch_size-True"),
+    pytest.param("n_episodes", lambda: evaluate_policy(
+        baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
+        n_episodes=True), id="n_episodes-True"),
 ])
 def test_an_integer_setting_refuses_a_non_integer(name, build):
     # before, these ran (every 5th day dosed at a frequency of 2.5) or
     # failed later with a bare TypeError
     with pytest.raises(ConfigError, match=f"{name} must be"):
         build()
+
+
+def test_an_unknown_ablation_axis_is_refused_before_any_directory(tmp_path):
+    out = tmp_path / "out"
+    config = ExperimentConfig(iowa_scenario(), trials=1, seeds=(1,),
+                              out_dir=out)
+    with pytest.raises(ConfigError, match="unknown ablation axis 'bogus'"):
+        run_ablation(config, "bogus")
+    assert not out.exists()
 
 
 def test_an_unknown_observation_kind_is_refused():
