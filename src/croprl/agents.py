@@ -14,8 +14,9 @@ Two trainable agents:
   action stays continuous.
 
 Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
-its weights. Both agents store normalized observations. Each agent's ``act``
-is a policy in ``harness.run_episode``'s one shape, ``(dose_kg, action)``.
+its weights. Both agents store normalized observations, and count gradient
+steps in an Adam state's ``step``. Each agent's ``act`` is a policy in
+``harness.run_episode``'s one shape, ``(dose_kg, action)``.
 ``policy_from_dict`` builds the greedy policy that ``to_dict`` writes in that
 shape, without a learner: a run scores it and a checkpoint loads it. The
 fixed single-dose reference policy is ``harness.baseline_policy``.
@@ -61,18 +62,31 @@ def discretize_action(a: float) -> float:
     return best
 
 
+#: transitions each agent's replay buffer holds
+BUFFER_CAPACITY = 100_000
+#: DQN's gradient steps between hard target syncs
+TARGET_UPDATE_INTERVAL = 200
+#: SAC's target-network smoothing constant
+TAU = 0.001
+#: the clamp on the SAC actor's log-std output
+LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
+#: the amounts, kg/ha, that the SAC actor's squashed output spans
+SAC_ACTION_RANGE_KG = (0.0, 200.0)
+_MID = 0.5 * (SAC_ACTION_RANGE_KG[1] + SAC_ACTION_RANGE_KG[0])
+_HALF = 0.5 * (SAC_ACTION_RANGE_KG[1] - SAC_ACTION_RANGE_KG[0])
+#: the policy entropy, per action dimension, that the temperature tunes toward
+TARGET_ENTROPY = -1.0
+
+
 def _check_hyper(h, **bounds: str) -> None:
     """Checks shared by DqnHyper and SacHyper; ``bounds`` gives the
     intervals of the fields beyond the shared ones."""
-    # gamma = 0 is allowed: targets then reduce to the immediate rewards
-    check_fields(h, gamma="[0, 1]", lr="(0, inf)", batch_size="[1, inf)",
-                 buffer_capacity="[1, inf)", hidden="[1, inf)",
-                 episodes="[0, inf)", warmup="[0, inf)", **bounds)
-    if h.buffer_capacity < max(h.batch_size, h.warmup):
-        raise ConfigError(
-            f"buffer_capacity must hold max(batch_size, warmup) = "
-            f"{max(h.batch_size, h.warmup)} transitions before the first "
-            f"update: {h.buffer_capacity}")
+    # gamma = 0 is allowed: targets then reduce to the immediate rewards;
+    # the buffer holds a batch and the warm-up before the first update
+    check_fields(h, gamma="[0, 1]", lr="(0, inf)",
+                 batch_size=f"[1, {BUFFER_CAPACITY}]", hidden="[1, inf)",
+                 episodes="[0, inf)", warmup=f"[0, {BUFFER_CAPACITY}]",
+                 **bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +100,11 @@ class DqnHyper:
     lr: float = 5e-5
     episodes: int = 1200
     epsilon_decay: float = 0.994      # 0.992 for the Iowa preset
-    buffer_capacity: int = 100_000
-    target_update_interval: int = 200  # gradient steps between hard syncs
     warmup: int = 1000                 # transitions before learning starts
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        _check_hyper(self, epsilon_decay="(0, 1)",
-                     target_update_interval="[1, inf)")
+        _check_hyper(self, epsilon_decay="(0, 1)")
 
 
 def dqn_select_action(params: ParamSet, obs: np.ndarray, epsilon: float,
@@ -133,9 +144,7 @@ class DqnAgent:
             dtype=self.dtype)
         self.target_params = self.params.copy()
         self.adam = AdamState.for_params(self.params, lr=hyper.lr)
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, obs_dim,
-                                   dtype=self.dtype)
-        self.grad_steps = 0
+        self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
         self.epsilon = 1.0
 
     def begin_episode(self, episode: int) -> float:
@@ -169,8 +178,7 @@ class DqnAgent:
         grad_out[rows, idx] = 2.0 * err / len(idx)
         grads = backward(self.params, cache, grad_out)
         adam_step(self.params, grads, self.adam)
-        self.grad_steps += 1
-        if self.grad_steps % h.target_update_interval == 0:
+        if self.adam.step % TARGET_UPDATE_INTERVAL == 0:
             np.copyto(self.target_params.flat, self.params.flat)
         return float(np.mean(err ** 2))
 
@@ -189,29 +197,17 @@ class DqnAgent:
 
 @dataclass(frozen=True)
 class SacHyper:
-    # alpha is always tuned toward TARGET_ENTROPY, and the action range is
-    # always SAC_ACTION_RANGE_KG; neither is a setting
+    # alpha tunes toward TARGET_ENTROPY, the action range is always
+    # SAC_ACTION_RANGE_KG and targets move at TAU: none is a setting
     gamma: float = 0.98
-    tau: float = 0.001                # target-network smoothing constant
     lr: float = 5e-5
     batch_size: int = 64
     episodes: int = 1200
-    buffer_capacity: int = 100_000
     warmup: int = 1000
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        _check_hyper(self, tau="(0, 1]")
-
-
-#: the clamp on the SAC actor's log-std output
-LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
-#: the amounts, kg/ha, that the SAC actor's squashed output spans
-SAC_ACTION_RANGE_KG = (0.0, 200.0)
-_MID = 0.5 * (SAC_ACTION_RANGE_KG[1] + SAC_ACTION_RANGE_KG[0])
-_HALF = 0.5 * (SAC_ACTION_RANGE_KG[1] - SAC_ACTION_RANGE_KG[0])
-#: the policy entropy, per action dimension, that the temperature tunes toward
-TARGET_ENTROPY = -1.0
+        _check_hyper(self)
 
 
 def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
@@ -254,9 +250,7 @@ class SacAgent:
         self.log_alpha = 0.0
         self._log_alpha_m = 0.0
         self._log_alpha_v = 0.0
-        self.buffer = ReplayBuffer(h.buffer_capacity, obs_dim,
-                                   dtype=self.dtype)
-        self.updates = 0
+        self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
 
     # -- policy --------------------------------------------------------------
 
@@ -350,18 +344,17 @@ class SacAgent:
         grads = backward(self.actor, actor_cache, actor_gout)
         adam_step(self.actor, grads, self.actor_adam)
 
-        # temperature
+        # temperature, bias-corrected by the update count: the actor's step
         g = -float(np.mean(logp + TARGET_ENTROPY)) * math.exp(self.log_alpha)
-        self.updates += 1
         self._log_alpha_m = 0.9 * self._log_alpha_m + 0.1 * g
         self._log_alpha_v = 0.999 * self._log_alpha_v + 0.001 * g * g
-        mhat = self._log_alpha_m / (1 - 0.9 ** self.updates)
-        vhat = self._log_alpha_v / (1 - 0.999 ** self.updates)
+        mhat = self._log_alpha_m / (1 - 0.9 ** self.actor_adam.step)
+        vhat = self._log_alpha_v / (1 - 0.999 ** self.actor_adam.step)
         self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
 
         # Polyak-averaged targets
         for i in range(2):
-            polyak_update(self.targets[i], self.critics[i], h.tau)
+            polyak_update(self.targets[i], self.critics[i], TAU)
         # the critics' regression loss, before their step
         return float(np.mean(critic_mse))
 

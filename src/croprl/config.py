@@ -15,7 +15,7 @@ Recognized keys (defaults in parentheses):
     location (iowa | florida)    preset supplying all omitted values
     start_doy, planting_doy      day of year in [1, 366]
     latest_harvest_doy           day of year in [1, 366], or ``none``
-    soil_depth_cm, plant_density  in (0, inf)
+    plant_density                in (0, inf)
     weather_seed                 in [0, inf)
     weather_mode                 fixed-trace | stochastic
     action_frequency (1)         days between applications, in [1, inf)
@@ -26,10 +26,9 @@ Recognized keys (defaults in parentheses):
 
 [agent] (DqnHyper or SacHyper)
     kind (dqn | sac), gamma, lr  gamma in [0, 1], lr in (0, inf)
-    episodes (1200), warmup      in [0, inf)
-    batch_size, buffer_capacity, hidden (e.g. ``128,128``)  in [1, inf), each
-    epsilon_decay, target_update_interval   dqn only: in (0, 1), [1, inf)
-    tau                                     sac only: in (0, 1]
+    episodes (1200), warmup      in [0, inf), [0, 100000]
+    batch_size, hidden (e.g. ``128,128``)  in [1, 100000], each in [1, inf)
+    epsilon_decay                dqn only: in (0, 1)
 
 [run] (ExperimentConfig)
     trials (5, or the number of seeds), seeds (1..trials),
@@ -48,16 +47,13 @@ from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
 from .harness import HYPERS, ExperimentConfig
 from .reward import RewardConfig
-from .simulator import SoilProfile
 
 # Iowa and Florida trained with different exploration decay rates
 PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
 
 
-# the annotation of every key, by section; ``location`` names the preset and
-# ``soil_depth_cm`` sets its soil's ``depth_cm``
+# the annotation of every key, by section; ``location`` names the preset
 _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
-             "soil_depth_cm": get_type_hints(SoilProfile)["depth_cm"],
              **{name: tp for name, tp in get_type_hints(ScenarioConfig).items()
                 if name in ("start_doy", "planting_doy", "latest_harvest_doy",
                             "plant_density", "weather_mode",
@@ -132,13 +128,8 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
     if location not in SCENARIO_PRESETS:
         raise ConfigError(f"unknown scenario location {location!r}")
     scen = SCENARIO_PRESETS[location]()
-    try:  # name the key the user typed, not the field it sets
-        soil = replace(scen.soil, depth_cm=values.pop("soil_depth_cm",
-                                                      scen.soil.depth_cm))
-    except ConfigError as exc:
-        raise ConfigError(f"scenario.soil_depth_cm: {exc}") from exc
     reward = replace(scen.reward, **_read(cfg, "reward", _REWARD))
-    return replace(scen, soil=soil, reward=reward, **values)
+    return replace(scen, reward=reward, **values)
 
 
 def build_agent_hyper(cfg: dict[str, str], location: str):

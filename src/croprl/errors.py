@@ -1,10 +1,12 @@
-"""Exception types, and the integer and range checks configs share."""
+"""Exception types, and the integer, number and range checks configs share."""
 
 from dataclasses import fields
-from numbers import Integral
+from numbers import Integral, Real
 
-#: annotations, kept as strings, of the fields that must hold integers
+#: annotations, kept as strings, of the fields that must hold integers or
+#: real numbers
 _INTEGER_TYPES = ("int", "int | None", "tuple[int, ...]")
+_REAL_TYPES = ("float", "tuple[float, ...]")
 
 
 class ConfigError(ValueError):
@@ -24,6 +26,11 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number, numpy ones and integers included; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_fields(obj, **bounds: str) -> None:
     """Refuse a field of the dataclass ``obj`` outside its interval, as
     ``"{name} must lie in {interval}: {value}"``. ``bounds`` maps a field
@@ -32,7 +39,9 @@ def check_fields(obj, **bounds: str) -> None:
     unlisted int field is not checked. NaN lies in no interval, each entry
     of a tuple field is checked, and None is skipped. A field annotated
     ``int``, ``int | None`` or ``tuple[int, ...]`` must hold integers, as
-    ``"{name} must be integral: {value}"`` (see ``is_integer``). Fields are
+    ``"{name} must be integral: {value}"`` (see ``is_integer``), and one
+    annotated ``float`` or ``tuple[float, ...]`` real numbers, as
+    ``"{name} must be a number: {value}"`` (see ``is_real``). Fields are
     read by name: reading ``obj.__dict__`` would slow later attribute
     reads."""
     for f in fields(obj):
@@ -41,10 +50,12 @@ def check_fields(obj, **bounds: str) -> None:
         if f.type in _INTEGER_TYPES and not all(
                 is_integer(v) for v in values if v is not None):
             raise ConfigError(f"{f.name} must be integral: {value}")
-        interval = bounds.pop(f.name, None)
-        if interval is None:
-            interval = "(-inf, inf)"
-            values = [v for v in values if isinstance(v, float)]
+        if f.type in _REAL_TYPES and not all(map(is_real, values)):
+            raise ConfigError(f"{f.name} must be a number: {value}")
+        interval = bounds.pop(
+            f.name, "(-inf, inf)" if f.type in _REAL_TYPES else None)
+        if interval is None:  # an unlisted int or non-numeric field
+            continue
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         if not all((lo < v if interval[0] == "(" else lo <= v)
                    and (v < hi if interval[-1] == ")" else v <= hi)

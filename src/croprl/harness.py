@@ -38,7 +38,7 @@ import numpy as np
 
 from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
-from .errors import ConfigError, check_fields, is_integer
+from .errors import ConfigError, check_fields, is_integer, is_real
 from .reward import RewardConfig, daily_reward
 from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
@@ -224,10 +224,10 @@ def baseline_policy(amount: float):
     episodes. With an action frequency above one the dose lands on the first
     permitted day at or after V5; until then the env applies nothing.
     """
+    if not (is_real(amount) and 0.0 <= amount <= MAX_DOSE_KG):
+        raise ConfigError(f"baseline amount must be a number in "
+                          f"[0, {MAX_DOSE_KG:g}] kg/ha: {amount}")
     amount = float(amount)
-    if not 0.0 <= amount <= MAX_DOSE_KG:
-        raise ConfigError(f"baseline amount must lie in [0, {MAX_DOSE_KG:g}] "
-                          f"kg/ha: {amount}")
 
     def call(state, obs):
         fires = state.vstage >= 5.0 and state.cumsumfert == 0.0

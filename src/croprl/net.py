@@ -35,7 +35,9 @@ The flush leaves parameter bits unchanged in practice: the step it drops is
 lr * |m| / (c1 * denom) with |m| < tiny, c1 >= 1 - BETA1 and denom >= EPS,
 so below lr * tiny / ((1 - BETA1) * EPS), about 6e-34 for float32 at the
 default lr. That is under half an ulp of any parameter larger in magnitude
-than about 1e-26.
+than about 1e-26. Second moments below ``tiny`` become +0.0 too (v >= 0, so
+``v *= v >= tiny``): such a v adds sqrt(v / c2) < sqrt(tiny / (1 - BETA2)),
+3e-18 for float32, to denom, under half an ulp of EPS (4e-16).
 
 Checkpoints: ``net_to_dict`` gives a versioned, JSON-ready dict of a net's
 parameters, one list per (W, b) array, and no optimizer state; float
@@ -252,9 +254,11 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     tmp /= denom
     tmp *= -state.lr
     x += tmp
-    # flush subnormal first moments (see the module docstring)
-    m *= np.abs(m, out=tmp) >= np.finfo(m.dtype).tiny
+    # flush subnormal moments (see the module docstring)
+    tiny = np.finfo(m.dtype).tiny
+    m *= np.abs(m, out=tmp) >= tiny
     m += 0.0
+    v *= v >= tiny
     return params, state
 
 

@@ -174,9 +174,7 @@ def test_vstage_policy_fires_once():
 
 def test_single_transition_regression_gamma_zero():
     """With one repeated transition and gamma=0 the Q-value converges to r."""
-    hyper = DqnHyper(gamma=0.0, batch_size=8, lr=1e-2, warmup=8,
-                     buffer_capacity=64, target_update_interval=50,
-                     hidden=(16,))
+    hyper = DqnHyper(gamma=0.0, batch_size=8, lr=1e-2, warmup=8, hidden=(16,))
     agent = DqnAgent(2, hyper, seed=0)
     obs = np.array([0.3, 0.7])
     for _ in range(5000):
@@ -188,9 +186,9 @@ def test_single_transition_regression_gamma_zero():
     assert abs(forward(agent.params, obs)[1] - 2.5) < 1e-3
 
 
-def test_zero_reward_environment_q_values_stay_near_zero():
+def test_zero_reward_environment_q_values_stay_near_zero(monkeypatch):
+    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 20)
     hyper = DqnHyper(gamma=0.99, batch_size=8, lr=1e-2, warmup=8,
-                     buffer_capacity=64, target_update_interval=20,
                      hidden=(16,))
     agent = DqnAgent(1, hyper, seed=0)
     rng = np.random.default_rng(0)
@@ -213,9 +211,9 @@ def test_buffer_underfull_update_is_noop():
     assert all(np.array_equal(b, w) for b, (w, _) in zip(before, agent.params))
 
 
-def test_target_network_changes_only_at_sync_points():
-    hyper = DqnHyper(batch_size=4, warmup=4, target_update_interval=10,
-                     hidden=(8,), lr=1e-3)
+def test_target_network_changes_only_at_sync_points(monkeypatch):
+    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 10)
+    hyper = DqnHyper(batch_size=4, warmup=4, hidden=(8,), lr=1e-3)
     agent = DqnAgent(1, hyper, seed=0)
     rng = np.random.default_rng(1)
     snapshots = [w.copy() for w, _ in agent.target_params]
@@ -226,7 +224,7 @@ def test_target_network_changes_only_at_sync_points():
         changed = not all(
             np.array_equal(s, w) for s, (w, _) in zip(snapshots,
                                                       agent.target_params))
-        if agent.grad_steps % 10 == 0 and agent.grad_steps > 0:
+        if agent.adam.step % 10 == 0 and agent.adam.step > 0:
             assert changed
             snapshots = [w.copy() for w, _ in agent.target_params]
             assert all(np.array_equal(w, tw) for (w, _), (tw, _) in
@@ -294,8 +292,9 @@ def test_polyak_rule_arithmetic():
     assert out[0][1][0] == pytest.approx(0.001)
 
 
-def test_sac_targets_move_only_by_polyak():
-    hyper = SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3, tau=0.01)
+def test_sac_targets_move_only_by_polyak(monkeypatch):
+    monkeypatch.setattr(agents, "TAU", 0.01)
+    hyper = SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3)
     agent = SacAgent(2, hyper, seed=0)
     rng = np.random.default_rng(2)
     before_target = agent.targets[0].copy()
@@ -311,12 +310,15 @@ def test_sac_targets_move_only_by_polyak():
         assert np.allclose(eb, tb, atol=1e-12)
 
 
-def test_target_sync_and_polyak_match_the_per_array_rules():
+def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
     """The flat DQN sync and SAC Polyak give the bits of the per-array copy
     and expression, into target buffers that never alias the online ones."""
+    tau = 0.01
+    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 5)
+    monkeypatch.setattr(agents, "TAU", tau)
     rng = np.random.default_rng(7)
-    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4, target_update_interval=5,
-                               hidden=(8,), lr=1e-3), seed=0)
+    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4, hidden=(8,), lr=1e-3),
+                   seed=0)
     target_buffer = dqn.target_params.flat
     synced = 0
     for _ in range(14):  # 11 gradient steps: syncs after steps 5 and 10
@@ -325,7 +327,7 @@ def test_target_sync_and_polyak_match_the_per_array_rules():
         dqn.update()
         assert dqn.target_params.flat is target_buffer
         assert not np.shares_memory(target_buffer, dqn.params.flat)
-        if dqn.grad_steps and dqn.grad_steps % 5 == 0:
+        if dqn.adam.step and dqn.adam.step % 5 == 0:
             expected = [(w.copy(), b.copy()) for w, b in dqn.params]
             for (ew, eb), (tw, tb) in zip(expected, dqn.target_params):
                 assert ew.tobytes() == tw.tobytes()
@@ -333,9 +335,8 @@ def test_target_sync_and_polyak_match_the_per_array_rules():
             synced += 1
     assert synced == 2
 
-    tau = 0.01
-    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3,
-                               tau=tau), seed=0)
+    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3),
+                   seed=0)
     for _ in range(7):
         sac.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
                         float(rng.normal()), rng.uniform(size=2), False)
@@ -409,11 +410,13 @@ def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
     kind or no kind knows; the net loads whatever they hold, and without a
     hyper at all. A SAC action range other than 0-200 kg/ha is refused,
     since its actor's output means other doses."""
-    retired = {"dqn": {"grad_steps_per_day": 2},
+    retired = {"dqn": {"grad_steps_per_day": 2, "buffer_capacity": 100_000,
+                       "target_update_interval": 200},
                "sac": {"alpha": None, "target_entropy": -0.5,
                        "reward_scale": 0.1, "log_std_min": -5.0,
                        "log_std_max": 2.0, "action_low": 0.0,
-                       "action_high": 200}}
+                       "action_high": 200, "tau": 0.001,
+                       "buffer_capacity": 100_000}}
 
     def with_keys(data, keys):
         return {**data, "hyper": {**data["hyper"], **keys}}
@@ -432,13 +435,13 @@ def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
             policy_from_dict(with_keys(current["sac"], {key: value}))
 
 
-def test_sac_bandit_learns_the_optimum_single_seed():
+def test_sac_bandit_learns_the_optimum_single_seed(monkeypatch):
     """Scaled-down version of the acceptance bandit: one seed, 1500 updates."""
-    hyper = SacHyper(tau=0.005, lr=1e-3, batch_size=64, warmup=64,
-                     buffer_capacity=10_000, hidden=(32, 32))
+    monkeypatch.setattr(agents, "TAU", 0.005)
+    hyper = SacHyper(lr=1e-3, batch_size=64, warmup=64, hidden=(32, 32))
     agent = SacAgent(1, hyper, seed=0)
     obs = np.zeros(1)
-    while agent.updates < 1500:
+    while agent.actor_adam.step < 1500:
         _, a = agent.act(None, obs)
         agent.observe(obs, a, -0.01 * (a - 120.0) ** 2, obs, True)
     assert abs(sac_mean_action(agent.actor, obs) - 120.0) <= 15.0

@@ -32,7 +32,10 @@ def tiny_config(tmp_path):
 RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
                 *(["agent.kind=sac", f"agent.{item}"] for item in (
                     "alpha=auto", "target_entropy=-1", "reward_scale=1",
-                    "action_low=0", "action_high=200"))]
+                    "action_low=0", "action_high=200", "tau=0.001")),
+                ["agent.buffer_capacity=100000"],
+                ["agent.target_update_interval=200"],
+                ["scenario.soil_depth_cm=151"]]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -59,12 +62,11 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["agent.lr=-1"],
     ["agent.episodes=-1"],
     ["agent.warmup=-5"],
-    ["agent.target_update_interval=0"],
     ["agent.hidden=0"],
-    ["agent.buffer_capacity=0"],
-    ["agent.warmup=100", "agent.buffer_capacity=10"],  # never fills to train
+    # more than the replay buffer holds: training would never start
+    ["agent.warmup=100001"],
+    ["agent.batch_size=100001"],
     ["scenario.plant_density=nan"],
-    ["scenario.soil_depth_cm=nan"],
     ["scenario.weather_seed=-1"],
     ["scenario.weather_mode=bogus"],
     ["reward.w1=nan"],
@@ -86,7 +88,6 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["scenario.latest_harvest_doy=100"],  # before Iowa's planting date
     ["agent.gamma=2"],
     ["agent.epsilon_decay=1"],  # never decays
-    ["agent.kind=sac", "agent.tau=0"],  # targets never move
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -271,7 +272,7 @@ def test_ablation_with_a_failed_condition_is_a_runtime_error(
 @pytest.fixture
 def bad_checkpoints(tmp_path):
     """A directory of checkpoint files that evaluation must refuse."""
-    hyper = DqnHyper(hidden=(4,), buffer_capacity=64, warmup=0)
+    hyper = DqnHyper(hidden=(4,), warmup=0)
     agent = DqnAgent(30, hyper).to_dict()
     texts = {"not_json": "{\"agent\": ",
              "unknown_kind": json.dumps({"agent": {"kind": "ppo"}}),
@@ -423,7 +424,6 @@ location = Iowa
 start_doy = 100
 planting_doy = 130
 latest_harvest_doy = None
-soil_depth_cm = 140.5
 plant_density = 8
 weather_mode = stochastic
 weather_seed = 12
@@ -441,10 +441,8 @@ gamma = 0.95
 batch_size = 32
 lr = 1e-4
 hidden = 64, 32
-buffer_capacity = 5000
 warmup = 100
 epsilon_decay = 0.99
-target_update_interval = 50
 [run]
 trials = 3
 seeds = 7, 8,9
@@ -458,7 +456,6 @@ location = florida
 start_doy = 40
 planting_doy = 60
 latest_harvest_doy = 300
-soil_depth_cm = 120
 plant_density = 6.5
 weather_mode = fixed-trace
 weather_seed = 3
@@ -476,9 +473,7 @@ gamma = 0.9
 batch_size = 8
 lr = 3e-4
 hidden = 32,32,16
-buffer_capacity = 2000
 warmup = 0
-tau = 0.01
 [run]
 trials = 2
 seeds = 1, 2
@@ -489,9 +484,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "5fa57e821bf1b551", "Some/Dir"),
-    (SAC_INI, "c2ccc6fbd474e28a", "out"),
-    ("", "67da3a7be3096e2c", "run_output"),
+    (DQN_INI, "1a79f902363d7beb", "Some/Dir"),
+    (SAC_INI, "a334278c07fdb2a6", "out"),
+    ("", "32ab15d02ba02176", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -522,7 +517,7 @@ def test_docstring_lists_exactly_the_settable_keys():
         ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
         ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 30
+    assert len(computed) == 26
     assert documented == computed
 
 

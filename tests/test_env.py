@@ -140,6 +140,9 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("crop", "gdd_maturity", 700.0),
     ("crop", "gdd_emergence", 2000.0),
     ("soil", "saturation", 1.5),
+    # a bool, which is not a number: before, it was taken as 1.0
+    ("scenario", "plant_density", True),
+    ("climate", "rain_mm", (True,) * 12),
 ], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
     str(v).replace(" ", ""))
 def test_bad_physical_parameters_are_refused_at_construction(part, name,

@@ -49,6 +49,9 @@ def test_an_unlisted_float_must_be_finite():
         assert refused(Probe(xs=(0.5, x))) == \
             f"xs must lie in (-inf, inf): {(0.5, x)}"
     assert refused(Probe(x=-1e308)) is None
+    # numpy's float32 is no Python float, and its NaN is refused too
+    assert refused(Probe(xs=(np.float32("nan"),))) == \
+        "xs must lie in (-inf, inf): (np.float32(nan),)"
 
 
 def test_each_tuple_entry_is_checked():
@@ -86,3 +89,13 @@ def test_an_int_field_holds_integers_numpy_ones_included():
     assert refused(Probe(n=True)) == "n must be integral: True"
     assert refused(Probe(day=False)) == "day must be integral: False"
     assert refused(Probe(n=np.True_)) == "n must be integral: True"
+
+
+def test_a_float_field_holds_numbers_not_bools():
+    for good in (Probe(x=2), Probe(x=np.float32(0.5)), Probe(xs=(1, 0.5))):
+        assert refused(good, x="[0, inf)") is None
+    assert refused(Probe(x=True)) == "x must be a number: True"
+    assert refused(Probe(x=np.False_), x="[0, 1]") == \
+        "x must be a number: False"
+    assert refused(Probe(xs=(0.5, True))) == "xs must be a number: (0.5, True)"
+    assert refused(Probe(x="0.5"), x="[0, 1]") == "x must be a number: 0.5"

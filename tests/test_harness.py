@@ -200,6 +200,9 @@ def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
     pytest.param("n_episodes", lambda: evaluate_policy(
         baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
         n_episodes=True), id="n_episodes-True"),
+    # nor is it a dose: before, this one dosed 1 kg/ha
+    pytest.param("baseline amount", lambda: baseline_policy(True),
+                 id="baseline-True"),
 ])
 def test_an_integer_setting_refuses_a_non_integer(name, build):
     # before, these ran (every 5th day dosed at a frequency of 2.5) or

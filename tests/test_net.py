@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from croprl.errors import ConfigError, ShapeError
-from croprl.net import (BETA1, AdamState, ParamSet, _below, adam_step,
-                        backward, forward, forward_cached, init_params,
-                        input_gradient, net_from_dict, net_to_dict)
+from croprl.net import (BETA1, BETA2, EPS, AdamState, ParamSet, _below,
+                        adam_step, backward, forward, forward_cached,
+                        init_params, input_gradient, net_from_dict,
+                        net_to_dict)
 
 
 def net_of(pairs):
@@ -322,25 +323,41 @@ def test_flat_adam_matches_per_array_reference_without_subnormals():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_subnormal_flush_equals_a_masked_write_of_zero(dtype):
     """Every first moment below ``tiny`` in magnitude, signed zeros and
-    subnormals alike, becomes +0.0; every other one keeps its bits."""
+    subnormals alike, becomes +0.0, and so does every second moment below
+    ``tiny``; every other one keeps its bits. The next step, which reads the
+    flushed moments, gives the parameters of the step without the flush."""
     tiny = np.finfo(dtype).tiny
     # moments that decay onto tiny or just beside it
-    near = dtype(tiny / BETA1) + np.arange(-3, 4) * np.spacing(tiny)
-    values = [0.0, tiny / 4, tiny / 1024, tiny, 2 * tiny, 1.5, 3e-20, *near]
-    m0 = np.array([s * v for v in values for s in (1.0, -1.0)], dtype=dtype)
+    values = [0.0, tiny / 4, tiny / 1024, tiny, 2 * tiny, 1.5, 3e-20]
+    near = np.arange(-3, 4) * np.spacing(tiny)
+    m0 = np.array([s * v for v in [*values, *(dtype(tiny / BETA1) + near)]
+                   for s in (1.0, -1.0)], dtype=dtype)
+    v0 = np.resize(np.array([*values, *(dtype(tiny / BETA2) + near)],
+                            dtype=dtype), m0.size)
     params = ParamSet(np.ones(m0.size, dtype=dtype), [(1, m0.size // 2)])
     state = AdamState.for_params(params, lr=1e-3)
     state.m[:] = m0
-    # a gradient of -0.0 leaves m * BETA1 as it is, -0.0 included
+    state.v[:] = v0
+    # a gradient of -0.0 leaves m * BETA1 and v * BETA2 as they are, -0.0
+    # included
     g = np.full(m0.size, -0.0, dtype=dtype)
-    want = m0 * dtype(BETA1)
-    want += g * dtype(1 - BETA1)
+    x1, want, want_v = _reference_update_array(
+        params.flat, g, m0, v0, 1e-3, BETA1, BETA2, EPS, 1.0 - BETA1,
+        1.0 - BETA2)
     assert np.any(want == tiny) and np.any(want == -tiny)
     assert np.any((want != 0) & (np.abs(want) < tiny))
     assert np.any(np.signbit(want) & (want == 0))
+    assert np.any(want_v == tiny) and np.any(_subnormal(want_v))
+    want_x = _reference_update_array(
+        x1, g, want, want_v, 1e-3, BETA1, BETA2, EPS, 1.0 - BETA1 ** 2,
+        1.0 - BETA2 ** 2)[0]
     np.copyto(want, 0.0, where=np.abs(want) < tiny)
+    np.copyto(want_v, 0.0, where=want_v < tiny)
     adam_step(params, params.like(g), state)
     assert state.m.dtype == dtype and state.m.tobytes() == want.tobytes()
+    assert state.v.dtype == dtype and state.v.tobytes() == want_v.tobytes()
+    adam_step(params, params.like(g), state)
+    assert params.flat.tobytes() == want_x.tobytes()
 
 
 def test_param_set_views_share_one_vector():

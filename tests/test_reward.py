@@ -80,6 +80,9 @@ def test_negative_inputs_rejected():
         daily_reward(0.0, -0.1, 0.0, False, 0.0, CFG)
     with pytest.raises(ConfigError):
         RewardConfig(w2=-0.1)
+    # a bool is not a weight: before, it was taken as 1.0
+    with pytest.raises(ConfigError, match="w1 must be a number: True"):
+        RewardConfig(w1=True)
 
 
 @pytest.mark.parametrize("weight", [MAX_WEIGHT * 1.0000001, 1e308, math.inf,
