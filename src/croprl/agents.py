@@ -14,8 +14,10 @@ Two trainable agents:
   action stays continuous.
 
 Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
-its weights. Both agents store normalized observations, and count gradient
-steps in an Adam state's ``step``. Each agent's ``act`` is a policy in
+its weights. Both agents build their nets with the hidden widths ``HIDDEN``,
+step them by Adam at the rate ``LR``, and discount by ``DQN_GAMMA`` or
+``SAC_GAMMA``. Both store normalized observations, and count gradient steps
+in an Adam state's ``step``. Each agent's ``act`` is a policy in
 ``harness.run_episode``'s one shape, ``(dose_kg, action)``.
 ``policy_from_dict`` builds the greedy policy that ``to_dict`` writes in that
 shape, without a learner: a run scores it and a checkpoint loads it. The
@@ -62,6 +64,12 @@ def discretize_action(a: float) -> float:
     return best
 
 
+#: the discount factor of DQN's TD targets, and of SAC's soft targets
+DQN_GAMMA, SAC_GAMMA = 0.99, 0.98
+#: the Adam learning rate of every net
+LR = 5e-5
+#: the hidden-layer widths of every net
+HIDDEN = (128, 128)
 #: transitions each agent's replay buffer holds
 BUFFER_CAPACITY = 100_000
 #: DQN's gradient steps between hard target syncs
@@ -81,12 +89,9 @@ TARGET_ENTROPY = -1.0
 def _check_hyper(h, **bounds: str) -> None:
     """Checks shared by DqnHyper and SacHyper; ``bounds`` gives the
     intervals of the fields beyond the shared ones."""
-    # gamma = 0 is allowed: targets then reduce to the immediate rewards;
     # the buffer holds a batch and the warm-up before the first update
-    check_fields(h, gamma="[0, 1]", lr="(0, inf)",
-                 batch_size=f"[1, {BUFFER_CAPACITY}]", hidden="[1, inf)",
-                 episodes="[0, inf)", warmup=f"[0, {BUFFER_CAPACITY}]",
-                 **bounds)
+    check_fields(h, batch_size=f"[1, {BUFFER_CAPACITY}]", episodes="[0, inf)",
+                 warmup=f"[0, {BUFFER_CAPACITY}]", **bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +100,10 @@ def _check_hyper(h, **bounds: str) -> None:
 
 @dataclass(frozen=True)
 class DqnHyper:
-    gamma: float = 0.99
     batch_size: int = 64
-    lr: float = 5e-5
     episodes: int = 1200
     epsilon_decay: float = 0.994      # 0.992 for the Iowa preset
     warmup: int = 1000                 # transitions before learning starts
-    hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
         _check_hyper(self, epsilon_decay="(0, 1)")
@@ -140,10 +142,10 @@ class DqnAgent:
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
         self.params = init_params(
-            (obs_dim, *hyper.hidden, len(DISCRETE_ACTIONS_KG)), self.rng,
+            (obs_dim, *HIDDEN, len(DISCRETE_ACTIONS_KG)), self.rng,
             dtype=self.dtype)
         self.target_params = self.params.copy()
-        self.adam = AdamState.for_params(self.params, lr=hyper.lr)
+        self.adam = AdamState.for_params(self.params, lr=LR)
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
         self.epsilon = 1.0
 
@@ -169,7 +171,7 @@ class DqnAgent:
         obs, actions, rewards, next_obs, dones = self.buffer.sample(
             h.batch_size, self.rng)
         targets = dqn_td_targets(rewards, next_obs, dones,
-                                 self.target_params, h.gamma)
+                                 self.target_params, DQN_GAMMA)
         q, cache = forward_cached(self.params, obs)
         idx = actions.astype(np.int64)
         rows = np.arange(len(idx))
@@ -187,7 +189,7 @@ class DqnAgent:
     def to_dict(self) -> dict:
         """The greedy policy only: the Q-net and its hyper."""
         return {"kind": "dqn",
-                "hyper": asdict(self.hyper) | {"hidden": list(self.hyper.hidden)},
+                "hyper": asdict(self.hyper),
                 "qnet": net_to_dict(self.params)}
 
 
@@ -199,12 +201,9 @@ class DqnAgent:
 class SacHyper:
     # alpha tunes toward TARGET_ENTROPY, the action range is always
     # SAC_ACTION_RANGE_KG and targets move at TAU: none is a setting
-    gamma: float = 0.98
-    lr: float = 5e-5
     batch_size: int = 64
     episodes: int = 1200
     warmup: int = 1000
-    hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
         _check_hyper(self)
@@ -235,17 +234,16 @@ class SacAgent:
                  seed: int = 0):
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
-        h = hyper
         # the actor outputs the Gaussian's mean and log-std
-        self.actor = init_params((obs_dim, *h.hidden, 2), self.rng,
+        self.actor = init_params((obs_dim, *HIDDEN, 2), self.rng,
                                  dtype=self.dtype)
         # a critic reads the observation and the squashed action
-        self.critics = [init_params((obs_dim + 1, *h.hidden, 1), self.rng,
+        self.critics = [init_params((obs_dim + 1, *HIDDEN, 1), self.rng,
                                     dtype=self.dtype)
                         for _ in range(2)]
         self.targets = [c.copy() for c in self.critics]
-        self.actor_adam = AdamState.for_params(self.actor, lr=h.lr)
-        self.critic_adams = [AdamState.for_params(c, lr=h.lr)
+        self.actor_adam = AdamState.for_params(self.actor, lr=LR)
+        self.critic_adams = [AdamState.for_params(c, lr=LR)
                              for c in self.critics]
         self.log_alpha = 0.0
         self._log_alpha_m = 0.0
@@ -308,8 +306,8 @@ class SacAgent:
         q_next = np.minimum(
             forward(self.targets[0], xin2)[:, 0],
             forward(self.targets[1], xin2)[:, 0])
-        y = rewards + h.gamma * np.where(dones, 0.0,
-                                         q_next - alpha * logp2)
+        y = rewards + SAC_GAMMA * np.where(dones, 0.0,
+                                           q_next - alpha * logp2)
 
         # critic regression
         xin = self._critic_input(obs, t_stored)
@@ -363,7 +361,7 @@ class SacAgent:
     def to_dict(self) -> dict:
         """The greedy policy only: the actor and its hyper."""
         return {"kind": "sac",
-                "hyper": asdict(self.hyper) | {"hidden": list(self.hyper.hidden)},
+                "hyper": asdict(self.hyper),
                 "actor": net_to_dict(self.actor)}
 
 

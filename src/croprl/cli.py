@@ -59,7 +59,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     cfg = apply_overrides(load_config(args.config), args.overrides)
     if getattr(args, "seed", None) is not None:
         cfg.update({"run.seeds": str(args.seed), "run.trials": "1"})
-    if args.out:
+    if args.out is not None:
         cfg["run.out_dir"] = args.out
     return build_experiment(cfg)
 

@@ -21,19 +21,22 @@ Recognized keys (defaults in parentheses):
     action_frequency (1)         days between applications, in [1, inf)
 
 [reward] (RewardConfig)
-    w1, w2, w3 (0.1), w4 (1)     each in [0, 1e+06]
     threshold (preset)           in [0, inf]; ``inf`` charges no overage
 
 [agent] (DqnHyper or SacHyper)
-    kind (dqn | sac), gamma, lr  gamma in [0, 1], lr in (0, inf)
+    kind (dqn | sac)
     episodes (1200), warmup      in [0, inf), [0, 100000]
-    batch_size, hidden (e.g. ``128,128``)  in [1, 100000], each in [1, inf)
+    batch_size (64)              in [1, 100000]
     epsilon_decay                dqn only: in (0, 1)
 
 [run] (ExperimentConfig)
     trials (5, or the number of seeds), seeds (1..trials),
     observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
+
+Reward weights, discount factors, learning rate and net widths are module
+constants, not keys: ``reward.W1``-``W4``, ``agents.DQN_GAMMA``,
+``SAC_GAMMA``, ``LR`` and ``HIDDEN``.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ def _parse(tp, raw: str):
     if get_origin(tp) is tuple:                  # tuple[int, ...] and floats
         item = get_args(tp)[0]
         return tuple(item(x) for x in word.replace(" ", "").split(",") if x)
+    if not word and tp is not str:  # Path("") is the working directory
+        raise ValueError("no value given")
     if get_origin(tp) is UnionType:              # int | None
         return None if word == "none" else get_args(tp)[0](raw)
     return word if tp is str else tp(raw)        # int, float, Path

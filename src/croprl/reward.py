@@ -2,13 +2,14 @@
 
 The per-day reward is
 
-    w1 * Y        on the harvest day only (Y = top weight at maturity)
-    - w2 * a      fertilizer applied today
-    - w3 * N_l    nitrate leached today
-    - w4 * P      total-input overage, charged only on application days,
+    W1 * Y        on the harvest day only (Y = top weight at maturity)
+    - W2 * a      fertilizer applied today
+    - W3 * N_l    nitrate leached today
+    - W4 * P      total-input overage, charged only on application days,
 
 with ``P = max(0, cumulative applied - threshold)``, so input below the
-threshold earns no bonus.
+threshold earns no bonus. The weights ``W1``-``W4`` are module constants;
+the threshold, which differs by site, is the one setting (``RewardConfig``).
 """
 
 from __future__ import annotations
@@ -18,23 +19,18 @@ from typing import NamedTuple
 
 from .errors import ConfigError, check_fields
 
-#: Largest reward weight, far above any price ratio: every reward stays finite
-MAX_WEIGHT = 1e6
+#: the weights of yield, fertilizer, leaching and overage
+W1, W2, W3, W4 = 0.1, 0.1, 0.1, 1.0
 _tuple_new = tuple.__new__  # as in ``simulator``
 
 
 @dataclass(frozen=True)
 class RewardConfig:
-    w1: float = 0.1
-    w2: float = 0.1
-    w3: float = 0.1
-    w4: float = 1.0
     threshold: float = 240.0   # allowable total nitrogen input, kg/ha
 
     def __post_init__(self):
         # an infinite threshold never charges an overage
-        check_fields(self, threshold="[0, inf]", **dict.fromkeys(
-            ("w1", "w2", "w3", "w4"), f"[0, {MAX_WEIGHT:g}]"))
+        check_fields(self, threshold="[0, inf]")
 
 
 class RewardBreakdown(NamedTuple):
@@ -65,6 +61,5 @@ def daily_reward(a_t: float, tleachd: float, cumsumfert_incl_today: float,
                if a_t != 0.0 else 0.0)
 
     # in field order
-    return _tuple_new(RewardBreakdown, (cfg.w1 * y if is_harvest else 0.0,
-                                        cfg.w2 * a_t, cfg.w3 * tleachd,
-                                        cfg.w4 * overage))
+    return _tuple_new(RewardBreakdown, (W1 * y if is_harvest else 0.0,
+                                        W2 * a_t, W3 * tleachd, W4 * overage))

@@ -19,6 +19,12 @@ from test_net import net_of
 from test_state import make_state
 
 
+def set_constants(monkeypatch, **values):
+    """Give ``agents`` module constants other values for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(agents, name, value)
+
+
 # ---------------------------------------------------------------------------
 # epsilon schedule
 # ---------------------------------------------------------------------------
@@ -172,10 +178,10 @@ def test_vstage_policy_fires_once():
 # DQN learning behavior
 # ---------------------------------------------------------------------------
 
-def test_single_transition_regression_gamma_zero():
+def test_single_transition_regression_gamma_zero(monkeypatch):
     """With one repeated transition and gamma=0 the Q-value converges to r."""
-    hyper = DqnHyper(gamma=0.0, batch_size=8, lr=1e-2, warmup=8, hidden=(16,))
-    agent = DqnAgent(2, hyper, seed=0)
+    set_constants(monkeypatch, DQN_GAMMA=0.0, LR=1e-2, HIDDEN=(16,))
+    agent = DqnAgent(2, DqnHyper(batch_size=8, warmup=8), seed=0)
     obs = np.array([0.3, 0.7])
     for _ in range(5000):
         agent.buffer.push(obs, 1, 2.5, obs, True)
@@ -187,10 +193,9 @@ def test_single_transition_regression_gamma_zero():
 
 
 def test_zero_reward_environment_q_values_stay_near_zero(monkeypatch):
-    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 20)
-    hyper = DqnHyper(gamma=0.99, batch_size=8, lr=1e-2, warmup=8,
-                     hidden=(16,))
-    agent = DqnAgent(1, hyper, seed=0)
+    set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=20, LR=1e-2,
+                  HIDDEN=(16,))
+    agent = DqnAgent(1, DqnHyper(batch_size=8, warmup=8), seed=0)
     rng = np.random.default_rng(0)
     # the max over five noisy outputs biases each bootstrap upward, so the
     # values take a few thousand updates to settle
@@ -212,9 +217,9 @@ def test_buffer_underfull_update_is_noop():
 
 
 def test_target_network_changes_only_at_sync_points(monkeypatch):
-    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 10)
-    hyper = DqnHyper(batch_size=4, warmup=4, hidden=(8,), lr=1e-3)
-    agent = DqnAgent(1, hyper, seed=0)
+    set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=10, LR=1e-3,
+                  HIDDEN=(8,))
+    agent = DqnAgent(1, DqnHyper(batch_size=4, warmup=4), seed=0)
     rng = np.random.default_rng(1)
     snapshots = [w.copy() for w, _ in agent.target_params]
     for _ in range(30):
@@ -235,12 +240,13 @@ def test_target_network_changes_only_at_sync_points(monkeypatch):
 
 def updated_agent(kind):
     """A small agent after one gradient step."""
-    if kind == "dqn":
-        agent = DqnAgent(4, DqnHyper(batch_size=4, warmup=4, hidden=(16,)),
-                         seed=3)
-    else:
-        agent = SacAgent(4, SacHyper(batch_size=4, warmup=4, hidden=(12,)),
-                         seed=4)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if kind == "dqn":
+            monkeypatch.setattr(agents, "HIDDEN", (16,))
+            agent = DqnAgent(4, DqnHyper(batch_size=4, warmup=4), seed=3)
+        else:
+            monkeypatch.setattr(agents, "HIDDEN", (12,))
+            agent = SacAgent(4, SacHyper(batch_size=4, warmup=4), seed=4)
     rng = np.random.default_rng(5)
     for _ in range(4):
         agent.buffer.push(rng.uniform(size=4), float(rng.integers(2)),
@@ -293,9 +299,8 @@ def test_polyak_rule_arithmetic():
 
 
 def test_sac_targets_move_only_by_polyak(monkeypatch):
-    monkeypatch.setattr(agents, "TAU", 0.01)
-    hyper = SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3)
-    agent = SacAgent(2, hyper, seed=0)
+    set_constants(monkeypatch, TAU=0.01, LR=1e-3, HIDDEN=(16,))
+    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
     rng = np.random.default_rng(2)
     before_target = agent.targets[0].copy()
     for _ in range(9):
@@ -314,11 +319,10 @@ def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
     """The flat DQN sync and SAC Polyak give the bits of the per-array copy
     and expression, into target buffers that never alias the online ones."""
     tau = 0.01
-    monkeypatch.setattr(agents, "TARGET_UPDATE_INTERVAL", 5)
-    monkeypatch.setattr(agents, "TAU", tau)
+    set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=5, TAU=tau, LR=1e-3,
+                  HIDDEN=(8,))
     rng = np.random.default_rng(7)
-    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4, hidden=(8,), lr=1e-3),
-                   seed=0)
+    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4), seed=0)
     target_buffer = dqn.target_params.flat
     synced = 0
     for _ in range(14):  # 11 gradient steps: syncs after steps 5 and 10
@@ -335,8 +339,8 @@ def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
             synced += 1
     assert synced == 2
 
-    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,), lr=1e-3),
-                   seed=0)
+    monkeypatch.setattr(agents, "HIDDEN", (16,))
+    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
     for _ in range(7):
         sac.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
                         float(rng.normal()), rng.uniform(size=2), False)
@@ -356,11 +360,11 @@ def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
         assert not np.shares_memory(sac.targets[0].flat, sac.targets[1].flat)
 
 
-def test_sac_update_returns_the_critics_regression_loss():
+def test_sac_update_returns_the_critics_regression_loss(monkeypatch):
     """With one repeated terminal transition y = r, so the returned loss is
     the mean of the two critics' squared errors before their step."""
-    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8, hidden=(16,),
-                                 lr=1e-3), seed=0)
+    set_constants(monkeypatch, LR=1e-3, HIDDEN=(16,))
+    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
     obs = np.array([0.25, 0.75])
     for _ in range(8):
         agent.buffer.push(obs, 150.0, -3.0, obs, True)
@@ -392,8 +396,9 @@ def test_loading_a_checkpoint_builds_no_learner(tmp_path, monkeypatch, kind):
     assert policy(None, obs) == greedy_of(agent, obs)
 
 
-def test_sac_actions_respect_bounds_and_discretization():
-    agent = SacAgent(3, SacHyper(hidden=(8,)), seed=1)
+def test_sac_actions_respect_bounds_and_discretization(monkeypatch):
+    monkeypatch.setattr(agents, "HIDDEN", (8,))
+    agent = SacAgent(3, SacHyper(), seed=1)
     rng = np.random.default_rng(3)
     for _ in range(200):
         dose, a = agent.act(None, rng.uniform(size=3))
@@ -411,12 +416,14 @@ def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
     hyper at all. A SAC action range other than 0-200 kg/ha is refused,
     since its actor's output means other doses."""
     retired = {"dqn": {"grad_steps_per_day": 2, "buffer_capacity": 100_000,
-                       "target_update_interval": 200},
+                       "target_update_interval": 200, "gamma": 0.99,
+                       "lr": 5e-5, "hidden": [128, 128]},
                "sac": {"alpha": None, "target_entropy": -0.5,
                        "reward_scale": 0.1, "log_std_min": -5.0,
                        "log_std_max": 2.0, "action_low": 0.0,
                        "action_high": 200, "tau": 0.001,
-                       "buffer_capacity": 100_000}}
+                       "buffer_capacity": 100_000, "gamma": 0.98,
+                       "lr": 5e-5, "hidden": [128, 128]}}
 
     def with_keys(data, keys):
         return {**data, "hyper": {**data["hyper"], **keys}}
@@ -437,9 +444,8 @@ def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
 
 def test_sac_bandit_learns_the_optimum_single_seed(monkeypatch):
     """Scaled-down version of the acceptance bandit: one seed, 1500 updates."""
-    monkeypatch.setattr(agents, "TAU", 0.005)
-    hyper = SacHyper(lr=1e-3, batch_size=64, warmup=64, hidden=(32, 32))
-    agent = SacAgent(1, hyper, seed=0)
+    set_constants(monkeypatch, TAU=0.005, LR=1e-3, HIDDEN=(32, 32))
+    agent = SacAgent(1, SacHyper(batch_size=64, warmup=64), seed=0)
     obs = np.zeros(1)
     while agent.actor_adam.step < 1500:
         _, a = agent.act(None, obs)

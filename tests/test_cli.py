@@ -10,7 +10,7 @@ import pytest
 import croprl
 import numpy as np
 
-from croprl import config as configmod
+from croprl import agents, config as configmod
 from croprl.agents import DqnAgent, DqnHyper
 from croprl.cli import main
 from croprl.harness import config_digest
@@ -35,12 +35,15 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
                     "action_low=0", "action_high=200", "tau=0.001")),
                 ["agent.buffer_capacity=100000"],
                 ["agent.target_update_interval=200"],
-                ["scenario.soil_depth_cm=151"]]
+                ["scenario.soil_depth_cm=151"],
+                ["agent.gamma=0.99"], ["agent.kind=sac", "agent.gamma=0.98"],
+                ["agent.lr=5e-05"], ["agent.hidden=128,128"],
+                ["reward.w1=0.1"], ["reward.w2=0.1"], ["reward.w3=0.1"],
+                ["reward.w4=1"]]
 
 
 @pytest.mark.parametrize("overrides", [
     ["scenario.latest_harvest_doy=soon"],
-    ["agent.hidden=12x"],
     ["run.seeds=1,x"],
     ["run.baseline_grid=0,40,lots"],
     ["run.trials=3", "run.seeds=1,2"],
@@ -58,18 +61,14 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     *RETIRED_KEYS,
     # values their dataclass refuses
     ["agent.batch_size=0"],
-    ["agent.lr=nan"],
-    ["agent.lr=-1"],
     ["agent.episodes=-1"],
     ["agent.warmup=-5"],
-    ["agent.hidden=0"],
     # more than the replay buffer holds: training would never start
     ["agent.warmup=100001"],
     ["agent.batch_size=100001"],
     ["scenario.plant_density=nan"],
     ["scenario.weather_seed=-1"],
     ["scenario.weather_mode=bogus"],
-    ["reward.w1=nan"],
     ["reward.threshold=nan"],
     ["run.seeds=", "run.trials=0"],
     ["run.baseline_grid=0,1e308"],
@@ -79,14 +78,12 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["run.baseline_grid=0,0"],
     ["run.baseline_grid=0,-0"],
     ["run.baseline_grid="],  # a table with no reference row
-    ["reward.w1=1e308"],  # finite, but the harvest reward would not be
     ["run.seeds=1,2", "run.trials=3"],  # seeds give the count unless it is set
     ["agent.episodes"],  # an override with no value
     ["episodes=2"],  # an override with no section
     ["scenario.location=mars"],
     ["agent.kind=ppo"],
     ["scenario.latest_harvest_doy=100"],  # before Iowa's planting date
-    ["agent.gamma=2"],
     ["agent.epsilon_decay=1"],  # never decays
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
@@ -113,11 +110,13 @@ def test_retired_keys_in_a_config_file_are_unknown(tmp_path, capsys,
     path = tmp_path / "retired.ini"
     path.write_text("".join(f"[{section}]\n" + "".join(lines)
                             for section, lines in sections.items()))
-    assert main(["train", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 1
     key = overrides[-1].partition("=")[0]
-    assert f"unknown key '{key}'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for command in (["train"], ["evaluate", "--baseline", "160"],
+                    ["ablate", "--axis", "observation"]):
+        assert main([*command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1, command
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_flag_is_a_configuration_error(tiny_config, tmp_path,
@@ -148,7 +147,7 @@ def test_malformed_config_files_are_configuration_errors(tmp_path, capsys,
 def round_trip_config(tmp_path):
     path = tmp_path / "round_trip.ini"
     path.write_text("[scenario]\nlocation = iowa\n"
-                    "[agent]\nepisodes = 3\nwarmup = 32\nhidden = 16,16\n"
+                    "[agent]\nepisodes = 3\nwarmup = 32\n"
                     "[run]\ntrials = 2\nseeds = 1,2\nbaseline_grid = 0,160\n")
     return path
 
@@ -166,7 +165,9 @@ TABLE_FIELDS = {"n_input": "total_n", "leaching": "total_leach",
                 "cumulative_reward": "cumulative_reward"}
 
 
-def test_train_evaluate_round_trip(round_trip_config, tmp_path, capsys):
+def test_train_evaluate_round_trip(round_trip_config, tmp_path, capsys,
+                                  monkeypatch):
+    monkeypatch.setattr(agents, "HIDDEN", (16, 16))
     config = str(round_trip_config)
     run, again = tmp_path / "run", tmp_path / "again"
     assert main(["train", "--config", config, "--out", str(run)]) == 0
@@ -220,14 +221,15 @@ def test_train_evaluate_round_trip(round_trip_config, tmp_path, capsys):
         assert (again / name).read_bytes() == (run / name).read_bytes(), name
 
 
-def test_diverging_trials_are_marked_failed(tiny_config, tmp_path, capsys):
+def test_diverging_trials_are_marked_failed(tiny_config, tmp_path, capsys,
+                                          monkeypatch):
     """An overflow fails its trial under the suite's warnings-as-errors
     filter too; the run still reports the baselines."""
+    monkeypatch.setattr(agents, "LR", 1e30)
     out = tmp_path / "out"
     assert main(["train", "--config", str(tiny_config), "--set",
-                 "agent.lr=1e30", "--set", "agent.episodes=2", "--set",
-                 "run.trials=2", "--set", "run.seeds=1,2", "--set",
-                 "run.baseline_grid=0,160"]) == 0
+                 "agent.episodes=2", "--set", "run.trials=2", "--set",
+                 "run.seeds=1,2", "--set", "run.baseline_grid=0,160"]) == 0
     printed = capsys.readouterr().out
     assert "seed 1: FAILED" in printed and "seed 2: FAILED" in printed
     trials = json.loads((out / "manifest.json").read_text())["trials"]
@@ -254,13 +256,13 @@ def test_fractional_baseline_doses_keep_their_rows(tiny_config, tmp_path):
 
 
 def test_ablation_with_a_failed_condition_is_a_runtime_error(
-        tiny_config, tmp_path, capsys):
+        tiny_config, tmp_path, capsys, monkeypatch):
     """Every trial diverges: no ablation table is written, and each
     condition's manifest records its failed trial."""
+    monkeypatch.setattr(agents, "LR", 1e30)
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(tiny_config), "--axis",
-                 "observation", "--set", "agent.lr=1e30", "--set",
-                 "run.baseline_grid=0"]) == 2
+                 "observation", "--set", "run.baseline_grid=0"]) == 2
     assert "condition full" in capsys.readouterr().err
     assert not list(out.glob("ablation.*"))
     for condition in ("full", "partial"):
@@ -272,8 +274,11 @@ def test_ablation_with_a_failed_condition_is_a_runtime_error(
 @pytest.fixture
 def bad_checkpoints(tmp_path):
     """A directory of checkpoint files that evaluation must refuse."""
-    hyper = DqnHyper(hidden=(4,), warmup=0)
-    agent = DqnAgent(30, hyper).to_dict()
+    hyper = DqnHyper(warmup=0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(agents, "HIDDEN", (4,))
+        agent = DqnAgent(30, hyper).to_dict()
+        narrow = DqnAgent(12, hyper).to_dict()
     texts = {"not_json": "{\"agent\": ",
              "unknown_kind": json.dumps({"agent": {"kind": "ppo"}}),
              "version_2": json.dumps({"agent": {
@@ -289,7 +294,7 @@ def bad_checkpoints(tmp_path):
                  "kind": "sac", "actor": net_to_dict(init_params(
                      (30, 4, 3), np.random.default_rng(0)))}}),
              # the default config observes 30 values
-             "narrow": json.dumps({"agent": DqnAgent(12, hyper).to_dict()}),
+             "narrow": json.dumps({"agent": narrow}),
              # written for another site or schedule than the default's
              "florida": json.dumps({"agent": agent, "scenario": "florida"}),
              "every_10_days": json.dumps({"agent": agent,
@@ -345,7 +350,6 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/nan_weight.json"],
     ["--checkpoint", "{dir}/inf_bias.json"],
     ["--checkpoint", "{dir}/huge_weight.json"],
-    ["--baseline", "160", "--set", "reward.w1=1e308"],  # an infinite reward
     ["--baseline", "160", "--config", "{dir}/missing.ini"],  # the last wins
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
@@ -374,6 +378,24 @@ def test_an_output_path_through_a_file_is_a_configuration_error(
     assert printed.out == ""  # refused before any work or output
     assert (tmp_path / "afile").read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "tiny.ini"]
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate", "--baseline", "160"],
+    ["ablate", "--axis", "observation"]], ids=lambda command: command[0])
+@pytest.mark.parametrize("argv", [["--set", "run.out_dir="], ["--out", ""]],
+                         ids=["set", "out"])
+def test_an_empty_output_path_is_a_configuration_error(
+        tiny_config, tmp_path, monkeypatch, capsys, command, argv):
+    """Before, an empty run.out_dir wrote the run into the working directory
+    and an empty --out was ignored."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", str(tiny_config), *command[1:],
+                 *argv]) == 1
+    printed = capsys.readouterr()
+    assert "configuration error: run.out_dir" in printed.err
+    assert printed.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.ini"]
 
 
 @pytest.mark.parametrize("axis,blocked", [("observation", "partial"),
@@ -429,18 +451,11 @@ weather_mode = stochastic
 weather_seed = 12
 action_frequency = 2
 [reward]
-w1 = 0.2
-w2 = 0.05
-w3 = 0.3
-w4 = 2
 threshold = 200
 [agent]
 kind = DQN
 episodes = 7
-gamma = 0.95
 batch_size = 32
-lr = 1e-4
-hidden = 64, 32
 warmup = 100
 epsilon_decay = 0.99
 [run]
@@ -461,18 +476,11 @@ weather_mode = fixed-trace
 weather_seed = 3
 action_frequency = 1
 [reward]
-w1 = 0.1
-w2 = 0.2
-w3 = 0
-w4 = 1.5
 threshold = inf
 [agent]
 kind = sac
 episodes = 5
-gamma = 0.9
 batch_size = 8
-lr = 3e-4
-hidden = 32,32,16
 warmup = 0
 [run]
 trials = 2
@@ -484,9 +492,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "1a79f902363d7beb", "Some/Dir"),
-    (SAC_INI, "a334278c07fdb2a6", "out"),
-    ("", "32ab15d02ba02176", "run_output"),
+    (DQN_INI, "3c6318b83ede816e", "Some/Dir"),
+    (SAC_INI, "d7b4a7192e9d52b3", "out"),
+    ("", "f75da04ecc32128a", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -517,15 +525,16 @@ def test_docstring_lists_exactly_the_settable_keys():
         ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
         ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 26
+    assert len(computed) == 19
     assert documented == computed
 
 
-def _ablate(tmp_path, axis, conditions):
+def _ablate(tmp_path, monkeypatch, axis, conditions):
     """Run ``croprl ablate`` on a tiny two-seed config; check its tables and
     that each condition directory holds one policy-only checkpoint a seed."""
+    monkeypatch.setattr(agents, "HIDDEN", (8,))
     config = tmp_path / "ablate.ini"
-    config.write_text("[agent]\nepisodes = 2\nwarmup = 32\nhidden = 8\n"
+    config.write_text("[agent]\nepisodes = 2\nwarmup = 32\n"
                       "[run]\ntrials = 2\nbaseline_grid = 0,160\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(config), "--axis", axis,
@@ -565,9 +574,10 @@ def _ablate(tmp_path, axis, conditions):
     return config, out
 
 
-def test_ablate_observation_checkpoints_need_their_observations(tmp_path,
-                                                                capsys):
-    config, out = _ablate(tmp_path, "observation", ("full", "partial"))
+def test_ablate_observation_checkpoints_need_their_observations(
+        tmp_path, capsys, monkeypatch):
+    config, out = _ablate(tmp_path, monkeypatch, "observation",
+                          ("full", "partial"))
     partial = ["evaluate", "--config", str(config),
                "--checkpoint", str(out / "partial" / "trial_1_checkpoint.json")]
     assert main(partial + ["--set", "run.observation=partial"]) == 0
@@ -576,8 +586,8 @@ def test_ablate_observation_checkpoints_need_their_observations(tmp_path,
     assert "observation partial" in capsys.readouterr().err
 
 
-def test_ablate_frequency(tmp_path, capsys):
-    config, out = _ablate(tmp_path, "frequency",
+def test_ablate_frequency(tmp_path, capsys, monkeypatch):
+    config, out = _ablate(tmp_path, monkeypatch, "frequency",
                           ("every_day", "every_10_days"))
     sparse = ["evaluate", "--config", str(config), "--checkpoint",
               str(out / "every_10_days" / "trial_1_checkpoint.json")]

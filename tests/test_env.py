@@ -10,7 +10,8 @@ from croprl.env import (DISCRETE_ACTIONS_KG, MAX_DOSE_KG, NitrogenEnv,
                         day_of_year, florida_scenario, iowa_scenario)
 from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
-from croprl.reward import MAX_WEIGHT, RewardConfig, daily_reward
+from croprl import reward
+from croprl.reward import W2, W3, RewardConfig, daily_reward
 from croprl.simulator import (SOWN, CropState, advance_day,
                               initial_soil_state)
 from croprl.state import FIELD_ORDER, ObservationMask, observe
@@ -140,6 +141,9 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("crop", "gdd_maturity", 700.0),
     ("crop", "gdd_emergence", 2000.0),
     ("soil", "saturation", 1.5),
+    ("soil", "field_capacity", 0.1),
+    # eleven months
+    ("climate", "rain_mm", (5.0,) * 11),
     # a bool, which is not a number: before, it was taken as 1.0
     ("scenario", "plant_density", True),
     ("climate", "rain_mm", (True,) * 12),
@@ -200,9 +204,11 @@ def test_non_finite_dose_rejected(iowa_env, dose):
 
 
 @pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
-def test_largest_dose_every_day_stays_finite(preset):
-    # under the heaviest reward weights too
-    env = NitrogenEnv(preset(reward=RewardConfig(*(MAX_WEIGHT,) * 4, 0.0)))
+def test_largest_dose_every_day_stays_finite(preset, monkeypatch):
+    # under reward weights far above any price ratio, every dose an overage
+    for name in ("W1", "W2", "W3", "W4"):
+        monkeypatch.setattr(reward, name, 1e6)
+    env = NitrogenEnv(preset(reward=RewardConfig(threshold=0.0)))
     env.reset(seed=0)
     total = 0.0
     while not env.done:
@@ -221,7 +227,7 @@ def test_reward_matches_cost_terms_on_application_day(iowa_env):
                             0.0, cfg)
     assert record.reward == expected.total
     assert record.reward == pytest.approx(
-        -cfg.w2 * 40.0 - cfg.w3 * record.state.tleachd)
+        -W2 * 40.0 - W3 * record.state.tleachd)
     b = record.breakdown
     assert b.total == b.yield_term - b.fert_term - b.leach_term - b.overage_term
 

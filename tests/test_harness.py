@@ -187,7 +187,6 @@ def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
     ("seeds", lambda: ExperimentConfig(iowa_scenario(), trials=1,
                                        seeds=(1.5,))),
     ("batch_size", lambda: DqnHyper(batch_size=8.0)),
-    ("hidden", lambda: SacHyper(hidden=(16, 16.5))),
     ("n_episodes", lambda: evaluate_policy(
         baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
         n_episodes=2.5)),
@@ -218,6 +217,11 @@ def test_an_unknown_ablation_axis_is_refused_before_any_directory(tmp_path):
     with pytest.raises(ConfigError, match="unknown ablation axis 'bogus'"):
         run_ablation(config, "bogus")
     assert not out.exists()
+
+
+def test_an_unknown_agent_kind_is_refused():
+    with pytest.raises(ConfigError, match="unknown agent kind 'ppo'"):
+        ExperimentConfig(iowa_scenario(), agent_kind="ppo")
 
 
 def test_an_unknown_observation_kind_is_refused():

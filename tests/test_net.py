@@ -253,6 +253,15 @@ class TestAdam:
         assert np.array_equal(self.params.flat, before.flat)
         assert not np.any(self.state.m) and not np.any(self.state.v)
 
+    def test_gradients_of_another_type_or_size_are_refused(self):
+        with pytest.raises(TypeError, match="ParamSet"):
+            adam_step(self.params, np.zeros_like(self.params.flat),
+                      self.state)
+        other = init_params((2, 4, 1), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="gradient of 17 values"):
+            adam_step(self.params, other, self.state)
+        assert self.state.step == 0
+
     def test_step_is_in_place_and_returns_its_inputs(self):
         flat, m, v = self.params.flat, self.state.m, self.state.v
         before = flat.copy()
@@ -372,6 +381,8 @@ def test_param_set_views_share_one_vector():
     assert clone.flat.tobytes() == params.flat.tobytes()
     with pytest.raises(ShapeError):
         params.like(np.zeros(params.flat.size + 1))
+    with pytest.raises(ShapeError, match="contiguous"):
+        params.like(np.zeros(2 * params.flat.size)[::2])
     # pickling (and so deepcopy) rebuilds the views over the copied vector
     loaded = pickle.loads(pickle.dumps(params))
     assert loaded.flat.tobytes() == params.flat.tobytes()

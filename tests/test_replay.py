@@ -13,6 +13,12 @@ def test_push_and_length():
     assert buf.size == 1
 
 
+@pytest.mark.parametrize("capacity,obs_dim", [(0, 5), (5, 0)])
+def test_capacity_and_observation_size_must_be_positive(capacity, obs_dim):
+    with pytest.raises(ConfigError, match="positive capacity and obs_dim"):
+        ReplayBuffer(capacity, obs_dim)
+
+
 def test_sampling_requires_enough_items():
     buf = ReplayBuffer(capacity=4, obs_dim=2)
     buf.push(np.zeros(2), 0, 0.0, np.zeros(2), False)

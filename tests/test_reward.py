@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from croprl.errors import ConfigError
-from croprl.reward import (MAX_WEIGHT, RewardBreakdown, RewardConfig,
+from croprl.reward import (W1, W2, W3, W4, RewardBreakdown, RewardConfig,
                            daily_reward)
 
-CFG = RewardConfig(w1=0.1, w2=0.1, w3=0.1, w4=1.0, threshold=240.0)
+CFG = RewardConfig(threshold=240.0)
 
 # Published comparison rows: (topwt, total N, total leach, cumulative reward).
 # With all weights 0.1 and no overage, the cumulative reward decomposes as
@@ -78,21 +78,13 @@ def test_negative_inputs_rejected():
         daily_reward(-1.0, 0.0, 0.0, False, 0.0, CFG)
     with pytest.raises(ConfigError):
         daily_reward(0.0, -0.1, 0.0, False, 0.0, CFG)
+    with pytest.raises(ConfigError, match="harvest yield"):
+        daily_reward(0.0, 0.0, 0.0, True, -1.0, CFG)
     with pytest.raises(ConfigError):
-        RewardConfig(w2=-0.1)
-    # a bool is not a weight: before, it was taken as 1.0
-    with pytest.raises(ConfigError, match="w1 must be a number: True"):
-        RewardConfig(w1=True)
-
-
-@pytest.mark.parametrize("weight", [MAX_WEIGHT * 1.0000001, 1e308, math.inf,
-                                    math.nan])
-@pytest.mark.parametrize("name", ["w1", "w2", "w3", "w4"])
-def test_a_weight_above_the_largest_is_refused(name, weight):
-    assert getattr(RewardConfig(**{name: MAX_WEIGHT}), name) == MAX_WEIGHT
-    with pytest.raises(ConfigError,
-                       match=rf"^{name} must lie in \[0, 1e\+06\]: "):
-        RewardConfig(**{name: weight})
+        RewardConfig(threshold=-0.1)
+    # a bool is not a number
+    with pytest.raises(ConfigError, match="threshold must be a number: True"):
+        RewardConfig(threshold=True)
 
 
 def test_all_zero_breakdowns_sum_to_zero():
@@ -125,8 +117,8 @@ def test_linearity_of_episode_reward(actions, leaches, y):
         days.append(daily_reward(a, leach, cumsum, harvest, y, cfg))
         if a != 0.0:
             overage_total += max(0.0, cumsum - cfg.threshold)
-    expected = (cfg.w1 * y - cfg.w2 * sum(actions) - cfg.w3 * sum(leaches)
-                - cfg.w4 * overage_total)
+    expected = (W1 * y - W2 * sum(actions) - W3 * sum(leaches)
+                - W4 * overage_total)
     assert sum(d.total for d in days) == pytest.approx(expected, rel=1e-12,
                                                        abs=1e-9)
 

@@ -161,6 +161,18 @@ def test_a_malformed_climate_csv_row_is_refused_by_line(tmp_path, edit):
         load_climate_csv(path)
 
 
+def test_climate_csv_months_must_run_from_1_to_12(tmp_path):
+    climate = flat_climate()
+    rows = [",".join(CLIMATE_COLUMNS)]
+    rows += [",".join([str(month)] + [repr(getattr(climate, name)[0])
+                                      for name in CLIMATE_COLUMNS[1:]])
+             for month in (2, 1, *range(3, 13))]
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match="months 1..12 in order"):
+        load_climate_csv(path)
+
+
 def test_bundled_presets_load():
     for name in ("ames", "gainesville"):
         climate = load_preset_climate(name)
