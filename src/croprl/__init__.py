@@ -8,7 +8,7 @@ from .errors import ConfigError, EpisodeFinishedError, ShapeError
 from .harness import (EpisodeSummary, ExperimentConfig, RunReport,
                       baseline_policy, evaluate_policy, run_ablation,
                       run_episode, run_training)
-from .reward import RewardBreakdown, RewardConfig, daily_reward
+from .reward import RewardBreakdown, daily_reward
 from .state import (ObservationMask, StateVector, normalize_observation,
                     observe)
 from .weather import DailyWeather, MonthlyClimate, WeatherModel
@@ -19,7 +19,7 @@ __all__ = [
     "ConfigError", "DISCRETE_ACTIONS_KG", "DailyWeather",
     "DqnAgent", "DqnHyper", "EpisodeFinishedError", "EpisodeSummary",
     "ExperimentConfig", "MonthlyClimate", "NitrogenEnv",
-    "ObservationMask", "RewardBreakdown", "RewardConfig", "RunReport",
+    "ObservationMask", "RewardBreakdown", "RunReport",
     "SacAgent", "SacHyper", "ScenarioConfig", "ShapeError", "StateVector",
     "WeatherModel", "baseline_policy", "daily_reward",
     "day_of_year", "discretize_action", "epsilon_schedule",

@@ -3,6 +3,8 @@
 All behavior is driven by one INI config file plus ``--set section.key=value``
 overrides; ``--seed`` and ``--out`` override ``run.seeds``/``run.trials`` and
 ``run.out_dir``. A key that no setting claims is rejected (see ``config``).
+``evaluate`` writes ``evaluation.json`` only into a ``run.out_dir`` that the
+request names, by ``--out``, ``--set`` or the config file.
 
 Exit codes: 0 success, ``--help`` included; 1 configuration error (a
 malformed command line, a malformed or unknown key, a bad value, a bad
@@ -17,9 +19,8 @@ import sys
 
 from .config import apply_overrides, build_experiment, load_config
 from .errors import ConfigError
-from .harness import (ABLATIONS, ExperimentConfig, baseline_policy,
-                      evaluate_policy, load_checkpoint, output_dir,
-                      run_ablation, run_training)
+from .harness import (ABLATIONS, baseline_policy, evaluate_policy,
+                      load_checkpoint, output_dir, run_ablation, run_training)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,17 +56,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_from_args(args) -> ExperimentConfig:
+def _settings_from_args(args) -> dict[str, str]:
+    """The flat config of the request: the file, then ``--set``, ``--seed``
+    and ``--out``."""
     cfg = apply_overrides(load_config(args.config), args.overrides)
     if getattr(args, "seed", None) is not None:
         cfg.update({"run.seeds": str(args.seed), "run.trials": "1"})
     if args.out is not None:
         cfg["run.out_dir"] = args.out
-    return build_experiment(cfg)
+    return cfg
 
 
 def _cmd_train(args) -> int:
-    config = _experiment_from_args(args)
+    config = build_experiment(_settings_from_args(args))
     report = run_training(config)
     good = report.successful()
     print(f"trained {len(good)}/{len(report.trials)} trials; "
@@ -82,7 +85,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _experiment_from_args(args)
+    settings = _settings_from_args(args)
+    config = build_experiment(settings)
     if args.checkpoint:
         policy, _ = load_checkpoint(args.checkpoint, config)
         label = f"checkpoint:{args.checkpoint}"
@@ -91,7 +95,7 @@ def _cmd_evaluate(args) -> int:
         label = f"baseline:{args.baseline:g}"
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1: {args.episodes}")
-    out = output_dir(config.out_dir) if args.out else None
+    out = output_dir(config.out_dir) if "run.out_dir" in settings else None
     mean, per_episode = evaluate_policy(policy, config.scenario, config.mask,
                                         n_episodes=args.episodes)
     result = {"policy": label, "episodes": args.episodes,
@@ -105,7 +109,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = _experiment_from_args(args)
+    config = build_experiment(_settings_from_args(args))
     result = run_ablation(config, args.axis)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

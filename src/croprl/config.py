@@ -1,27 +1,21 @@
 """Plain-text experiment configuration.
 
 Config files are INI-style: flat ``key = value`` pairs inside ``[scenario]``,
-``[reward]``, ``[agent]``, and ``[run]`` sections. Every key is optional; the
-scenario location preset supplies defaults and the other keys override it.
+``[agent]``, and ``[run]`` sections. Every key is optional; the scenario
+location preset supplies defaults and the other keys override it.
 ``--set section.key=value`` command-line overrides use the same dotted names.
 
 Each section is read from the fields of the dataclass it builds, named below,
-and each value is parsed by its field's annotation: tuples are comma lists
-and None is ``none``. A key that no field claims is a ``ConfigError``.
+and each value is parsed by its field's annotation: tuples are comma lists.
+A key that no field claims is a ``ConfigError``.
 
 Recognized keys (defaults in parentheses):
 
 [scenario] (ScenarioConfig)
     location (iowa | florida)    preset supplying all omitted values
-    start_doy, planting_doy      day of year in [1, 366]
-    latest_harvest_doy           day of year in [1, 366], or ``none``
-    plant_density                in (0, inf)
     weather_seed                 in [0, inf)
     weather_mode                 fixed-trace | stochastic
     action_frequency (1)         days between applications, in [1, inf)
-
-[reward] (RewardConfig)
-    threshold (preset)           in [0, inf]; ``inf`` charges no overage
 
 [agent] (DqnHyper or SacHyper)
     kind (dqn | sac)
@@ -34,22 +28,21 @@ Recognized keys (defaults in parentheses):
     observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
 
-Reward weights, discount factors, learning rate and net widths are module
-constants, not keys: ``reward.W1``-``W4``, ``agents.DQN_GAMMA``,
-``SAC_GAMMA``, ``LR`` and ``HIDDEN``.
+A site's season dates, plant density and N threshold belong to its preset
+(``env.iowa_scenario``, ``florida_scenario``), not to keys. Reward weights,
+discount factors, learning rate and net widths are module constants, not
+keys: ``reward.W1``-``W4``, ``agents.DQN_GAMMA``, ``SAC_GAMMA``, ``LR`` and
+``HIDDEN``.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
 from .harness import HYPERS, ExperimentConfig
-from .reward import RewardConfig
 
 # Iowa and Florida trained with different exploration decay rates
 PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
@@ -58,10 +51,8 @@ PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
 # the annotation of every key, by section; ``location`` names the preset
 _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
              **{name: tp for name, tp in get_type_hints(ScenarioConfig).items()
-                if name in ("start_doy", "planting_doy", "latest_harvest_doy",
-                            "plant_density", "weather_mode",
-                            "weather_seed", "action_frequency")}}
-_REWARD = get_type_hints(RewardConfig)
+                if name in ("weather_mode", "weather_seed",
+                            "action_frequency")}}
 _AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
                  **get_type_hints(cls)}
           for kind, cls in HYPERS.items()}
@@ -104,8 +95,6 @@ def _parse(tp, raw: str):
         return tuple(item(x) for x in word.replace(" ", "").split(",") if x)
     if not word and tp is not str:  # Path("") is the working directory
         raise ValueError("no value given")
-    if get_origin(tp) is UnionType:              # int | None
-        return None if word == "none" else get_args(tp)[0](raw)
     return word if tp is str else tp(raw)        # int, float, Path
 
 
@@ -127,14 +116,12 @@ def _read(cfg: dict[str, str], section: str, types: dict) -> dict:
 
 
 def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
-    """The location preset with the [scenario] and [reward] keys applied."""
+    """The location preset with the [scenario] keys applied."""
     values = _read(cfg, "scenario", _SCENARIO)
     location = values.pop("location", "iowa")
     if location not in SCENARIO_PRESETS:
         raise ConfigError(f"unknown scenario location {location!r}")
-    scen = SCENARIO_PRESETS[location]()
-    reward = replace(scen.reward, **_read(cfg, "reward", _REWARD))
-    return replace(scen, reward=reward, **values)
+    return SCENARIO_PRESETS[location](**values)
 
 
 def build_agent_hyper(cfg: dict[str, str], location: str):
@@ -162,7 +149,7 @@ def build_run_settings(cfg: dict[str, str]) -> dict:
 def build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
     """The ExperimentConfig of a whole config dict, for every subcommand."""
     for key in cfg:
-        if key.partition(".")[0] not in ("scenario", "reward", "agent", "run"):
+        if key.partition(".")[0] not in ("scenario", "agent", "run"):
             raise ConfigError(f"unknown key {key!r}")
     scenario = build_scenario(cfg)
     kind, hyper = build_agent_hyper(cfg, scenario.name)

@@ -19,6 +19,9 @@ Conventions:
   weight reached on that step.
 * With an action frequency ``f`` greater than one, requested amounts on
   off-schedule days are forced to zero (the day still advances).
+
+A site's season dates, plant density and N threshold belong to its preset
+(``iowa_scenario``, ``florida_scenario``): no config key sets them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EpisodeFinishedError, check_fields, is_integer
-from .reward import RewardBreakdown, RewardConfig, daily_reward
+from .reward import RewardBreakdown, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
                         initial_soil_state, thermal_time)
@@ -67,7 +70,7 @@ class ScenarioConfig:
     initial_nitrate: tuple[float, ...]
     initial_organic_n: float
     plant_density: float            # plants/m2
-    reward: RewardConfig
+    n_threshold: float              # allowed total N input, kg/ha; inf: any
     weather_mode: str = "fixed-trace"
     weather_seed: int = 0
     action_frequency: int = 1       # days between permitted applications
@@ -76,7 +79,8 @@ class ScenarioConfig:
         check_fields(self, start_doy="[1, 366]", planting_doy="[1, 366]",
                      latest_harvest_doy="[1, 366]", initial_nitrate="[0, inf)",
                      initial_organic_n="[0, inf)", plant_density="(0, inf)",
-                     weather_seed="[0, inf)", action_frequency="[1, inf)")
+                     n_threshold="[0, inf]", weather_seed="[0, inf)",
+                     action_frequency="[1, inf)")
         if self.planting_doy <= self.start_doy:
             raise ConfigError("planting date must come after simulation start")
         if self.latest_harvest_doy is not None \
@@ -104,7 +108,7 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
         initial_nitrate=(8.0, 4.0, 3.0),
         initial_organic_n=2500.0,
         plant_density=7.6,
-        reward=RewardConfig(threshold=240.0),
+        n_threshold=240.0,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -126,7 +130,7 @@ def florida_scenario(**overrides) -> ScenarioConfig:
         initial_nitrate=(6.0, 3.0, 2.0),
         initial_organic_n=2000.0,
         plant_density=7.2,
-        reward=RewardConfig(threshold=160.0),
+        n_threshold=160.0,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -217,7 +221,7 @@ class NitrogenEnv:
                       or cfg.start_doy + self._day >= self._last_doy)
 
         breakdown = daily_reward(applied, fluxes.tleachd, self._cumsumfert,
-                                 self._done, self._crop.topwt, cfg.reward)
+                                 self._done, self._crop.topwt, cfg.n_threshold)
         # the C tuple constructor, in field order: it skips the Python frame
         # of NamedTuple's __new__ but does not count the values, which
         # test_day_record_fields_and_log_keys_keep_their_order does

@@ -39,7 +39,7 @@ import numpy as np
 from .agents import DqnAgent, DqnHyper, SacAgent, SacHyper, policy_from_dict
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
 from .errors import ConfigError, check_fields, is_integer, is_real
-from .reward import RewardConfig, daily_reward
+from .reward import daily_reward
 from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
 CURVE_COLUMNS = ("episode", "epsilon", "cumulative_reward", "total_N",
@@ -191,9 +191,10 @@ def run_episode(env: NitrogenEnv, policy, mask: ObservationMask,
     return summary, env.records
 
 
-def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
+def verify_reward_identity(records: list[DayRecord], threshold: float,
                            tol: float = 1e-9) -> float:
-    """Recompute every day's reward from the logged actions and fluxes.
+    """Recompute every day's reward from the logged actions and fluxes, with
+    ``threshold`` the scenario's ``n_threshold``.
 
     Returns the maximum absolute discrepancy; raises if one exceeds ``tol``
     or is NaN. ``score_episodes`` checks every episode it scores with it.
@@ -202,7 +203,7 @@ def verify_reward_identity(records: list[DayRecord], reward_cfg: RewardConfig,
     for i, rec in enumerate(records):
         st = rec.state
         again = daily_reward(rec.action_applied, st.tleachd, st.cumsumfert,
-                             i == len(records) - 1, st.topwt, reward_cfg)
+                             i == len(records) - 1, st.topwt, threshold)
         gap = abs(again.total - rec.reward)
         if not gap <= tol:
             raise AssertionError(
@@ -373,7 +374,7 @@ def score_episodes(policy, scenario: ScenarioConfig, mask: ObservationMask,
     env = NitrogenEnv(scenario)
     for seed in range(base_seed, base_seed + n_episodes):
         summary, records = run_episode(env, policy, mask, seed=seed)
-        verify_reward_identity(records, scenario.reward)
+        verify_reward_identity(records, scenario.n_threshold)
         yield summary, records
 
 

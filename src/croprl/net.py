@@ -206,13 +206,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam's learning rate, step count, and flat moments in the params'
     layout."""
-    lr: float = 5e-5
+    lr: float
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, params: ParamSet, lr: float = 5e-5) -> "AdamState":
+    def for_params(cls, params: ParamSet, lr: float) -> "AdamState":
         return cls(lr=lr, step=0, m=np.zeros_like(params.flat),
                    v=np.zeros_like(params.flat))
 

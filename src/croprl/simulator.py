@@ -192,10 +192,11 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
                 ) -> tuple[CropState, SoilState, DailyFluxes, GrowthIndices]:
     """Run one day of the coupled soil/crop model.
 
-    ``n_applied`` is the fertilizer mass reaching the surface today (kg/ha).
-    Returns the new crop and soil states plus the day's fluxes and indices.
+    ``n_applied`` is the fertilizer mass reaching the surface today (kg/ha),
+    finite and nonnegative. Returns the new crop and soil states plus the
+    day's fluxes and indices.
     """
-    if n_applied < 0:
+    if not 0.0 <= n_applied < math.inf:  # NaN fails the comparison too
         raise ConfigError("fertilizer application must be nonnegative")
     (sown, gdd, istage, vstage, xlai, topwt, grnwt, rtdep_cm, plant_n,
      grain_n) = crop

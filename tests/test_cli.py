@@ -39,11 +39,14 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
                 ["agent.gamma=0.99"], ["agent.kind=sac", "agent.gamma=0.98"],
                 ["agent.lr=5e-05"], ["agent.hidden=128,128"],
                 ["reward.w1=0.1"], ["reward.w2=0.1"], ["reward.w3=0.1"],
-                ["reward.w4=1"]]
+                ["reward.w4=1"],
+                # a site's dates, density and N threshold, now its preset's
+                ["scenario.start_doy=116"], ["scenario.planting_doy=148"],
+                ["scenario.latest_harvest_doy=298"],
+                ["scenario.plant_density=7.6"], ["reward.threshold=240"]]
 
 
 @pytest.mark.parametrize("overrides", [
-    ["scenario.latest_harvest_doy=soon"],
     ["run.seeds=1,x"],
     ["run.baseline_grid=0,40,lots"],
     ["run.trials=3", "run.seeds=1,2"],
@@ -66,10 +69,8 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     # more than the replay buffer holds: training would never start
     ["agent.warmup=100001"],
     ["agent.batch_size=100001"],
-    ["scenario.plant_density=nan"],
     ["scenario.weather_seed=-1"],
     ["scenario.weather_mode=bogus"],
-    ["reward.threshold=nan"],
     ["run.seeds=", "run.trials=0"],
     ["run.baseline_grid=0,1e308"],
     ["run.seeds=-1"],
@@ -83,7 +84,6 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["episodes=2"],  # an override with no section
     ["scenario.location=mars"],
     ["agent.kind=ppo"],
-    ["scenario.latest_harvest_doy=100"],  # before Iowa's planting date
     ["agent.epsilon_decay=1"],  # never decays
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
@@ -443,15 +443,9 @@ def test_help_exits_0(capsys):
 DQN_INI = """
 [scenario]
 location = Iowa
-start_doy = 100
-planting_doy = 130
-latest_harvest_doy = None
-plant_density = 8
 weather_mode = stochastic
 weather_seed = 12
 action_frequency = 2
-[reward]
-threshold = 200
 [agent]
 kind = DQN
 episodes = 7
@@ -468,15 +462,9 @@ out_dir = Some/Dir
 SAC_INI = """
 [scenario]
 location = florida
-start_doy = 40
-planting_doy = 60
-latest_harvest_doy = 300
-plant_density = 6.5
 weather_mode = fixed-trace
 weather_seed = 3
 action_frequency = 1
-[reward]
-threshold = inf
 [agent]
 kind = sac
 episodes = 5
@@ -492,9 +480,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "3c6318b83ede816e", "Some/Dir"),
-    (SAC_INI, "d7b4a7192e9d52b3", "out"),
-    ("", "f75da04ecc32128a", "run_output"),
+    (DQN_INI, "f239c93512357fcd", "Some/Dir"),
+    (SAC_INI, "a35548fcd9952540", "out"),
+    ("", "10edeb42fc122148", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -522,10 +510,10 @@ def test_docstring_lists_exactly_the_settable_keys():
             documented |= {f"{section}.{name.strip()}"
                            for name in names[0].split(",") if name.strip()}
     computed = {f"{section}.{key}" for section, types in (
-        ("scenario", configmod._SCENARIO), ("reward", configmod._REWARD),
+        ("scenario", configmod._SCENARIO),
         ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 19
+    assert len(computed) == 14
     assert documented == computed
 
 
@@ -651,6 +639,26 @@ def test_evaluate_writes_what_it_prints(tiny_config, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["policy"] == "baseline:80"
     assert json.loads((out / "evaluation.json").read_text()) == printed
+
+
+@pytest.mark.parametrize("named", ["set", "file", "none"])
+def test_evaluate_writes_into_the_out_dir_the_request_names(
+        tmp_path, monkeypatch, capsys, named):
+    """Before, only --out wrote evaluation.json: a run.out_dir named by
+    --set or by the config file was ignored. With none named, nothing is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "eval"
+    config = tmp_path / "eval.ini"
+    config.write_text(f"[run]\nout_dir = {out}\n" if named == "file" else "")
+    argv = ["--set", f"run.out_dir={out}"] if named == "set" else []
+    assert main(["evaluate", "--config", str(config), "--baseline", "80",
+                 *argv]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    if named == "none":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.ini"]
+    else:
+        assert json.loads((out / "evaluation.json").read_text()) == printed
 
 
 @pytest.mark.parametrize("baseline,status", [("160", 0), ("nan", 1)])

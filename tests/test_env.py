@@ -11,7 +11,7 @@ from croprl.env import (DISCRETE_ACTIONS_KG, MAX_DOSE_KG, NitrogenEnv,
 from croprl.errors import ConfigError, EpisodeFinishedError
 from croprl.harness import baseline_policy, run_episode
 from croprl import reward
-from croprl.reward import W2, W3, RewardConfig, daily_reward
+from croprl.reward import W2, W3, daily_reward
 from croprl.simulator import (SOWN, CropState, advance_day,
                               initial_soil_state)
 from croprl.state import FIELD_ORDER, ObservationMask, observe
@@ -91,6 +91,8 @@ def test_invalid_configs_rejected():
         iowa_scenario(plant_density=-1.0)
     with pytest.raises(ConfigError):
         iowa_scenario(action_frequency=0)
+    with pytest.raises(ConfigError, match="latest_harvest_doy"):
+        iowa_scenario(latest_harvest_doy=100)  # before the planting date
 
 
 NAN = float("nan")
@@ -106,6 +108,10 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("climate", "rain_mm", TWELVE_WITH_NAN),
     ("scenario", "initial_organic_n", NAN),
     ("scenario", "initial_nitrate", (8.0, NAN, 3.0)),
+    ("scenario", "plant_density", NAN),
+    ("scenario", "n_threshold", NAN),
+    # a threshold below zero would charge an overage on every dose
+    ("scenario", "n_threshold", -0.1),
     # a divisor of zero
     ("crop", "phyllochron", 0.0),
     # a fraction outside [0, 1]
@@ -146,6 +152,7 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("climate", "rain_mm", (5.0,) * 11),
     # a bool, which is not a number: before, it was taken as 1.0
     ("scenario", "plant_density", True),
+    ("scenario", "n_threshold", True),
     ("climate", "rain_mm", (True,) * 12),
 ], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
     str(v).replace(" ", ""))
@@ -208,7 +215,7 @@ def test_largest_dose_every_day_stays_finite(preset, monkeypatch):
     # under reward weights far above any price ratio, every dose an overage
     for name in ("W1", "W2", "W3", "W4"):
         monkeypatch.setattr(reward, name, 1e6)
-    env = NitrogenEnv(preset(reward=RewardConfig(threshold=0.0)))
+    env = NitrogenEnv(preset(n_threshold=0.0))
     env.reset(seed=0)
     total = 0.0
     while not env.done:
@@ -222,9 +229,8 @@ def test_reward_matches_cost_terms_on_application_day(iowa_env):
     iowa_env.reset(seed=0)
     record = iowa_env.step(40.0)
     assert iowa_env.records == [record]
-    cfg = iowa_env.config.reward
     expected = daily_reward(40.0, record.state.tleachd, 40.0, False,
-                            0.0, cfg)
+                            0.0, iowa_env.config.n_threshold)
     assert record.reward == expected.total
     assert record.reward == pytest.approx(
         -W2 * 40.0 - W3 * record.state.tleachd)

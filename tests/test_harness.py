@@ -23,7 +23,7 @@ def test_reward_identity_catches_a_wrong_or_nan_reward(shift):
     day = records[i]
     records[i] = day._replace(reward=day.reward + shift)
     with pytest.raises(AssertionError, match=f"day {day.dap}"):
-        verify_reward_identity(records, env.config.reward)
+        verify_reward_identity(records, env.config.n_threshold)
 
 
 def test_mean_summary_averages_every_episode():
@@ -71,7 +71,7 @@ def test_scored_episodes_are_evaluate_policys_in_seed_order():
         assert summary.as_dict() == alone.as_dict()
         # each episode keeps its own records, not the env's latest ones
         assert records[-1].state.dap == summary.terminal_dap
-        assert verify_reward_identity(records, scenario.reward) == 0.0
+        assert verify_reward_identity(records, scenario.n_threshold) == 0.0
 
 
 @pytest.mark.parametrize("frequency", [1, 7, 10])

@@ -408,7 +408,8 @@ def test_checkpoint_round_trip_is_bit_identical():
     assert isinstance(params2, ParamSet)
     assert all(np.shares_memory(w, params2.flat)
                and np.shares_memory(b, params2.flat) for w, b in params2)
-    _, adam2 = adam_step(params2, grads, AdamState.for_params(params2))
+    _, adam2 = adam_step(params2, grads,
+                         AdamState.for_params(params2, lr=2e-4))
     assert adam2.step == 1
 
 

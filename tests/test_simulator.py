@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from croprl.errors import ConfigError
 from croprl.reward import RewardBreakdown
 from croprl.simulator import (CropParams, CropState, DailyFluxes, FLOWERING,
                               GRAINFILL, GrowthIndices, MATURE, NitrogenParams,
@@ -206,11 +207,19 @@ def test_volatilization_only_on_rain_free_days():
 
 
 def test_negative_application_rejected():
-    from croprl.errors import ConfigError
     with pytest.raises(ConfigError):
         advance_day(CropState(), soil_at_fc(),
                     DailyWeather(0.0, 15.0, 25.0, 12.0),
                     -1.0, PROFILE, CROP, NITRO, PLTPOP)
+
+
+@pytest.mark.parametrize("n_applied", [float("nan"), float("inf")])
+def test_non_finite_application_rejected(n_applied):
+    """Before, NaN reached the top layer's nitrate and inf became NaN."""
+    with pytest.raises(ConfigError, match="fertilizer application"):
+        advance_day(CropState(), soil_at_fc(),
+                    DailyWeather(0.0, 15.0, 25.0, 12.0),
+                    n_applied, PROFILE, CROP, NITRO, PLTPOP)
 
 
 def test_stress_indices_with_abundant_supplies():
