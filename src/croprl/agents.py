@@ -51,10 +51,12 @@ def epsilon_schedule(episode: int, decay: float) -> float:
 def discretize_action(a: float) -> float:
     """Snap a continuous amount to the nearest of ``DISCRETE_ACTIONS_KG``.
 
-    Inputs outside the discrete range are clamped first; exact midpoints
-    resolve to the smaller amount.
+    Inputs outside the discrete range, infinities too, are clamped first;
+    exact midpoints resolve to the smaller amount; NaN raises ValueError.
     """
-    a = min(max(float(a), DISCRETE_ACTIONS_KG[0]), DISCRETE_ACTIONS_KG[-1])
+    if math.isnan(a := float(a)):
+        raise ValueError(f"fertilizer amount must be a number: {a}")
+    a = min(max(a, DISCRETE_ACTIONS_KG[0]), DISCRETE_ACTIONS_KG[-1])
     best = DISCRETE_ACTIONS_KG[0]
     best_d = abs(a - best)
     for cand in DISCRETE_ACTIONS_KG[1:]:

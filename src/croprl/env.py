@@ -20,8 +20,9 @@ Conventions:
 * With an action frequency ``f`` greater than one, requested amounts on
   off-schedule days are forced to zero (the day still advances).
 
-A site's season dates, plant density and N threshold belong to its preset
-(``iowa_scenario``, ``florida_scenario``): no config key sets them.
+A site's season dates, plant density, N threshold and monthly climate table
+belong to its preset (``iowa_scenario``, ``florida_scenario``): no config key
+sets them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
                         initial_soil_state, thermal_time)
 from .state import StateVector
-from .weather import (MONTH_LENGTHS, WEATHER_MODES, MonthlyClimate,
-                      WeatherModel, load_preset_climate)
+from .weather import MONTH_LENGTHS, WEATHER_MODES, MonthlyClimate, WeatherModel
 
 #: Discrete fertilizer amounts available to the agents, kg/ha.
 DISCRETE_ACTIONS_KG: tuple[float, ...] = (0.0, 40.0, 80.0, 120.0, 160.0)
@@ -92,6 +92,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown weather_mode {self.weather_mode!r}")
 
 
+# A preset's climate table: one row per month from January, in the field
+# order of MonthlyClimate (p_wet_dry, p_wet_wet, rain_mm, tmax_mean, tmax_sd,
+# tmin_mean, tmin_sd, wet_temp_drop, srad_mean, srad_sd, wet_srad_factor).
+# Hand-written approximations of central-Iowa and north-Florida climatology,
+# adequate for exercising the simulator; not fitted to station records.
 def iowa_scenario(**overrides) -> ScenarioConfig:
     """Central-Iowa maize season: spring start, bounded harvest window."""
     defaults = dict(
@@ -104,7 +109,20 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
         crop=CropParams(gdd_flowering=1050.0, gdd_grainfill=1180.0,
                         gdd_maturity=1640.0),
         nitro=NitrogenParams(),
-        climate=load_preset_climate("ames"),
+        climate=MonthlyClimate(*zip(
+            (0.15, 0.40, 4.0, -2.0, 5.0, -13.0, 5.0, 2.0, 6.5, 2.0, 0.55),
+            (0.16, 0.40, 5.0, 1.0, 5.0, -10.0, 5.0, 2.0, 9.5, 2.5, 0.55),
+            (0.20, 0.45, 7.0, 9.0, 5.0, -3.0, 4.5, 2.5, 13.0, 3.5, 0.55),
+            (0.24, 0.48, 9.0, 17.0, 4.5, 3.0, 4.0, 3.0, 17.0, 4.5, 0.55),
+            (0.27, 0.50, 11.5, 23.0, 4.0, 10.0, 3.5, 3.0, 20.5, 5.0, 0.55),
+            (0.27, 0.52, 14.0, 28.0, 3.5, 15.5, 3.0, 3.5, 23.0, 5.0, 0.55),
+            (0.22, 0.48, 13.0, 30.0, 3.0, 18.0, 2.5, 3.5, 22.5, 4.5, 0.55),
+            (0.22, 0.48, 12.5, 29.0, 3.0, 17.0, 2.5, 3.5, 20.0, 4.5, 0.55),
+            (0.20, 0.45, 10.0, 25.0, 3.5, 12.0, 3.0, 3.0, 16.0, 4.0, 0.55),
+            (0.18, 0.42, 8.0, 18.0, 4.0, 5.0, 3.5, 2.5, 11.5, 3.0, 0.55),
+            (0.17, 0.42, 6.0, 8.0, 4.5, -1.5, 4.0, 2.0, 7.0, 2.0, 0.55),
+            (0.16, 0.40, 4.5, 0.0, 5.0, -9.0, 4.5, 2.0, 5.5, 1.5, 0.55),
+        )),
         initial_nitrate=(8.0, 4.0, 3.0),
         initial_organic_n=2500.0,
         plant_density=7.6,
@@ -126,7 +144,20 @@ def florida_scenario(**overrides) -> ScenarioConfig:
         crop=CropParams(gdd_flowering=1100.0, gdd_grainfill=1250.0,
                         gdd_maturity=1750.0),
         nitro=NitrogenParams(),
-        climate=load_preset_climate("gainesville"),
+        climate=MonthlyClimate(*zip(
+            (0.18, 0.45, 9.0, 19.0, 4.5, 6.0, 4.5, 2.0, 11.0, 3.0, 0.60),
+            (0.18, 0.45, 10.0, 21.0, 4.5, 8.0, 4.5, 2.0, 14.0, 3.5, 0.60),
+            (0.20, 0.45, 12.0, 24.5, 4.0, 11.0, 4.0, 2.5, 19.0, 4.0, 0.60),
+            (0.18, 0.44, 13.0, 27.5, 3.5, 14.0, 3.5, 2.5, 23.0, 4.5, 0.60),
+            (0.17, 0.44, 14.0, 31.0, 3.0, 18.0, 3.0, 2.5, 24.0, 4.5, 0.60),
+            (0.38, 0.55, 14.5, 33.0, 2.5, 21.5, 2.0, 3.0, 22.0, 4.5, 0.65),
+            (0.42, 0.58, 13.5, 33.5, 2.0, 22.5, 1.8, 3.0, 21.0, 4.0, 0.65),
+            (0.40, 0.56, 13.5, 33.0, 2.0, 22.5, 1.8, 3.0, 20.0, 4.0, 0.65),
+            (0.30, 0.52, 12.0, 31.5, 2.5, 21.0, 2.2, 2.5, 17.5, 4.0, 0.60),
+            (0.20, 0.45, 9.0, 28.0, 3.0, 16.0, 3.0, 2.5, 15.0, 3.5, 0.60),
+            (0.16, 0.42, 8.0, 24.0, 3.5, 11.0, 3.5, 2.0, 12.0, 3.0, 0.60),
+            (0.16, 0.42, 8.5, 20.5, 4.0, 7.5, 4.0, 2.0, 10.5, 3.0, 0.60),
+        )),
         initial_nitrate=(6.0, 3.0, 2.0),
         initial_organic_n=2000.0,
         plant_density=7.2,

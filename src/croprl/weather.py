@@ -4,8 +4,8 @@ Weather follows the classic two-part daily generator design: rain occurrence
 is a first-order Markov chain (wet/dry, monthly transition probabilities),
 wet-day amounts are exponential, and temperature/radiation are normal draws
 around monthly means with a fixed depression on wet days. Parameters are
-monthly; the bundled presets are CSV tables read by ``load_climate_csv``,
-whose header is ``month`` followed by the fields of ``MonthlyClimate``.
+monthly, one ``MonthlyClimate`` table per site; each site's preset in ``env``
+holds its own table.
 
 Two modes:
 
@@ -20,11 +20,8 @@ immutable tuple of ``DailyWeather`` rows, one per day from January 1st.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -71,10 +68,6 @@ class MonthlyClimate:
                 raise ConfigError(f"{name} needs 12 monthly entries")
 
 
-#: header of a climate CSV: the month, then one column per table field
-CLIMATE_COLUMNS = ("month", *(f.name for f in fields(MonthlyClimate)))
-
-
 class WeatherModel:
     """Daily weather source for one location.
 
@@ -119,9 +112,9 @@ def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
     rng = np.random.default_rng(seed)
     uniform, exponential, normal = (rng.random, rng.exponential,
                                     rng.standard_normal)
-    # one row of parameters per month, in CLIMATE_COLUMNS order
-    months = list(zip(*(getattr(climate, name)
-                        for name in CLIMATE_COLUMNS[1:])))
+    # one row of parameters per month, in field order
+    months = list(zip(*(getattr(climate, f.name)
+                        for f in fields(MonthlyClimate))))
     rows = []
     wet = False
     for m in _DOY_MONTH[:last_doy]:
@@ -142,42 +135,3 @@ def _draw_year(climate: MonthlyClimate, last_doy: int, seed: int):
         rows.append(DailyWeather(rain, max(srad, 0.1), tmax, tmin))
     return tuple(rows)
 
-
-def load_climate_csv(path) -> MonthlyClimate:
-    """Read a 12-row monthly parameter table.
-
-    Header row is required and must match ``CLIMATE_COLUMNS`` exactly; each
-    row holds one number per column, and rows cover months 1..12 in order.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CLIMATE_COLUMNS:
-            raise ConfigError(
-                f"climate CSV header mismatch: expected {CLIMATE_COLUMNS}, "
-                f"got {header}")
-        rows = []
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, not {len(header)}")
-                rows.append(tuple(map(float, row)))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
-    if [r[0] for r in rows] != list(range(1, 13)):
-        raise ConfigError("climate CSV must list months 1..12 in order")
-    return MonthlyClimate(*list(zip(*rows))[1:])
-
-
-def load_preset_climate(name: str) -> MonthlyClimate:
-    """Load one of the bundled monthly tables ('ames' or 'gainesville').
-
-    The bundled tables are hand-written approximations of central-Iowa and
-    north-Florida climatology, adequate for exercising the simulator; they
-    are not fitted to station records.
-    """
-    ref = resources.files("croprl.data").joinpath(f"{name}.csv")
-    if not ref.is_file():
-        raise ConfigError(f"no bundled climate preset named {name!r}")
-    with resources.as_file(ref) as path:
-        return load_climate_csv(Path(path))

@@ -133,10 +133,15 @@ def brute_force_nearest(a):
 @pytest.mark.parametrize("raw,expected", [
     (0.0, 0.0), (95.0, 80.0), (200.0, 160.0), (100.0, 80.0),
     (19.9, 0.0), (20.1, 40.0), (60.0, 40.0), (140.0, 120.0), (-5.0, 0.0),
-    (250.0, 160.0),
+    (250.0, 160.0), (math.inf, 160.0), (-math.inf, 0.0),
 ])
 def test_discretize_known_points(raw, expected):
     assert discretize_action(raw) == expected
+
+
+def test_discretize_refuses_nan():
+    with pytest.raises(ValueError, match="must be a number"):
+        discretize_action(math.nan)
 
 
 def test_discretize_idempotent_on_the_set():

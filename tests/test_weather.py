@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from croprl import weather
-from croprl.env import iowa_scenario
+from croprl.env import SCENARIO_PRESETS, iowa_scenario
 from croprl.errors import ConfigError
 from croprl.harness import BASELINE_GRID, baseline_policy, evaluate_policy
 from croprl.state import ObservationMask
-from croprl.weather import (CLIMATE_COLUMNS, DailyWeather, MonthlyClimate,
-                            WeatherModel, load_climate_csv,
-                            load_preset_climate)
+from croprl.weather import DailyWeather, MonthlyClimate, WeatherModel
 
 
 def flat_climate(p_wet_dry=0.3, p_wet_wet=0.5, rain_mm=12.0):
@@ -117,70 +115,6 @@ def test_climate_validation():
         WeatherModel(flat_climate(), mode="sometimes")
 
 
-def test_climate_csv_round_trip(tmp_path):
-    climate = flat_climate(rain_mm=1 / 3)
-    rows = [",".join(CLIMATE_COLUMNS)]
-    rows += [",".join([str(m + 1)] + [repr(getattr(climate, name)[m])
-                                      for name in CLIMATE_COLUMNS[1:]])
-             for m in range(12)]
-    path = tmp_path / "c.csv"
-    path.write_text("\n".join(rows) + "\n")
-    assert load_climate_csv(path) == climate
-
-
-def test_climate_csv_header_is_mandatory(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,3\n")
-    with pytest.raises(ConfigError):
-        load_climate_csv(path)
-
-
-def test_an_empty_climate_csv_is_refused(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ConfigError, match="header"):
-        load_climate_csv(path)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda cells: cells[:-1],           # one cell fewer than the header
-    lambda cells: cells + ["0.5"],      # one cell more
-    lambda cells: cells[:3] + ["wet"] + cells[4:],  # not a number
-], ids=["short", "long", "text"])
-def test_a_malformed_climate_csv_row_is_refused_by_line(tmp_path, edit):
-    climate = flat_climate()
-    rows = [",".join(CLIMATE_COLUMNS)]
-    for m in range(12):
-        cells = [str(m + 1)] + [repr(getattr(climate, name)[m])
-                                for name in CLIMATE_COLUMNS[1:]]
-        rows.append(",".join(edit(cells) if m == 4 else cells))
-    path = tmp_path / "c.csv"
-    path.write_text("\n".join(rows) + "\n")
-    # month 5 is on line 6, below the header
-    with pytest.raises(ConfigError, match=r"c\.csv:6: "):
-        load_climate_csv(path)
-
-
-def test_climate_csv_months_must_run_from_1_to_12(tmp_path):
-    climate = flat_climate()
-    rows = [",".join(CLIMATE_COLUMNS)]
-    rows += [",".join([str(month)] + [repr(getattr(climate, name)[0])
-                                      for name in CLIMATE_COLUMNS[1:]])
-             for month in (2, 1, *range(3, 13))]
-    path = tmp_path / "c.csv"
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ConfigError, match="months 1..12 in order"):
-        load_climate_csv(path)
-
-
-def test_bundled_presets_load():
-    for name in ("ames", "gainesville"):
-        climate = load_preset_climate(name)
-        assert len(climate.rain_mm) == 12
-    with pytest.raises(ConfigError):
-        load_preset_climate("atlantis")
-
-
 def reference_year(climate, seed):
     """The generator as one draw per day into a preallocated array, with
     the month found per day: the form ``sample_year`` must reproduce."""
@@ -208,9 +142,9 @@ def reference_year(climate, seed):
     return out
 
 
-@pytest.mark.parametrize("preset", ["ames", "gainesville"])
-def test_sample_year_matches_the_per_day_reference_bit_for_bit(preset):
-    climate = load_preset_climate(preset)
+@pytest.mark.parametrize("location", ["iowa", "florida"])
+def test_sample_year_matches_the_per_day_reference_bit_for_bit(location):
+    climate = SCENARIO_PRESETS[location]().climate
     model = WeatherModel(climate, mode="stochastic")
     for seed in (0, 1, 17, 2**40 + 3):
         assert np.array(model.sample_year(seed)).tobytes() == \
