@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .env import DISCRETE_ACTIONS_KG
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import (ConfigError, ShapeError, check_fields, is_integer,
+                     is_real)
 from .net import (AdamState, ParamSet, adam_step, backward, forward,
                   forward_cached, init_params, input_gradient, net_from_dict,
                   net_to_dict)
@@ -41,6 +42,8 @@ from .replay import ReplayBuffer
 
 def epsilon_schedule(episode: int, decay: float) -> float:
     """Exploration rate decay^episode; starts at 1 and decays geometrically."""
+    if not is_integer(episode):
+        raise ConfigError(f"episode index must be an integer: {episode!r}")
     if episode < 0:
         raise ConfigError("episode index must be >= 0")
     if not 0.0 < decay <= 1.0:
@@ -52,10 +55,11 @@ def discretize_action(a: float) -> float:
     """Snap a continuous amount to the nearest of ``DISCRETE_ACTIONS_KG``.
 
     Inputs outside the discrete range, infinities too, are clamped first;
-    exact midpoints resolve to the smaller amount; NaN raises ValueError.
+    exact midpoints resolve to the smaller amount; NaN, and anything not a
+    real number (a bool or a string too), raises ValueError.
     """
-    if math.isnan(a := float(a)):
-        raise ValueError(f"fertilizer amount must be a number: {a}")
+    if (type(a) is not float and not is_real(a)) or math.isnan(a := float(a)):
+        raise ValueError(f"fertilizer amount must be a number: {a!r}")
     a = min(max(a, DISCRETE_ACTIONS_KG[0]), DISCRETE_ACTIONS_KG[-1])
     best = DISCRETE_ACTIONS_KG[0]
     best_d = abs(a - best)
@@ -150,6 +154,12 @@ class DqnAgent:
         self.adam = AdamState.for_params(self.params, lr=LR)
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
         self.epsilon = 1.0
+        # what each update overwrites: the gradient, and dL/dQ, which is
+        # zero except at each row's taken action
+        self._grads = self.params.like(np.empty_like(self.params.flat))
+        self._rows = np.arange(hyper.batch_size)
+        self._grad_out = np.zeros((hyper.batch_size, len(DISCRETE_ACTIONS_KG)),
+                                  dtype=self.dtype)
 
     def begin_episode(self, episode: int) -> float:
         self.epsilon = epsilon_schedule(episode, self.hyper.epsilon_decay)
@@ -176,15 +186,15 @@ class DqnAgent:
                                  self.target_params, DQN_GAMMA)
         q, cache = forward_cached(self.params, obs)
         idx = actions.astype(np.int64)
-        rows = np.arange(len(idx))
+        rows, grad_out, n = self._rows, self._grad_out, len(idx)
         err = q[rows, idx] - targets
-        grad_out = np.zeros_like(q)
-        grad_out[rows, idx] = 2.0 * err / len(idx)
-        grads = backward(self.params, cache, grad_out)
-        adam_step(self.params, grads, self.adam)
+        grad_out.fill(0.0)
+        grad_out[rows, idx] = 2.0 * err / n
+        backward(self.params, cache, grad_out, self._grads)
+        adam_step(self.params, self._grads, self.adam)
         if self.adam.step % TARGET_UPDATE_INTERVAL == 0:
             np.copyto(self.target_params.flat, self.params.flat)
-        return float(np.mean(err ** 2))
+        return float(err @ err) / n
 
     # -- persistence --------------------------------------------------------
 
@@ -251,6 +261,16 @@ class SacAgent:
         self._log_alpha_m = 0.0
         self._log_alpha_v = 0.0
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
+        # what each update overwrites: one gradient per net, the critics'
+        # inputs at the next state, the stored action and the fresh action,
+        # and the upstream gradient of Q's input gradient
+        self._actor_grads = self.actor.like(np.empty_like(self.actor.flat))
+        self._critic_grads = [c.like(np.empty_like(c.flat))
+                              for c in self.critics]
+        self._xin_next, self._xin, self._xin_pi = (
+            np.empty((hyper.batch_size, obs_dim + 1), dtype=self.dtype)
+            for _ in range(3))
+        self._ones = np.ones((hyper.batch_size, 1), dtype=self.dtype)
 
     # -- policy --------------------------------------------------------------
 
@@ -288,8 +308,13 @@ class SacAgent:
                 - np.log(_HALF * one_m_t2 + 1e-6))
         return t, logp, xi, std, one_m_t2
 
-    def _critic_input(self, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.concatenate([obs, t[:, None]], axis=1)
+    @staticmethod
+    def _critic_input(out: np.ndarray, obs: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
+        """The critic input [obs, t] of each row, written into ``out``."""
+        out[:, :-1] = obs
+        out[:, -1] = t
+        return out
 
     def update(self):
         h = self.hyper
@@ -304,7 +329,7 @@ class SacAgent:
         # soft targets from fresh next-state actions
         t2, logp2, *_ = self._squashed_sample(
             forward(self.actor, next_obs), rng)
-        xin2 = self._critic_input(next_obs, t2)
+        xin2 = self._critic_input(self._xin_next, next_obs, t2)
         q_next = np.minimum(
             forward(self.targets[0], xin2)[:, 0],
             forward(self.targets[1], xin2)[:, 0])
@@ -312,14 +337,15 @@ class SacAgent:
                                            q_next - alpha * logp2)
 
         # critic regression
-        xin = self._critic_input(obs, t_stored)
+        xin = self._critic_input(self._xin, obs, t_stored)
         critic_mse = []
         for i in range(2):
             q, cache = forward_cached(self.critics[i], xin)
             err = q[:, 0] - y
-            critic_mse.append(np.mean(err ** 2))
+            critic_mse.append(float(err @ err) / len(y))
             gout = 2.0 * err[:, None] / len(y)
-            grads = backward(self.critics[i], cache, gout)
+            grads = backward(self.critics[i], cache, gout,
+                             self._critic_grads[i])
             adam_step(self.critics[i], grads, self.critic_adams[i])
 
         # actor: reparameterized gradient of alpha*logpi - min Q
@@ -330,9 +356,9 @@ class SacAgent:
 
         # d(minQ)/d(action input) is the smaller critic's, the first on ties;
         # each row's input gradient reads only that row
-        xin_pi = self._critic_input(obs, t)
+        xin_pi = self._critic_input(self._xin_pi, obs, t)
         (q0, c0), (q1, c1) = (forward_cached(c, xin_pi) for c in self.critics)
-        ones = np.ones((len(t), 1))
+        ones = self._ones
         dq_da = np.where(q0[:, 0] <= q1[:, 0],
                          input_gradient(self.critics[0], c0, ones)[:, -1],
                          input_gradient(self.critics[1], c1, ones)[:, -1])
@@ -341,7 +367,8 @@ class SacAgent:
         dl_du = (alpha * dlogp_du - dq_da * one_m_t2) / len(t)
         dl_dlogstd = (dl_du * std * xi - alpha / len(t)) * clip_mask
         actor_gout = np.stack([dl_du, dl_dlogstd], axis=1)
-        grads = backward(self.actor, actor_cache, actor_gout)
+        grads = backward(self.actor, actor_cache, actor_gout,
+                         self._actor_grads)
         adam_step(self.actor, grads, self.actor_adam)
 
         # temperature, bias-corrected by the update count: the actor's step

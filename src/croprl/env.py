@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EpisodeFinishedError, check_fields, is_integer
+from .errors import (ConfigError, EpisodeFinishedError, check_fields,
+                     is_integer, is_real)
 from .reward import RewardBreakdown, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
@@ -222,10 +223,17 @@ class NitrogenEnv:
     def step(self, dose: float) -> DayRecord:
         """Apply ``dose`` kg/ha of fertilizer to the current day, advance the
         simulation, and return the day's record (also appended to
-        ``records``)."""
+        ``records``). A dose that is not a real number in [0, MAX_DOSE_KG]
+        (a bool or a string is not one) raises ValueError."""
         if self._done:
             raise EpisodeFinishedError("episode is finished; call reset()")
-        requested = float(dose)
+        # policies return floats: testing for one first keeps their cost
+        if type(dose) is float:
+            requested = dose
+        elif is_real(dose):
+            requested = float(dose)
+        else:
+            raise ValueError(f"fertilizer dose must be a number: {dose!r}")
         if not 0.0 <= requested <= MAX_DOSE_KG:
             raise ValueError(f"fertilizer dose must lie in [0, {MAX_DOSE_KG:g}]"
                              f" kg/ha: {requested}")

@@ -5,23 +5,33 @@ a linear output, the networks of the DQN and SAC papers, so this module
 implements them directly on numpy arrays instead of pulling in an autodiff
 framework. A net is its ``ParamSet``: the layer widths are read from the
 weight shapes (``ParamSet.sizes``), and no other object describes it. For a
-given upstream gradient of shape (batch, n_out), ``backward`` returns the
+given upstream gradient of shape (batch, n_out), ``backward`` writes the
 exact parameter gradient of the forward map, summed over the batch (callers
-divide by the batch size when optimizing a mean loss), and
-``input_gradient`` returns the gradient in the input alone.
+divide by the batch size when optimizing a mean loss), into a ``ParamSet``
+the caller owns, and ``input_gradient`` returns the gradient in the input
+alone.
 
 Layout. A net's parameters are a ``ParamSet``: one contiguous vector
 ``flat`` holding W0, b0, W1, b1, ... in that order (each W row-major, of
 shape (fan_in, fan_out)), and the (W, b) pairs, which are views into it.
-``backward`` returns its gradients in the same layout, and Adam's first and
+``backward`` writes its gradients in the same layout, and Adam's first and
 second moments are flat vectors in that layout too. The optimizer, the DQN
 target copy and the SAC Polyak average therefore each run a few ufuncs over
 one array.
 
-In place. ``adam_step`` writes the new values into ``params.flat``,
+In place. Neither the gradient nor Adam's scratch is allocated per update.
+``backward(params, cache, grad_out, out)`` overwrites every value of
+``out``, a ``ParamSet`` in the layout of ``params`` that the caller
+allocates once, for instance as ``params.like(np.empty_like(params.flat))``,
+and returns it. ``adam_step`` writes the new values into ``params.flat``,
 ``state.m`` and ``state.v``, advances ``state.step`` and returns the same
 two objects. Take ``params.copy()`` first to keep the old values. A
 non-finite gradient raises ``FloatingPointError`` before anything changes.
+The step's scratch vectors ``tmp`` and ``denom``, and the bool ``mask`` of
+the subnormal flush, belong to the ``AdamState``; ``for_params`` allocates
+them beside the moments. Within a pass, ``forward_cached`` adds each bias
+into the matmul's result and the reverse pass applies each ReLU mask to the
+gradient in place, so neither makes a second batch-sized array.
 
 Subnormal flush. After each step, every first moment smaller in magnitude
 than ``np.finfo(dtype).tiny`` becomes +0.0. A unit whose gradient is exactly
@@ -50,7 +60,7 @@ any other key, such as the Adam moments that earlier version-1 files carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,7 +151,8 @@ def forward_cached(params: ParamSet, x: np.ndarray
     cache = [h]
     last = len(params) - 1
     for i, (w, b) in enumerate(params):
-        z = h @ w + b
+        z = h @ w
+        z += b
         cache.append(z)
         if i != last:
             h = np.maximum(z, 0.0)
@@ -163,25 +174,26 @@ def _below(params: ParamSet, cache: list[np.ndarray], delta: np.ndarray,
     w = params[i][0]
     # matmul is slow on this outer product; + 0.0 gives zeros matmul's sign
     up = delta * w[:, 0] + 0.0 if w.shape[1] == 1 else delta @ w.T
-    return np.multiply(up, cache[2 * i - 1] > 0.0)
+    return np.multiply(up, cache[2 * i - 1] > 0.0, out=up)
 
 
 def backward(params: ParamSet, cache: list[np.ndarray],
-             grad_out: np.ndarray) -> ParamSet:
+             grad_out: np.ndarray, out: ParamSet) -> ParamSet:
     """Exact reverse-mode parameter gradients for a cached forward pass.
 
-    ``grad_out`` is dL/d(output), shape (batch, n_out). Returns the
-    gradients, summed over the batch, as a new ``ParamSet``.
+    ``grad_out`` is dL/d(output), shape (batch, n_out). Writes the
+    gradients, summed over the batch, into ``out``, a ``ParamSet`` in the
+    layout of ``params``, and returns ``out``; every value of ``out`` is
+    overwritten.
     """
     delta = _upstream(params, cache, grad_out)
-    grads = params.like(np.empty(params.flat.size, dtype=delta.dtype))
     for i in range(len(params) - 1, -1, -1):
-        gw, gb = grads[i]
+        gw, gb = out[i]
         np.matmul(cache[2 * i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
             delta = _below(params, cache, delta, i)
-    return grads
+    return out
 
 
 def input_gradient(params: ParamSet, cache: list[np.ndarray],
@@ -205,16 +217,21 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     """Adam's learning rate, step count, and flat moments in the params'
-    layout."""
+    layout, with the scratch vectors each step overwrites."""
     lr: float
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    tmp: np.ndarray | None = field(default=None, repr=False)
+    denom: np.ndarray | None = field(default=None, repr=False)
+    mask: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: ParamSet, lr: float) -> "AdamState":
-        return cls(lr=lr, step=0, m=np.zeros_like(params.flat),
-                   v=np.zeros_like(params.flat))
+        x = params.flat
+        return cls(lr=lr, step=0, m=np.zeros_like(x), v=np.zeros_like(x),
+                   tmp=np.empty_like(x), denom=np.empty_like(x),
+                   mask=np.empty(x.shape, dtype=bool))
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
@@ -222,7 +239,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     ``grads`` is a ``ParamSet`` in the layout of ``params``, as ``backward``
-    returns it. Returns the same ``params`` and ``state`` objects.
+    writes it. Returns the same ``params`` and ``state`` objects.
     """
     if not (isinstance(params, ParamSet) and isinstance(grads, ParamSet)):
         raise TypeError("adam_step updates a ParamSet by a ParamSet of "
@@ -238,8 +255,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     b1, b2 = BETA1, BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    tmp = np.empty_like(x)
-    denom = np.empty_like(x)
+    tmp, denom, mask = state.tmp, state.denom, state.mask
     # m*b1 + (1-b1)*g; v*b2 + (1-b2)*g^2; x + (-lr)*(m/c1)/(sqrt(v/c2) + eps)
     m *= b1
     m += np.multiply(g, 1 - b1, out=tmp)
@@ -256,9 +272,9 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     x += tmp
     # flush subnormal moments (see the module docstring)
     tiny = np.finfo(m.dtype).tiny
-    m *= np.abs(m, out=tmp) >= tiny
+    m *= np.greater_equal(np.abs(m, out=tmp), tiny, out=mask)
     m += 0.0
-    v *= v >= tiny
+    v *= np.greater_equal(v, tiny, out=mask)
     return params, state
 
 

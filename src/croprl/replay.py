@@ -1,4 +1,11 @@
-"""FIFO transition storage backed by preallocated numpy arrays."""
+"""FIFO transition storage backed by preallocated numpy arrays.
+
+Layout. A transition's observation and next observation are stored side by
+side, as one (2, obs_dim) row of a (capacity, 2, obs_dim) array, so that
+``sample`` gathers both with one indexing operation. ``obs`` and
+``next_obs`` are views of that array, each of shape (capacity, obs_dim),
+and ``sample`` returns views of its one gathered copy in the same way.
+"""
 
 from __future__ import annotations
 
@@ -14,10 +21,11 @@ class ReplayBuffer:
         if capacity < 1 or obs_dim < 1:
             raise ConfigError("replay buffer needs positive capacity and obs_dim")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=dtype)
+        self._pairs = np.zeros((capacity, 2, obs_dim), dtype=dtype)
+        self.obs = self._pairs[:, 0]
+        self.next_obs = self._pairs[:, 1]
         self.actions = np.zeros(capacity, dtype=dtype)
         self.rewards = np.zeros(capacity, dtype=dtype)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=dtype)
         self.dones = np.zeros(capacity, dtype=bool)
         self.size = 0
         self._ptr = 0
@@ -39,5 +47,6 @@ class ReplayBuffer:
         if batch_size > self.size:
             raise ConfigError("cannot sample more transitions than stored")
         idx = rng.integers(0, self.size, size=batch_size)
-        return (self.obs[idx], self.actions[idx], self.rewards[idx],
-                self.next_obs[idx], self.dones[idx])
+        pairs = self._pairs[idx]
+        return (pairs[:, 0], self.actions[idx], self.rewards[idx],
+                pairs[:, 1], self.dones[idx])

@@ -201,7 +201,7 @@ def test_negative_action_rejected(iowa_env):
 
 
 @pytest.mark.parametrize("dose", [float("nan"), float("inf"), float("-inf"),
-                                  1e308])
+                                  1e308, True, "40", b"40"])
 def test_non_finite_dose_rejected(iowa_env, dose):
     iowa_env.reset(seed=0)
     with pytest.raises(ValueError):

@@ -33,6 +33,11 @@ def fd_gradients(params, x, upstream, h=1e-5):
     return g
 
 
+def grad_buffer(params):
+    """A gradient ParamSet for ``backward`` to write into."""
+    return params.like(np.empty_like(params.flat))
+
+
 def relu_preacts_safe(params, x, margin=1e-3):
     """True when no relu pre-activation sits near its kink."""
     h = np.atleast_2d(x)
@@ -95,7 +100,7 @@ def test_shape_mismatch_raises():
     # upstream gradients are (batch, n_out), never 1-D
     for upstream in (np.zeros((1, 5)), np.zeros(2)):
         with pytest.raises(ShapeError):
-            backward(params, cache, upstream)
+            backward(params, cache, upstream, grad_buffer(params))
         with pytest.raises(ShapeError):
             input_gradient(params, cache, upstream)
 
@@ -104,7 +109,7 @@ def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(1)
     params = init_params((4, 8, 2), rng)
     _, cache = forward_cached(params, rng.normal(size=4))
-    grads = backward(params, cache, np.zeros((1, 2)))
+    grads = backward(params, cache, np.zeros((1, 2)), grad_buffer(params))
     assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
     assert np.all(input_gradient(params, cache, np.zeros((1, 2))) == 0)
 
@@ -114,7 +119,7 @@ def test_single_linear_layer_closed_form_gradient():
     params = net_of([([[1.5]], [0.0])])
     x = np.array([3.0])
     y, cache = forward_cached(params, x)
-    grads = backward(params, cache, 2.0 * y)
+    grads = backward(params, cache, 2.0 * y, grad_buffer(params))
     assert grads[0][0][0, 0] == pytest.approx(2.0 * 4.5 * 3.0)
 
 
@@ -127,7 +132,7 @@ def test_gradients_match_finite_differences_sample():
         params, x = safe_net(rng, sizes)
         upstream = rng.normal(size=(1, sizes[-1]))
         _, cache = forward_cached(params, x)
-        grads = backward(params, cache, upstream)
+        grads = backward(params, cache, upstream, grad_buffer(params))
         fd = fd_gradients(params, x, upstream)
         rel = np.abs(grads.flat - fd) / np.maximum.reduce(
             [np.abs(grads.flat), np.abs(fd), np.full_like(fd, 1e-2)])
@@ -155,11 +160,28 @@ def test_split_passes_match_the_single_pass_bit_for_bit(dtype):
     _, cache = forward_cached(params, rng.normal(size=(32, 6)))
     upstream = rng.normal(size=(32, 2))
     want_grads, want_gin = reference_backward(params, cache, upstream)
-    grads = backward(params, cache, upstream)
+    grads = backward(params, cache, upstream, grad_buffer(params))
     for (gw, gb), (rw, rb) in zip(grads, want_grads):
         assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
     gin = input_gradient(params, cache, upstream)
     assert gin.dtype == dtype and gin.tobytes() == want_gin.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_overwrites_every_value_of_out(dtype):
+    """A buffer pre-filled with NaN, then reused for a second batch, holds
+    exactly the single pass's gradients each time."""
+    rng = np.random.default_rng(8)
+    params = init_params((6, 16, 16, 2), rng, dtype=dtype)
+    out = grad_buffer(params)
+    out.flat[:] = np.nan
+    for n_batch in (32, 5):
+        _, cache = forward_cached(params, rng.normal(size=(n_batch, 6)))
+        upstream = rng.normal(size=(n_batch, 2))
+        want_grads, _ = reference_backward(params, cache, upstream)
+        assert backward(params, cache, upstream, out) is out
+        for (gw, gb), (rw, rb) in zip(out, want_grads):
+            assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -200,11 +222,12 @@ def test_batched_gradient_sums_over_batch():
     xs = rng.normal(size=(4, 3))
     g = rng.normal(size=(4, 2))
     _, cache = forward_cached(params, xs)
-    batched = backward(params, cache, g)
+    batched = backward(params, cache, g, grad_buffer(params))
     singles = np.zeros_like(params.flat)
+    single = grad_buffer(params)
     for i in range(4):
         _, ci = forward_cached(params, xs[i])
-        singles += backward(params, ci, g[i:i + 1]).flat
+        singles += backward(params, ci, g[i:i + 1], single).flat
     assert np.allclose(batched.flat, singles, atol=1e-12)
 
 
@@ -429,10 +452,11 @@ def test_sin_regression_smoke():
     state = AdamState.for_params(params, lr=1e-2)
     xs = rng.uniform(-np.pi, np.pi, size=(1000, 1))
     ys = np.sin(xs)
+    grads = grad_buffer(params)
     for _ in range(5000):
         idx = rng.integers(0, len(xs), size=100)
         out, cache = forward_cached(params, xs[idx])
-        grads = backward(params, cache, 2.0 * (out - ys[idx]) / 100)
+        grads = backward(params, cache, 2.0 * (out - ys[idx]) / 100, grads)
         params, state = adam_step(params, grads, state)
     mse = float(np.mean((forward(params, xs) - ys) ** 2))
     assert mse < 1e-2

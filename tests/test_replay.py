@@ -50,3 +50,17 @@ def test_fifo_eviction_property(capacity, n_pushes):
     assert sorted(stored) == list(kept)
     assert all(stored[i % capacity] == i for i in kept)
     assert np.array_equal(buf.obs[:buf.size, 0], stored)
+
+
+def test_sample_pairs_each_obs_with_its_own_next_obs_after_wrap_around():
+    buf = ReplayBuffer(capacity=5, obs_dim=3)
+    for i in range(13):  # wraps twice; pushes 8-12 remain
+        buf.push(np.full(3, i), i, float(i), np.full(3, 100 + i), False)
+    rng, seen = np.random.default_rng(2), set()
+    for _ in range(10):
+        obs, actions, rewards, next_obs, dones = buf.sample(5, rng)
+        seen.update(actions)
+        assert np.array_equal(obs, np.repeat(actions[:, None], 3, axis=1))
+        assert np.array_equal(next_obs, obs + 100)
+    assert seen == set(range(8, 13))
+    assert np.array_equal(buf.next_obs, buf.obs + 100)
