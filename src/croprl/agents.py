@@ -221,11 +221,14 @@ class SacHyper:
         _check_hyper(self)
 
 
-def polyak_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
-    """target <- (1 - tau) * target + tau * online, in place; returns target."""
+def polyak_update(target: ParamSet, online: ParamSet, tau: float,
+                  scratch: np.ndarray) -> ParamSet:
+    """target <- (1 - tau) * target + tau * online, in place; returns target.
+    ``scratch``, a vector the size of ``online.flat`` that the caller owns,
+    takes ``tau * online`` and is overwritten."""
     t = target.flat
     t *= 1.0 - tau
-    t += tau * online.flat
+    t += np.multiply(tau, online.flat, out=scratch)
     return target
 
 
@@ -379,9 +382,11 @@ class SacAgent:
         vhat = self._log_alpha_v / (1 - 0.999 ** self.actor_adam.step)
         self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
 
-        # Polyak-averaged targets
+        # Polyak-averaged targets; each critic's gradient, which its Adam
+        # step has read, is the scratch
         for i in range(2):
-            polyak_update(self.targets[i], self.critics[i], TAU)
+            polyak_update(self.targets[i], self.critics[i], TAU,
+                          self._critic_grads[i].flat)
         # the critics' regression loss, before their step
         return float(np.mean(critic_mse))
 

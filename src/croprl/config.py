@@ -28,11 +28,13 @@ Recognized keys (defaults in parentheses):
     observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
 
-A site's season dates, plant density and N threshold belong to its preset
-(``env.iowa_scenario``, ``florida_scenario``), not to keys. Reward weights,
-discount factors, learning rate and net widths are module constants, not
-keys: ``reward.W1``-``W4``, ``agents.DQN_GAMMA``, ``SAC_GAMMA``, ``LR`` and
-``HIDDEN``.
+A site's season dates, plant density, N threshold, soil and cultivar belong
+to its preset (``env.iowa_scenario``, ``florida_scenario``), not to keys.
+Reward weights, discount factors, learning rate, net widths and the crop
+and soil coefficients no site sets are module constants, not keys:
+``reward.W1``-``W4``, ``agents.DQN_GAMMA``, ``SAC_GAMMA``, ``LR`` and
+``HIDDEN``, and ``simulator.T_BASE``, ``GRAIN_N_CONC``, ``Q10``, ... (the
+block below its stage codes).
 """
 
 from __future__ import annotations

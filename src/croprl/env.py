@@ -20,9 +20,11 @@ Conventions:
 * With an action frequency ``f`` greater than one, requested amounts on
   off-schedule days are forced to zero (the day still advances).
 
-A site's season dates, plant density, N threshold and monthly climate table
-belong to its preset (``iowa_scenario``, ``florida_scenario``): no config key
-sets them.
+A site's season dates, plant density, N threshold, monthly climate table,
+soil column and the cultivar's thermal times to flowering, grain fill and
+maturity belong to its preset (``iowa_scenario``, ``florida_scenario``): no
+config key sets them. The maize species coefficients and the soil process
+rates are ``simulator`` constants, the same at every site.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (ConfigError, EpisodeFinishedError, check_fields,
                      is_integer, is_real)
 from .reward import RewardBreakdown, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
-                        NitrogenParams, SoilProfile, SOWN, MATURE, advance_day,
+                        SoilProfile, SOWN, MATURE, advance_day,
                         initial_soil_state, thermal_time)
 from .state import StateVector
 from .weather import MONTH_LENGTHS, WEATHER_MODES, MonthlyClimate, WeatherModel
@@ -66,7 +68,6 @@ class ScenarioConfig:
     latest_harvest_doy: int | None
     soil: SoilProfile
     crop: CropParams
-    nitro: NitrogenParams
     climate: MonthlyClimate
     initial_nitrate: tuple[float, ...]
     initial_organic_n: float
@@ -109,7 +110,6 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
                          wilting_point=0.13, drain_coef=0.30),
         crop=CropParams(gdd_flowering=1050.0, gdd_grainfill=1180.0,
                         gdd_maturity=1640.0),
-        nitro=NitrogenParams(),
         climate=MonthlyClimate(*zip(
             (0.15, 0.40, 4.0, -2.0, 5.0, -13.0, 5.0, 2.0, 6.5, 2.0, 0.55),
             (0.16, 0.40, 5.0, 1.0, 5.0, -10.0, 5.0, 2.0, 9.5, 2.5, 0.55),
@@ -144,7 +144,6 @@ def florida_scenario(**overrides) -> ScenarioConfig:
                          wilting_point=0.045, drain_coef=0.85),
         crop=CropParams(gdd_flowering=1100.0, gdd_grainfill=1250.0,
                         gdd_maturity=1750.0),
-        nitro=NitrogenParams(),
         climate=MonthlyClimate(*zip(
             (0.18, 0.45, 9.0, 19.0, 4.5, 6.0, 4.5, 2.0, 11.0, 3.0, 0.60),
             (0.18, 0.45, 10.0, 21.0, 4.5, 8.0, 4.5, 2.0, 14.0, 3.5, 0.60),
@@ -247,7 +246,7 @@ class NitrogenEnv:
 
         self._crop, self._soil, fluxes, indices = advance_day(
             self._crop, self._soil, self._weather, applied, cfg.soil,
-            cfg.crop, cfg.nitro, cfg.plant_density)
+            cfg.crop, cfg.plant_density)
 
         self._day += 1
         self._cumsumfert += applied
@@ -294,7 +293,7 @@ class NitrogenEnv:
         return _tuple_new(StateVector, (
             self._cumsumfert,                        # cumsumfert
             self._day,                               # dap
-            thermal_time(weather, cfg.crop.t_base),  # dtt
+            thermal_time(weather),                   # dtt
             crop.istage,                             # istage
             crop.vstage,                             # vstage
             cfg.plant_density,                       # pltpop

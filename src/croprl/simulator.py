@@ -15,6 +15,14 @@ Daily update order (``advance_day``):
 7. potential biomass from intercepted radiation
 8. nitrogen uptake, stress indices, and realized growth
 
+A site sets two things, in its preset: the soil column (``SoilProfile``)
+and the cultivar's thermal times to flowering, grain fill and maturity
+(``CropParams``). Everything else is a module constant, in the block below
+the stage codes: the maize species coefficients (base temperature,
+phyllochron, radiation use, N demand by stage, ...) and the soil water and
+nitrogen process rates. ``advance_day`` reads them when it runs, so a probe
+can monkeypatch one.
+
 Biomass units are kg/ha of dry matter, water is tracked volumetrically per
 layer (converted to mm internally), nitrogen pools are kg/ha. The model is
 pure-functional: ``advance_day`` consumes and returns immutable state, so
@@ -50,6 +58,29 @@ MATURE = 5
 _ACTIVE_STAGES = (VEGETATIVE, FLOWERING, GRAINFILL)
 _tuple_new = tuple.__new__  # builds the day's records; see above
 
+# maize species coefficients and soil process rates; no site sets them
+T_BASE = 8.0                    # degC
+PHYLLOCHRON = 43.0              # degC d per leaf
+MAX_LEAVES = 20.0
+GDD_EMERGENCE = 60.0            # degC d from sowing
+RUE_G_PER_MJ = 3.3
+K_EXTINCTION = 0.6
+LEAF_AREA_PER_LEAF_M2 = 0.010
+GRAIN_FRACTION = 0.5            # share of new biomass to grain after flowering
+GRAIN_N_CONC = 0.0125
+ROOT_GROWTH_CM_PER_DAY = 1.5
+# nitrogen demand per unit potential growth, by istage
+DEMAND_CONCENTRATION = (0.0, 0.0, 0.020, 0.016, 0.011, 0.0)
+RUNOFF_THRESHOLD_MM = 40.0
+VOLATILIZATION_FRAC = 0.02      # of surface application, rain-free days
+MINERALIZATION_RATE = 0.05      # kg/ha/d at reference temperature
+Q10 = 2.0
+T_REFERENCE = 20.0
+DENITRIFICATION_FRAC = 0.02     # of layer nitrate per saturated day
+DENITRIFICATION_SW_FRAC = 0.95  # of saturation
+ET_COEF = 0.6 / 2.45            # mm of water per MJ/m2 of radiation
+EVAP_FLOOR_FRAC = 0.5           # air-dry bound as fraction of wilting point
+
 
 @dataclass(frozen=True)
 class SoilProfile:
@@ -61,76 +92,29 @@ class SoilProfile:
     saturation: float = 0.42
     wilting_point: float = 0.13
     drain_coef: float = 0.4        # fraction of above-capacity water draining per day
-    runoff_threshold_mm: float = 40.0
 
     def __post_init__(self):
         check_fields(self, depth_cm="(0, inf)", n_layers="[1, inf)",
                      wilting_point="(0, inf)", saturation="(0, 1]",
-                     drain_coef="[0, 1]", runoff_threshold_mm="[0, inf)")
+                     drain_coef="[0, 1]")
         if not self.wilting_point < self.field_capacity < self.saturation:
             raise ConfigError("need wilting_point < field_capacity < saturation")
 
 
 @dataclass(frozen=True)
 class CropParams:
-    """Phenology, canopy, and nitrogen-demand coefficients."""
+    """The cultivar: thermal time from sowing to each stage, degC d."""
 
-    t_base: float = 8.0               # degC
-    phyllochron: float = 43.0         # degC d per leaf
-    max_leaves: float = 20.0
-    gdd_emergence: float = 60.0
     gdd_flowering: float = 780.0
     gdd_grainfill: float = 930.0
     gdd_maturity: float = 1580.0
-    rue_g_per_mj: float = 3.3
-    k_extinction: float = 0.6
-    leaf_area_per_leaf_m2: float = 0.010
-    grain_fraction: float = 0.5       # share of new biomass to grain after flowering
-    grain_n_conc: float = 0.0125
-    root_growth_cm_per_day: float = 1.5
-    # nitrogen demand per unit potential growth, by stage
-    n_conc_vegetative: float = 0.020
-    n_conc_flowering: float = 0.016
-    n_conc_grainfill: float = 0.011
 
     def __post_init__(self):
-        check_fields(self, phyllochron="(0, inf)", max_leaves="[0, inf)",
-                     rue_g_per_mj="[0, inf)", k_extinction="[0, inf)",
-                     leaf_area_per_leaf_m2="[0, inf)",
-                     root_growth_cm_per_day="[0, inf)", grain_fraction="[0, 1]",
-                     grain_n_conc="[0, 1]", n_conc_vegetative="[0, 1]",
-                     n_conc_flowering="[0, 1]", n_conc_grainfill="[0, 1]")
-        if not (self.gdd_emergence < self.gdd_flowering < self.gdd_grainfill
+        check_fields(self)
+        if not (GDD_EMERGENCE < self.gdd_flowering < self.gdd_grainfill
                 < self.gdd_maturity):
-            raise ConfigError("need gdd_emergence < gdd_flowering < "
+            raise ConfigError("need GDD_EMERGENCE < gdd_flowering < "
                               "gdd_grainfill < gdd_maturity")
-
-    def demand_concentration(self, istage: int) -> float:
-        if istage == VEGETATIVE:
-            return self.n_conc_vegetative
-        if istage == FLOWERING:
-            return self.n_conc_flowering
-        if istage == GRAINFILL:
-            return self.n_conc_grainfill
-        return 0.0
-
-
-@dataclass(frozen=True)
-class NitrogenParams:
-    volatilization_frac: float = 0.02     # of surface application, rain-free days
-    mineralization_rate: float = 0.05     # kg/ha/d at reference temperature
-    q10: float = 2.0
-    t_reference: float = 20.0
-    denitrification_frac: float = 0.02    # of layer nitrate per saturated day
-    denitrification_sw_frac: float = 0.95  # of saturation
-    et_coef: float = 0.6 / 2.45           # mm of water per MJ/m2 of radiation
-    evap_floor_frac: float = 0.5          # air-dry bound as fraction of wilting point
-
-    def __post_init__(self):
-        check_fields(self, volatilization_frac="[0, 1]", q10="(0, inf)",
-                     denitrification_frac="[0, 1]", evap_floor_frac="[0, 1]",
-                     denitrification_sw_frac="[0, 1]", et_coef="[0, inf)",
-                     mineralization_rate="[0, inf)")
 
 
 class SoilState(NamedTuple):
@@ -181,14 +165,14 @@ def initial_soil_state(profile: SoilProfile, nitrate: tuple[float, ...],
                      nitrate=tuple(nitrate), organic_n=organic_n)
 
 
-def thermal_time(weather: DailyWeather, t_base: float) -> float:
+def thermal_time(weather: DailyWeather) -> float:
     tavg = (weather.tmax + weather.tmin) / 2.0
-    return tavg - t_base if tavg > t_base else 0.0
+    return tavg - T_BASE if tavg > T_BASE else 0.0
 
 
 def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
                 n_applied: float, profile: SoilProfile, params: CropParams,
-                nitro: NitrogenParams, pltpop: float,
+                pltpop: float,
                 ) -> tuple[CropState, SoilState, DailyFluxes, GrowthIndices]:
     """Run one day of the coupled soil/crop model.
 
@@ -207,19 +191,18 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     fc_mm = profile.field_capacity * layer_mm
     sat_mm = profile.saturation * layer_mm
     wp_mm = profile.wilting_point * layer_mm
-    air_dry_mm = nitro.evap_floor_frac * wp_mm
+    air_dry_mm = EVAP_FLOOR_FRAC * wp_mm
     drain_coef = profile.drain_coef
 
     water = [v * layer_mm for v in soil.sw]
     nitrate = list(soil.nitrate)
 
     # 1. fertilizer; a slice volatilizes if the surface stays dry today
-    volatilized = nitro.volatilization_frac * n_applied if rain == 0.0 else 0.0
+    volatilized = VOLATILIZATION_FRAC * n_applied if rain == 0.0 else 0.0
     nitrate[0] += n_applied - volatilized
 
     # 2a. runoff and infiltration into the top layer
-    threshold = profile.runoff_threshold_mm
-    runoff = rain - threshold if rain > threshold else 0.0
+    runoff = rain - RUNOFF_THRESHOLD_MM if rain > RUNOFF_THRESHOLD_MM else 0.0
     infiltration = rain - runoff
     space = sat_mm - water[0]
     if infiltration > space:
@@ -229,8 +212,8 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
 
     # 2b. evapotranspiration, split by canopy cover (start-of-day canopy);
     # roots reach the share f, in [0, 1], of each layer above the root depth
-    pet = nitro.et_coef * srad
-    cover = 1.0 - math.exp(-params.k_extinction * xlai)
+    pet = ET_COEF * srad
+    cover = 1.0 - math.exp(-K_EXTINCTION * xlai)
     pot_soil_evap = pet * (1.0 - cover)
     pot_transp = pet * cover if istage in _ACTIVE_STAGES else 0.0
 
@@ -264,8 +247,8 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         drains[i] = drain
 
     # 3. mineralization (temperature-adjusted first-order supply)
-    tfac = nitro.q10 ** (((tmax + tmin) / 2.0 - nitro.t_reference) / 10.0)
-    supply, organic_n = nitro.mineralization_rate * tfac, soil.organic_n
+    tfac = Q10 ** (((tmax + tmin) / 2.0 - T_REFERENCE) / 10.0)
+    supply, organic_n = MINERALIZATION_RATE * tfac, soil.organic_n
     mineralized = supply if supply < organic_n else organic_n
     nitrate[0] += mineralized
 
@@ -282,22 +265,21 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
             tleachd = moved
 
     # 5. denitrification in near-saturated layers
-    denit_threshold = nitro.denitrification_sw_frac * sat_mm
-    denit_frac = nitro.denitrification_frac
+    denit_threshold = DENITRIFICATION_SW_FRAC * sat_mm
     tnoxd = 0.0
     for i in range(n_layers):
         if water[i] > denit_threshold and nitrate[i] > 0.0:
-            loss = denit_frac * nitrate[i]
+            loss = DENITRIFICATION_FRAC * nitrate[i]
             nitrate[i] -= loss
             tnoxd += loss
 
     # 6. phenology: stage transitions follow cumulative thermal time since
     # sowing and never reverse; leaves appear one per phyllochron from
     # emergence until flowering. Unsown and mature crops do not develop.
-    dtt = thermal_time(weather, params.t_base)
+    dtt = thermal_time(weather)
     if sown and istage < MATURE:
         gdd += dtt
-        if istage == SOWN and gdd >= params.gdd_emergence:
+        if istage == SOWN and gdd >= GDD_EMERGENCE:
             istage = VEGETATIVE
         if istage == VEGETATIVE and gdd >= params.gdd_flowering:
             istage = FLOWERING
@@ -306,16 +288,15 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
         if istage == GRAINFILL and gdd >= params.gdd_maturity:
             istage = MATURE
         if istage < FLOWERING:
-            leaves = (gdd - params.gdd_emergence if gdd > params.gdd_emergence
-                      else 0.0) / params.phyllochron
-            max_leaves = params.max_leaves
-            leaves = leaves if leaves < max_leaves else max_leaves
+            leaves = (gdd - GDD_EMERGENCE if gdd > GDD_EMERGENCE
+                      else 0.0) / PHYLLOCHRON
+            leaves = leaves if leaves < MAX_LEAVES else MAX_LEAVES
             vstage = vstage if vstage > leaves else leaves
     if sown and dtt > 0.0:
-        rtdep_cm += params.root_growth_cm_per_day
+        rtdep_cm += ROOT_GROWTH_CM_PER_DAY
         rtdep_cm = rtdep_cm if rtdep_cm < profile.depth_cm else profile.depth_cm
     # canopy from leaf number; linear senescence while grain fills
-    xlai = vstage * params.leaf_area_per_leaf_m2 * pltpop
+    xlai = vstage * LEAF_AREA_PER_LEAF_M2 * pltpop
     if istage >= MATURE:
         xlai = 0.0
     elif istage == GRAINFILL:
@@ -325,13 +306,13 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
 
     # 7. potential growth from intercepted radiation (g/m2 -> kg/ha is x10)
     if istage in _ACTIVE_STAGES:
-        interception = 1.0 - math.exp(-params.k_extinction * xlai)
-        growth_pot = 10.0 * params.rue_g_per_mj * srad * interception
+        interception = 1.0 - math.exp(-K_EXTINCTION * xlai)
+        growth_pot = 10.0 * RUE_G_PER_MJ * srad * interception
     else:
         growth_pot = 0.0
 
     # 8. uptake, stress, realized growth
-    demand = growth_pot * params.demand_concentration(istage)
+    demand = growth_pot * DEMAND_CONCENTRATION[istage]
     avail_n = [n * (0.0 if (f := (rtdep_cm - i * thickness_cm) / thickness_cm)
                     < 0.0 else 1.0 if f > 1.0 else f)
                for i, n in enumerate(nitrate)]
@@ -345,9 +326,9 @@ def advance_day(crop: CropState, soil: SoilState, weather: DailyWeather,
     growth = growth_pot * (swfac if swfac < nstres else nstres)
     plant_n += trnu
     if istage == GRAINFILL and growth > 0.0:
-        grain_inc = params.grain_fraction * growth
+        grain_inc = GRAIN_FRACTION * growth
         grnwt += grain_inc
-        n_transfer = params.grain_n_conc * grain_inc
+        n_transfer = GRAIN_N_CONC * grain_inc
         n_transfer = n_transfer if n_transfer < plant_n else plant_n
         grain_n += n_transfer
         plant_n -= n_transfer

@@ -480,9 +480,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "f239c93512357fcd", "Some/Dir"),
-    (SAC_INI, "a35548fcd9952540", "out"),
-    ("", "10edeb42fc122148", "run_output"),
+    (DQN_INI, "f6933c244d4dce44", "Some/Dir"),
+    (SAC_INI, "2de5755050d3f906", "out"),
+    ("", "a9e0dc978a62909b", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"

@@ -95,6 +95,18 @@ def test_invalid_configs_rejected():
         iowa_scenario(latest_harvest_doy=100)  # before the planting date
 
 
+@pytest.mark.parametrize("part", ["soil", "crop"])
+def test_a_site_sets_only_what_differs_between_the_presets(part):
+    """Each soil and cultivar field but the layer count differs between
+    Iowa and Florida; a value both presets share is a simulator constant."""
+    iowa = getattr(iowa_scenario(), part)
+    florida = getattr(florida_scenario(), part)
+    for field in dataclasses.fields(iowa):
+        if field.name != "n_layers":
+            assert getattr(iowa, field.name) != getattr(florida, field.name), \
+                field.name
+
+
 NAN = float("nan")
 TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
 
@@ -102,8 +114,7 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
 @pytest.mark.parametrize("part,name,value", [
     # a value that is not finite, in each config dataclass
     ("soil", "drain_coef", NAN),
-    ("crop", "t_base", math.inf),
-    ("nitro", "mineralization_rate", NAN),
+    ("crop", "gdd_flowering", math.inf),
     ("climate", "tmax_mean", TWELVE_WITH_NAN),
     ("climate", "rain_mm", TWELVE_WITH_NAN),
     ("scenario", "initial_organic_n", NAN),
@@ -112,40 +123,16 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     ("scenario", "n_threshold", NAN),
     # a threshold below zero would charge an overage on every dose
     ("scenario", "n_threshold", -0.1),
-    # a divisor of zero
-    ("crop", "phyllochron", 0.0),
     # a fraction outside [0, 1]
     ("soil", "drain_coef", 1.5),
-    ("nitro", "volatilization_frac", -0.1),
-    ("nitro", "denitrification_frac", 2.0),
-    ("crop", "grain_fraction", 1.1),
     # negative or misshapen initial pools
     ("scenario", "initial_nitrate", (-50.0, 0.0, 0.0)),
     ("scenario", "initial_organic_n", -1.0),
     ("scenario", "initial_nitrate", (8.0, 4.0)),
-    # a divisor of zero, and a complex temperature factor
-    ("nitro", "q10", 0.0),
-    ("nitro", "q10", -2.0),
-    # a negative demand that creates nitrogen
-    ("crop", "n_conc_vegetative", -0.02),
-    ("crop", "n_conc_flowering", -0.02),
-    ("crop", "n_conc_grainfill", -0.02),
-    # a negative rate that ends in a negative harvest yield
-    ("crop", "rue_g_per_mj", -1.0),
-    ("crop", "k_extinction", -1.0),
-    ("crop", "leaf_area_per_leaf_m2", -0.01),
-    ("nitro", "mineralization_rate", -1.0),
-    # one that runs to wrong numbers
-    ("nitro", "et_coef", -1.0),
-    ("nitro", "denitrification_sw_frac", -1.0),
-    ("nitro", "evap_floor_frac", 5.0),
-    ("crop", "max_leaves", -1.0),
-    ("crop", "root_growth_cm_per_day", -1.0),
-    ("soil", "runoff_threshold_mm", -10.0),
-    ("crop", "grain_n_conc", -0.01),
-    # growth stages out of order, and a water content above the soil volume
+    # growth stages out of order, flowering before emergence, and a water
+    # content above the soil volume
     ("crop", "gdd_maturity", 700.0),
-    ("crop", "gdd_emergence", 2000.0),
+    ("crop", "gdd_flowering", 50.0),
     ("soil", "saturation", 1.5),
     ("soil", "field_capacity", 0.1),
     # eleven months
@@ -357,7 +344,7 @@ def test_day_record_fields_and_log_keys_keep_their_order(iowa_env,
             initial_soil_state(cfg.soil, cfg.initial_nitrate,
                                cfg.initial_organic_n),
             DailyWeather(5.0, 20.0, 28.0, 15.0), 40.0, cfg.soil, cfg.crop,
-            cfg.nitro, cfg.plant_density)
+            cfg.plant_density)
         for r in (*day, record, record.breakdown, record.state, reset_state):
             assert len(r) == len(type(r)._fields), type(r).__name__
 

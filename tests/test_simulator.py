@@ -12,17 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from croprl.errors import ConfigError
 from croprl.reward import RewardBreakdown
+from croprl import simulator
 from croprl.simulator import (CropParams, CropState, DailyFluxes, FLOWERING,
-                              GRAINFILL, GrowthIndices, MATURE, NitrogenParams,
-                              SOWN, SoilProfile, SoilState, VEGETATIVE,
-                              advance_day, initial_soil_state, thermal_time)
+                              GRAINFILL, GrowthIndices, MATURE, SOWN,
+                              SoilProfile, SoilState, VEGETATIVE, advance_day,
+                              initial_soil_state, thermal_time)
 from croprl.state import FIELD_ORDER, StateVector
 from croprl.weather import DailyWeather
 
 PROFILE = SoilProfile(depth_cm=150.0, field_capacity=0.30, saturation=0.36,
                       wilting_point=0.13, drain_coef=0.4)
 CROP = CropParams()
-NITRO = NitrogenParams()
 PLTPOP = 7.6
 
 
@@ -46,7 +46,7 @@ def water_mm(profile, soil):
 def one_day(crop, weather, soil=None):
     """advance_day without fertilizer; returns (crop, soil, indices)."""
     crop, soil, _, indices = advance_day(crop, soil or soil_at_fc(), weather,
-                                         0.0, PROFILE, CROP, NITRO, PLTPOP)
+                                         0.0, PROFILE, CROP, PLTPOP)
     return crop, soil, indices
 
 
@@ -97,22 +97,22 @@ def test_day_records_compare_by_value():
 # ---------------------------------------------------------------------------
 
 def test_thermal_time_arithmetic():
-    assert thermal_time(DailyWeather(0, 20, 30.0, 18.0), 8.0) == 16.0
+    assert thermal_time(DailyWeather(0, 20, 30.0, 18.0)) == 16.0
 
 
 def test_thermal_time_clamps_below_base():
-    assert thermal_time(DailyWeather(0, 20, 10.0, 2.0), 8.0) == 0.0
+    assert thermal_time(DailyWeather(0, 20, 10.0, 2.0)) == 0.0
 
 
 def test_vstage_follows_phyllochron():
     # 215 degC d past emergence at 43 degC d per leaf -> five leaves
-    crop = CropState(sown=True, gdd=CROP.gdd_emergence + 215.0 - 16.0,
+    crop = CropState(sown=True, gdd=simulator.GDD_EMERGENCE + 215.0 - 16.0,
                      istage=VEGETATIVE)
     crop, _, idx = one_day(crop, DailyWeather(0, 20, 30.0, 18.0))
     assert idx.dtt == 16.0
     assert crop.vstage == pytest.approx(215.0 / 43.0)
     assert crop.vstage == pytest.approx(5.0)
-    assert crop.xlai == crop.vstage * CROP.leaf_area_per_leaf_m2 * PLTPOP
+    assert crop.xlai == crop.vstage * simulator.LEAF_AREA_PER_LEAF_M2 * PLTPOP
 
 
 def test_unsown_crop_does_not_develop():
@@ -153,13 +153,14 @@ def test_canopy_senesces_linearly_while_grain_fills():
     after, _, _ = one_day(crop, DailyWeather(0, 20, 30.0, 18.0))
     assert after.istage == GRAINFILL
     assert after.xlai == pytest.approx(
-        0.5 * 18.0 * CROP.leaf_area_per_leaf_m2 * PLTPOP)
+        0.5 * 18.0 * simulator.LEAF_AREA_PER_LEAF_M2 * PLTPOP)
 
 
 def test_roots_deepen_only_on_warm_days_down_to_the_profile():
     warm, cold = DailyWeather(0, 20, 30.0, 18.0), DailyWeather(0, 20, 9.0, 1.0)
     crop = active_crop(rtdep_cm=60.0)
-    assert one_day(crop, warm)[0].rtdep_cm == 60.0 + CROP.root_growth_cm_per_day
+    assert one_day(crop, warm)[0].rtdep_cm \
+        == 60.0 + simulator.ROOT_GROWTH_CM_PER_DAY
     assert one_day(crop, cold)[0].rtdep_cm == 60.0
     deep = active_crop(rtdep_cm=PROFILE.depth_cm - 0.5)
     assert one_day(deep, warm)[0].rtdep_cm == PROFILE.depth_cm
@@ -173,7 +174,7 @@ def test_no_radiation_no_growth():
     crop = active_crop()
     after, _, _, idx = advance_day(crop, soil_at_fc(),
                                    DailyWeather(0.0, 0.0, 25.0, 12.0),
-                                   0.0, PROFILE, CROP, NITRO, PLTPOP)
+                                   0.0, PROFILE, CROP, PLTPOP)
     assert idx.growth == 0.0
     assert after.topwt == crop.topwt
 
@@ -182,7 +183,7 @@ def test_nothing_to_leach_without_nitrate():
     soil = initial_soil_state(PROFILE, (0.0, 0.0, 0.0), 0.0)
     _, _, fluxes, _ = advance_day(CropState(), soil,
                                   DailyWeather(60.0, 10.0, 22.0, 12.0),
-                                  0.0, PROFILE, CROP, NITRO, PLTPOP)
+                                  0.0, PROFILE, CROP, PLTPOP)
     assert fluxes.tleachd == 0.0
     assert fluxes.drainage >= 0.0
 
@@ -190,7 +191,7 @@ def test_nothing_to_leach_without_nitrate():
 def test_no_percolation_at_field_capacity_without_rain():
     _, _, fluxes, _ = advance_day(CropState(), soil_at_fc(),
                                   DailyWeather(0.0, 15.0, 25.0, 12.0),
-                                  0.0, PROFILE, CROP, NITRO, PLTPOP)
+                                  0.0, PROFILE, CROP, PLTPOP)
     assert fluxes.drainage == 0.0
     assert fluxes.tleachd == 0.0
 
@@ -198,10 +199,10 @@ def test_no_percolation_at_field_capacity_without_rain():
 def test_volatilization_only_on_rain_free_days():
     _, _, dry, _ = advance_day(CropState(), soil_at_fc(),
                                DailyWeather(0.0, 15.0, 25.0, 12.0),
-                               100.0, PROFILE, CROP, NITRO, PLTPOP)
+                               100.0, PROFILE, CROP, PLTPOP)
     _, _, wet, _ = advance_day(CropState(), soil_at_fc(),
                                DailyWeather(5.0, 15.0, 25.0, 12.0),
-                               100.0, PROFILE, CROP, NITRO, PLTPOP)
+                               100.0, PROFILE, CROP, PLTPOP)
     assert dry.volatilized == pytest.approx(2.0)
     assert wet.volatilized == 0.0
 
@@ -210,7 +211,7 @@ def test_negative_application_rejected():
     with pytest.raises(ConfigError):
         advance_day(CropState(), soil_at_fc(),
                     DailyWeather(0.0, 15.0, 25.0, 12.0),
-                    -1.0, PROFILE, CROP, NITRO, PLTPOP)
+                    -1.0, PROFILE, CROP, PLTPOP)
 
 
 @pytest.mark.parametrize("n_applied", [float("nan"), float("inf")])
@@ -219,14 +220,14 @@ def test_non_finite_application_rejected(n_applied):
     with pytest.raises(ConfigError, match="fertilizer application"):
         advance_day(CropState(), soil_at_fc(),
                     DailyWeather(0.0, 15.0, 25.0, 12.0),
-                    n_applied, PROFILE, CROP, NITRO, PLTPOP)
+                    n_applied, PROFILE, CROP, PLTPOP)
 
 
 def test_stress_indices_with_abundant_supplies():
     soil = initial_soil_state(PROFILE, (500.0, 500.0, 500.0), 2000.0)
     _, _, _, idx = advance_day(active_crop(), soil,
                                DailyWeather(0.0, 20.0, 28.0, 16.0),
-                               0.0, PROFILE, CROP, NITRO, PLTPOP)
+                               0.0, PROFILE, CROP, PLTPOP)
     assert idx.nstres == 1.0
     assert idx.swfac == 1.0
 
@@ -235,7 +236,7 @@ def test_nstres_zero_with_empty_soil_and_demand():
     soil = initial_soil_state(PROFILE, (0.0, 0.0, 0.0), 0.0)
     _, _, fluxes, idx = advance_day(active_crop(), soil,
                                     DailyWeather(0.0, 20.0, 28.0, 16.0),
-                                    0.0, PROFILE, CROP, NITRO, PLTPOP)
+                                    0.0, PROFILE, CROP, PLTPOP)
     assert fluxes.trnu == 0.0
     assert idx.nstres == 0.0
 
@@ -249,23 +250,23 @@ def test_mineralization_is_capped_by_the_organic_pool():
     # a warm day supplies 0.05 * 2 ** 0.5 kg/ha, more than the pool holds
     day = advance_day(active_crop(), soil_at_fc(organic=0.03),
                       DailyWeather(0.0, 20.0, 30.0, 20.0), 0.0, PROFILE,
-                      CROP, NITRO, PLTPOP)
+                      CROP, PLTPOP)
     assert day[2].mineralized == 0.03
     assert day[1].organic_n == 0.0
     assert digest(day) == ("3b6007fe4ead62adcac08117e5cc34de"
                            "ba1ed3ec3381d938643a245c8e94933f")
 
 
-def test_grain_n_transfer_is_capped_by_plant_n():
-    # grain at 4% N asks for more than the empty plant takes up today
+def test_grain_n_transfer_is_capped_by_plant_n(monkeypatch):
+    # grain at 4% N asks for more than the empty plant takes up today; the
+    # constant is read when advance_day runs
+    monkeypatch.setattr(simulator, "GRAIN_N_CONC", 0.04)
     crop = active_crop(gdd=1000.0, istage=GRAINFILL, vstage=20.0, xlai=1.5,
                        grnwt=500.0, plant_n=0.0, grain_n=5.0)
-    params = CropParams(grain_n_conc=0.04)
     day = advance_day(crop, soil_at_fc(), DailyWeather(0.0, 20.0, 30.0, 20.0),
-                      0.0, PROFILE, params, NITRO, PLTPOP)
+                      0.0, PROFILE, CROP, PLTPOP)
     new_crop, _, fluxes, idx = day
-    assert params.grain_n_conc * params.grain_fraction * idx.growth \
-        > fluxes.trnu > 0.0
+    assert 0.04 * simulator.GRAIN_FRACTION * idx.growth > fluxes.trnu > 0.0
     assert new_crop.plant_n == 0.0
     assert new_crop.grain_n == 5.0 + fluxes.trnu
     assert digest(day) == ("36ca65a28242ee30894f0b74f8dcfe33"
@@ -276,8 +277,7 @@ def test_drainage_is_capped_by_the_space_in_the_layer_below():
     # a saturated top layer over one 0.5 mm short of saturation
     soil = SoilState((0.36, 0.359, 0.30), (10.0, 5.0, 5.0), 2000.0)
     weather = DailyWeather(0.0, 10.0, 25.0, 15.0)
-    day = advance_day(active_crop(), soil, weather, 0.0, PROFILE, CROP, NITRO,
-                      PLTPOP)
+    day = advance_day(active_crop(), soil, weather, 0.0, PROFILE, CROP, PLTPOP)
     _, soil1, fluxes, _ = day
     fc, sat = PROFILE.field_capacity, PROFILE.saturation
     # the top layer keeps more than its uncapped share of the excess ...
@@ -297,9 +297,9 @@ def test_drainage_is_capped_by_the_space_in_the_layer_below():
 def test_more_fertilizer_never_lowers_end_of_day_nitrate(extra):
     weather = DailyWeather(10.0, 18.0, 27.0, 15.0)
     _, soil_lo, _, _ = advance_day(active_crop(), soil_at_fc(), weather,
-                                   40.0, PROFILE, CROP, NITRO, PLTPOP)
+                                   40.0, PROFILE, CROP, PLTPOP)
     _, soil_hi, _, _ = advance_day(active_crop(), soil_at_fc(), weather,
-                                   40.0 + extra, PROFILE, CROP, NITRO, PLTPOP)
+                                   40.0 + extra, PROFILE, CROP, PLTPOP)
     assert sum(soil_hi.nitrate) >= sum(soil_lo.nitrate) - 1e-12
 
 
@@ -311,7 +311,7 @@ def test_single_day_mass_balance_property(rain, srad, tmax, napp):
     crop = active_crop()
     soil = soil_at_fc()
     _, soil1, fluxes, _ = advance_day(crop, soil, weather, napp, PROFILE,
-                                      CROP, NITRO, PLTPOP)
+                                      CROP, PLTPOP)
     w_rel, n_rel = balance_residuals(PROFILE, soil, soil1, weather, napp,
                                      fluxes)
     assert w_rel < 1e-9
@@ -338,7 +338,7 @@ def test_random_episode_mass_balance_closes():
                                tmin)
         napp = float(rng.choice([0.0, 0.0, 40.0, 120.0]))
         crop, soil, fluxes, _ = advance_day(crop, soil, weather, napp,
-                                            PROFILE, CROP, NITRO, PLTPOP)
+                                            PROFILE, CROP, PLTPOP)
         n_in += napp + fluxes.mineralized
         n_out += (fluxes.trnu + fluxes.tleachd + fluxes.tnoxd
                   + fluxes.volatilized)
