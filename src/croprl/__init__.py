@@ -1,7 +1,7 @@
 """Surrogate crop environment and RL agents for nitrogen management."""
 
-from .agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
-                     discretize_action, epsilon_schedule)
+from .agents import (AgentHyper, DqnAgent, SacAgent, discretize_action,
+                     epsilon_schedule)
 from .env import (DISCRETE_ACTIONS_KG, NitrogenEnv, ScenarioConfig,
                   day_of_year, florida_scenario, iowa_scenario)
 from .errors import ConfigError, EpisodeFinishedError, ShapeError
@@ -16,11 +16,11 @@ from .weather import DailyWeather, MonthlyClimate, WeatherModel
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DISCRETE_ACTIONS_KG", "DailyWeather",
-    "DqnAgent", "DqnHyper", "EpisodeFinishedError", "EpisodeSummary",
+    "AgentHyper", "ConfigError", "DISCRETE_ACTIONS_KG", "DailyWeather",
+    "DqnAgent", "EpisodeFinishedError", "EpisodeSummary",
     "ExperimentConfig", "MonthlyClimate", "NitrogenEnv",
     "ObservationMask", "RewardBreakdown", "RunReport",
-    "SacAgent", "SacHyper", "ScenarioConfig", "ShapeError", "StateVector",
+    "SacAgent", "ScenarioConfig", "ShapeError", "StateVector",
     "WeatherModel", "baseline_policy", "daily_reward",
     "day_of_year", "discretize_action", "epsilon_schedule",
     "evaluate_policy", "florida_scenario", "iowa_scenario",

@@ -4,7 +4,8 @@ Two trainable agents:
 
 * ``DqnAgent`` learns action values for the five discrete amounts with a
   target network, uniform replay, and an epsilon-greedy exploration schedule
-  that decays geometrically per episode. Its Q-net has one output per dose.
+  that decays geometrically per episode, at the rate its scenario's preset
+  holds (``ScenarioConfig.epsilon_decay``). Its Q-net has one output per dose.
 * ``SacAgent`` learns a squashed-Gaussian policy over a continuous amount in
   [0, 200] kg/ha (``SAC_ACTION_RANGE_KG``) plus twin soft critics with
   Polyak-averaged targets. Its temperature alpha is tuned automatically
@@ -92,28 +93,26 @@ _HALF = 0.5 * (SAC_ACTION_RANGE_KG[1] - SAC_ACTION_RANGE_KG[0])
 TARGET_ENTROPY = -1.0
 
 
-def _check_hyper(h, **bounds: str) -> None:
-    """Checks shared by DqnHyper and SacHyper; ``bounds`` gives the
-    intervals of the fields beyond the shared ones."""
-    # the buffer holds a batch and the warm-up before the first update
-    check_fields(h, batch_size=f"[1, {BUFFER_CAPACITY}]", episodes="[0, inf)",
-                 warmup=f"[0, {BUFFER_CAPACITY}]", **bounds)
+@dataclass(frozen=True)
+class AgentHyper:
+    """Both learners' settings. DQN's exploration decay is its scenario's
+    ``epsilon_decay``; SAC's alpha tunes toward TARGET_ENTROPY, its action
+    range is always SAC_ACTION_RANGE_KG and its targets move at TAU: none is
+    a setting."""
+
+    batch_size: int = 64
+    episodes: int = 1200
+    warmup: int = 1000                 # transitions before learning starts
+
+    def __post_init__(self):
+        # the buffer holds a batch and the warm-up before the first update
+        check_fields(self, batch_size=f"[1, {BUFFER_CAPACITY}]",
+                     episodes="[0, inf)", warmup=f"[0, {BUFFER_CAPACITY}]")
 
 
 # ---------------------------------------------------------------------------
 # DQN
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DqnHyper:
-    batch_size: int = 64
-    episodes: int = 1200
-    epsilon_decay: float = 0.994      # 0.992 for the Iowa preset
-    warmup: int = 1000                 # transitions before learning starts
-
-    def __post_init__(self):
-        _check_hyper(self, epsilon_decay="(0, 1)")
-
 
 def dqn_select_action(params: ParamSet, obs: np.ndarray, epsilon: float,
                       rng: np.random.Generator | None) -> int:
@@ -143,7 +142,7 @@ class DqnAgent:
     # float32 keeps the matmul-heavy update fast; plenty of precision for TD
     dtype = np.float32
 
-    def __init__(self, obs_dim: int, hyper: DqnHyper = DqnHyper(),
+    def __init__(self, obs_dim: int, hyper: AgentHyper = AgentHyper(),
                  seed: int = 0):
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
@@ -161,8 +160,10 @@ class DqnAgent:
         self._grad_out = np.zeros((hyper.batch_size, len(DISCRETE_ACTIONS_KG)),
                                   dtype=self.dtype)
 
-    def begin_episode(self, episode: int) -> float:
-        self.epsilon = epsilon_schedule(episode, self.hyper.epsilon_decay)
+    def begin_episode(self, episode: int, decay: float) -> float:
+        """Set and return the exploration rate of ``episode``, with
+        ``decay`` the scenario's ``epsilon_decay``."""
+        self.epsilon = epsilon_schedule(episode, decay)
         return self.epsilon
 
     def act(self, state, obs: np.ndarray) -> tuple[float, int]:
@@ -209,18 +210,6 @@ class DqnAgent:
 # SAC
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SacHyper:
-    # alpha tunes toward TARGET_ENTROPY, the action range is always
-    # SAC_ACTION_RANGE_KG and targets move at TAU: none is a setting
-    batch_size: int = 64
-    episodes: int = 1200
-    warmup: int = 1000
-
-    def __post_init__(self):
-        _check_hyper(self)
-
-
 def polyak_update(target: ParamSet, online: ParamSet, tau: float,
                   scratch: np.ndarray) -> ParamSet:
     """target <- (1 - tau) * target + tau * online, in place; returns target.
@@ -245,7 +234,7 @@ class SacAgent:
     _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
     dtype = np.float32
 
-    def __init__(self, obs_dim: int, hyper: SacHyper = SacHyper(),
+    def __init__(self, obs_dim: int, hyper: AgentHyper = AgentHyper(),
                  seed: int = 0):
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)

@@ -17,19 +17,19 @@ Recognized keys (defaults in parentheses):
     weather_mode                 fixed-trace | stochastic
     action_frequency (1)         days between applications, in [1, inf)
 
-[agent] (DqnHyper or SacHyper)
+[agent] (AgentHyper)
     kind (dqn | sac)
     episodes (1200), warmup      in [0, inf), [0, 100000]
     batch_size (64)              in [1, 100000]
-    epsilon_decay                dqn only: in (0, 1)
 
 [run] (ExperimentConfig)
     trials (5, or the number of seeds), seeds (1..trials),
     observation (full | partial),
     baseline_grid (0,40,...,320), out_dir (run_output)
 
-A site's season dates, plant density, N threshold, soil and cultivar belong
-to its preset (``env.iowa_scenario``, ``florida_scenario``), not to keys.
+A site's season dates, plant density, N threshold, soil, cultivar and DQN
+exploration decay belong to its preset (``env.iowa_scenario``,
+``florida_scenario``), not to keys.
 Reward weights, discount factors, learning rate, net widths and the crop
 and soil coefficients no site sets are module constants, not keys:
 ``reward.W1``-``W4``, ``agents.DQN_GAMMA``, ``SAC_GAMMA``, ``LR`` and
@@ -42,22 +42,18 @@ from __future__ import annotations
 import configparser
 from typing import get_args, get_origin, get_type_hints
 
+from .agents import AgentHyper
 from .env import SCENARIO_PRESETS, ScenarioConfig
 from .errors import ConfigError
-from .harness import HYPERS, ExperimentConfig
-
-# Iowa and Florida trained with different exploration decay rates
-PRESET_EPSILON_DECAY = {"iowa": 0.992, "florida": 0.994}
-
+from .harness import ExperimentConfig
 
 # the annotation of every key, by section; ``location`` names the preset
 _SCENARIO = {"location": get_type_hints(ScenarioConfig)["name"],
              **{name: tp for name, tp in get_type_hints(ScenarioConfig).items()
                 if name in ("weather_mode", "weather_seed",
                             "action_frequency")}}
-_AGENT = {kind: {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
-                 **get_type_hints(cls)}
-          for kind, cls in HYPERS.items()}
+_AGENT = {"kind": get_type_hints(ExperimentConfig)["agent_kind"],
+          **get_type_hints(AgentHyper)}
 # the other ExperimentConfig fields are built from their own sections
 _RUN = {name: tp for name, tp in get_type_hints(ExperimentConfig).items()
         if name not in ("scenario", "agent_kind", "hyper")}
@@ -127,15 +123,12 @@ def build_scenario(cfg: dict[str, str]) -> ScenarioConfig:
 
 
 def build_agent_hyper(cfg: dict[str, str], location: str):
-    """Return (kind, hyper) from the [agent] section."""
-    kind = _parse(str, cfg.get("agent.kind", ExperimentConfig.agent_kind))
-    if kind not in HYPERS:
-        raise ConfigError(f"unknown agent kind {kind!r}")
-    values = _read(cfg, "agent", _AGENT[kind])
-    values.pop("kind", None)
-    if kind == "dqn" and location in PRESET_EPSILON_DECAY:
-        values.setdefault("epsilon_decay", PRESET_EPSILON_DECAY[location])
-    return kind, HYPERS[kind](**values)
+    """Return (kind, hyper) from the [agent] section; ``ExperimentConfig``
+    refuses an unknown kind."""
+    # ``location`` is unused: the benchmark's config builder still passes it
+    values = _read(cfg, "agent", _AGENT)
+    kind = values.pop("kind", ExperimentConfig.agent_kind)
+    return kind, AgentHyper(**values)
 
 
 def build_run_settings(cfg: dict[str, str]) -> dict:

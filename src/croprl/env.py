@@ -21,10 +21,11 @@ Conventions:
   off-schedule days are forced to zero (the day still advances).
 
 A site's season dates, plant density, N threshold, monthly climate table,
-soil column and the cultivar's thermal times to flowering, grain fill and
-maturity belong to its preset (``iowa_scenario``, ``florida_scenario``): no
-config key sets them. The maize species coefficients and the soil process
-rates are ``simulator`` constants, the same at every site.
+soil column, the cultivar's thermal times to flowering, grain fill and
+maturity, and DQN's per-episode exploration decay belong to its preset
+(``iowa_scenario``, ``florida_scenario``): no config key sets them. The
+maize species coefficients and the soil process rates are ``simulator``
+constants, the same at every site.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class ScenarioConfig:
     initial_organic_n: float
     plant_density: float            # plants/m2
     n_threshold: float              # allowed total N input, kg/ha; inf: any
+    epsilon_decay: float            # DQN's exploration rate factor per episode
     weather_mode: str = "fixed-trace"
     weather_seed: int = 0
     action_frequency: int = 1       # days between permitted applications
@@ -81,7 +83,8 @@ class ScenarioConfig:
         check_fields(self, start_doy="[1, 366]", planting_doy="[1, 366]",
                      latest_harvest_doy="[1, 366]", initial_nitrate="[0, inf)",
                      initial_organic_n="[0, inf)", plant_density="(0, inf)",
-                     n_threshold="[0, inf]", weather_seed="[0, inf)",
+                     n_threshold="[0, inf]", epsilon_decay="(0, 1)",
+                     weather_seed="[0, inf)",
                      action_frequency="[1, inf)")
         if self.planting_doy <= self.start_doy:
             raise ConfigError("planting date must come after simulation start")
@@ -128,6 +131,7 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
         initial_organic_n=2500.0,
         plant_density=7.6,
         n_threshold=240.0,
+        epsilon_decay=0.992,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -162,6 +166,7 @@ def florida_scenario(**overrides) -> ScenarioConfig:
         initial_organic_n=2000.0,
         plant_density=7.2,
         n_threshold=160.0,
+        epsilon_decay=0.994,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)

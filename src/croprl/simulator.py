@@ -87,11 +87,11 @@ class SoilProfile:
     """Static description of the soil column (uniform properties per layer)."""
 
     depth_cm: float
+    field_capacity: float          # cm3/cm3
+    saturation: float
+    wilting_point: float
+    drain_coef: float              # fraction of above-capacity water draining per day
     n_layers: int = 3
-    field_capacity: float = 0.30   # cm3/cm3
-    saturation: float = 0.42
-    wilting_point: float = 0.13
-    drain_coef: float = 0.4        # fraction of above-capacity water draining per day
 
     def __post_init__(self):
         check_fields(self, depth_cm="(0, inf)", n_layers="[1, inf)",
@@ -105,9 +105,9 @@ class SoilProfile:
 class CropParams:
     """The cultivar: thermal time from sowing to each stage, degC d."""
 
-    gdd_flowering: float = 780.0
-    gdd_grainfill: float = 930.0
-    gdd_maturity: float = 1580.0
+    gdd_flowering: float
+    gdd_grainfill: float
+    gdd_maturity: float
 
     def __post_init__(self):
         check_fields(self)

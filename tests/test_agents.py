@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from croprl import agents
-from croprl.agents import (DqnAgent, DqnHyper, SacAgent, SacHyper,
+from croprl.agents import (AgentHyper, DqnAgent, SacAgent,
                            discretize_action, dqn_select_action,
                            dqn_td_targets, epsilon_schedule, policy_from_dict,
                            polyak_update, sac_mean_action)
@@ -192,7 +192,7 @@ def test_vstage_policy_fires_once():
 def test_single_transition_regression_gamma_zero(monkeypatch):
     """With one repeated transition and gamma=0 the Q-value converges to r."""
     set_constants(monkeypatch, DQN_GAMMA=0.0, LR=1e-2, HIDDEN=(16,))
-    agent = DqnAgent(2, DqnHyper(batch_size=8, warmup=8), seed=0)
+    agent = DqnAgent(2, AgentHyper(batch_size=8, warmup=8), seed=0)
     obs = np.array([0.3, 0.7])
     for _ in range(5000):
         agent.buffer.push(obs, 1, 2.5, obs, True)
@@ -206,7 +206,7 @@ def test_single_transition_regression_gamma_zero(monkeypatch):
 def test_zero_reward_environment_q_values_stay_near_zero(monkeypatch):
     set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=20, LR=1e-2,
                   HIDDEN=(16,))
-    agent = DqnAgent(1, DqnHyper(batch_size=8, warmup=8), seed=0)
+    agent = DqnAgent(1, AgentHyper(batch_size=8, warmup=8), seed=0)
     rng = np.random.default_rng(0)
     # the max over five noisy outputs biases each bootstrap upward, so the
     # values take a few thousand updates to settle
@@ -220,7 +220,7 @@ def test_zero_reward_environment_q_values_stay_near_zero(monkeypatch):
 
 
 def test_buffer_underfull_update_is_noop():
-    agent = DqnAgent(2, DqnHyper(batch_size=16, warmup=32), seed=0)
+    agent = DqnAgent(2, AgentHyper(batch_size=16, warmup=32), seed=0)
     before = [w.copy() for w, _ in agent.params]
     agent.buffer.push(np.zeros(2), 0, 1.0, np.zeros(2), False)
     assert agent.update() is None
@@ -230,7 +230,7 @@ def test_buffer_underfull_update_is_noop():
 def test_target_network_changes_only_at_sync_points(monkeypatch):
     set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=10, LR=1e-3,
                   HIDDEN=(8,))
-    agent = DqnAgent(1, DqnHyper(batch_size=4, warmup=4), seed=0)
+    agent = DqnAgent(1, AgentHyper(batch_size=4, warmup=4), seed=0)
     rng = np.random.default_rng(1)
     snapshots = [w.copy() for w, _ in agent.target_params]
     for _ in range(30):
@@ -254,10 +254,10 @@ def updated_agent(kind):
     with pytest.MonkeyPatch.context() as monkeypatch:
         if kind == "dqn":
             monkeypatch.setattr(agents, "HIDDEN", (16,))
-            agent = DqnAgent(4, DqnHyper(batch_size=4, warmup=4), seed=3)
+            agent = DqnAgent(4, AgentHyper(batch_size=4, warmup=4), seed=3)
         else:
             monkeypatch.setattr(agents, "HIDDEN", (12,))
-            agent = SacAgent(4, SacHyper(batch_size=4, warmup=4), seed=4)
+            agent = SacAgent(4, AgentHyper(batch_size=4, warmup=4), seed=4)
     rng = np.random.default_rng(5)
     for _ in range(4):
         agent.buffer.push(rng.uniform(size=4), float(rng.integers(2)),
@@ -331,7 +331,7 @@ def test_a_polyak_update_allocates_no_critic_sized_temporary():
 
 def test_sac_targets_move_only_by_polyak(monkeypatch):
     set_constants(monkeypatch, TAU=0.01, LR=1e-3, HIDDEN=(16,))
-    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
+    agent = SacAgent(2, AgentHyper(batch_size=8, warmup=8), seed=0)
     rng = np.random.default_rng(2)
     before_target = agent.targets[0].copy()
     for _ in range(9):
@@ -354,7 +354,7 @@ def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
     set_constants(monkeypatch, TARGET_UPDATE_INTERVAL=5, TAU=tau, LR=1e-3,
                   HIDDEN=(8,))
     rng = np.random.default_rng(7)
-    dqn = DqnAgent(2, DqnHyper(batch_size=4, warmup=4), seed=0)
+    dqn = DqnAgent(2, AgentHyper(batch_size=4, warmup=4), seed=0)
     target_buffer = dqn.target_params.flat
     synced = 0
     for _ in range(14):  # 11 gradient steps: syncs after steps 5 and 10
@@ -372,7 +372,7 @@ def test_target_sync_and_polyak_match_the_per_array_rules(monkeypatch):
     assert synced == 2
 
     monkeypatch.setattr(agents, "HIDDEN", (16,))
-    sac = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
+    sac = SacAgent(2, AgentHyper(batch_size=8, warmup=8), seed=0)
     for _ in range(7):
         sac.buffer.push(rng.uniform(size=2), float(rng.uniform(0, 200)),
                         float(rng.normal()), rng.uniform(size=2), False)
@@ -396,7 +396,7 @@ def test_sac_update_returns_the_critics_regression_loss(monkeypatch):
     """With one repeated terminal transition y = r, so the returned loss is
     the mean of the two critics' squared errors before their step."""
     set_constants(monkeypatch, LR=1e-3, HIDDEN=(16,))
-    agent = SacAgent(2, SacHyper(batch_size=8, warmup=8), seed=0)
+    agent = SacAgent(2, AgentHyper(batch_size=8, warmup=8), seed=0)
     obs = np.array([0.25, 0.75])
     for _ in range(8):
         agent.buffer.push(obs, 150.0, -3.0, obs, True)
@@ -430,7 +430,7 @@ def test_loading_a_checkpoint_builds_no_learner(tmp_path, monkeypatch, kind):
 
 def test_sac_actions_respect_bounds_and_discretization(monkeypatch):
     monkeypatch.setattr(agents, "HIDDEN", (8,))
-    agent = SacAgent(3, SacHyper(), seed=1)
+    agent = SacAgent(3, AgentHyper(), seed=1)
     rng = np.random.default_rng(3)
     for _ in range(200):
         dose, a = agent.act(None, rng.uniform(size=3))
@@ -477,7 +477,7 @@ def test_a_checkpoint_hyper_is_read_only_for_the_sac_action_range():
 def test_sac_bandit_learns_the_optimum_single_seed(monkeypatch):
     """Scaled-down version of the acceptance bandit: one seed, 1500 updates."""
     set_constants(monkeypatch, TAU=0.005, LR=1e-3, HIDDEN=(32, 32))
-    agent = SacAgent(1, SacHyper(batch_size=64, warmup=64), seed=0)
+    agent = SacAgent(1, AgentHyper(batch_size=64, warmup=64), seed=0)
     obs = np.zeros(1)
     while agent.actor_adam.step < 1500:
         _, a = agent.act(None, obs)
@@ -504,10 +504,10 @@ def test_one_update_allocates_no_per_update_temporaries(kind):
     it caches."""
     n, rng = 28, np.random.default_rng(0)
     if kind == "dqn":
-        agent = DqnAgent(n, DqnHyper(warmup=64), seed=0)
+        agent = DqnAgent(n, AgentHyper(warmup=64), seed=0)
         nets = [agent.params]
     else:
-        agent = SacAgent(n, SacHyper(warmup=64), seed=0)
+        agent = SacAgent(n, AgentHyper(warmup=64), seed=0)
         nets = [agent.actor, *agent.critics]
     for _ in range(200):
         action = (int(rng.integers(5)) if kind == "dqn"

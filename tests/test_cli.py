@@ -11,8 +11,9 @@ import croprl
 import numpy as np
 
 from croprl import agents, config as configmod
-from croprl.agents import DqnAgent, DqnHyper
+from croprl.agents import AgentHyper, DqnAgent
 from croprl.cli import main
+from croprl.env import SCENARIO_PRESETS
 from croprl.harness import config_digest
 from croprl.net import init_params, net_to_dict
 
@@ -40,10 +41,12 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
                 ["agent.lr=5e-05"], ["agent.hidden=128,128"],
                 ["reward.w1=0.1"], ["reward.w2=0.1"], ["reward.w3=0.1"],
                 ["reward.w4=1"],
-                # a site's dates, density and N threshold, now its preset's
+                # a site's dates, density, N threshold and DQN exploration
+                # decay, now its preset's
                 ["scenario.start_doy=116"], ["scenario.planting_doy=148"],
                 ["scenario.latest_harvest_doy=298"],
-                ["scenario.plant_density=7.6"], ["reward.threshold=240"]]
+                ["scenario.plant_density=7.6"], ["reward.threshold=240"],
+                ["agent.epsilon_decay=0.992"]]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -84,7 +87,6 @@ RETIRED_KEYS = [["reward.clamp_overage=true"], ["agent.grad_steps_per_day=1"],
     ["episodes=2"],  # an override with no section
     ["scenario.location=mars"],
     ["agent.kind=ppo"],
-    ["agent.epsilon_decay=1"],  # never decays
 ])
 def test_unparsable_values_are_configuration_errors(tiny_config, tmp_path,
                                                     capsys, overrides):
@@ -274,7 +276,7 @@ def test_ablation_with_a_failed_condition_is_a_runtime_error(
 @pytest.fixture
 def bad_checkpoints(tmp_path):
     """A directory of checkpoint files that evaluation must refuse."""
-    hyper = DqnHyper(warmup=0)
+    hyper = AgentHyper(warmup=0)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(agents, "HIDDEN", (4,))
         agent = DqnAgent(30, hyper).to_dict()
@@ -451,7 +453,6 @@ kind = DQN
 episodes = 7
 batch_size = 32
 warmup = 100
-epsilon_decay = 0.99
 [run]
 trials = 3
 seeds = 7, 8,9
@@ -480,9 +481,9 @@ out_dir = out
 
 
 @pytest.mark.parametrize("text,digest,out_dir", [
-    (DQN_INI, "f6933c244d4dce44", "Some/Dir"),
-    (SAC_INI, "2de5755050d3f906", "out"),
-    ("", "a9e0dc978a62909b", "run_output"),
+    (DQN_INI, "d14de56bf255349d", "Some/Dir"),
+    (SAC_INI, "121ce44473a33729", "out"),
+    ("", "fea9b5206240f468", "run_output"),
 ], ids=["dqn", "sac", "defaults"])
 def test_every_key_parses_as_before(tmp_path, text, digest, out_dir):
     path = tmp_path / "all.ini"
@@ -499,6 +500,18 @@ def test_seeds_alone_give_the_number_of_trials(tmp_path):
     assert (experiment.trials, experiment.seeds) == (2, (7, 8))
 
 
+@pytest.mark.parametrize("kind", ["dqn", "sac"])
+@pytest.mark.parametrize("location", ["iowa", "florida"])
+def test_the_python_api_and_the_config_build_the_same_experiment(location,
+                                                                  kind):
+    """A site's values, its DQN exploration decay too, come from its preset
+    alone, and every agent kind takes the one AgentHyper."""
+    preset = SCENARIO_PRESETS[location]
+    assert croprl.ExperimentConfig(scenario=preset(), agent_kind=kind) \
+        == configmod.build_experiment({"scenario.location": location,
+                                       "agent.kind": kind})
+
+
 def test_docstring_lists_exactly_the_settable_keys():
     documented, section = set(), None
     for line in configmod.__doc__.splitlines():
@@ -510,10 +523,9 @@ def test_docstring_lists_exactly_the_settable_keys():
             documented |= {f"{section}.{name.strip()}"
                            for name in names[0].split(",") if name.strip()}
     computed = {f"{section}.{key}" for section, types in (
-        ("scenario", configmod._SCENARIO),
-        ("agent", configmod._AGENT["dqn"]), ("agent", configmod._AGENT["sac"]),
+        ("scenario", configmod._SCENARIO), ("agent", configmod._AGENT),
         ("run", configmod._RUN)) for key in types}
-    assert len(computed) == 14
+    assert len(computed) == 13
     assert documented == computed
 
 

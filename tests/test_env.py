@@ -140,6 +140,11 @@ TWELVE_WITH_NAN = (NAN,) + (20.0,) * 11
     # a bool, which is not a number: before, it was taken as 1.0
     ("scenario", "plant_density", True),
     ("scenario", "n_threshold", True),
+    # an exploration rate that never falls, or falls to zero at once
+    ("scenario", "epsilon_decay", 0.0),
+    ("scenario", "epsilon_decay", 1.0),
+    ("scenario", "epsilon_decay", NAN),
+    ("scenario", "epsilon_decay", True),
     ("climate", "rain_mm", (True,) * 12),
 ], ids=lambda v: "one_nan_month" if v is TWELVE_WITH_NAN else
     str(v).replace(" ", ""))
@@ -268,13 +273,14 @@ def test_iowa_respects_latest_harvest_window():
     assert state.istage < 5
 
 
-def test_running_sum_identities_hold(random_action_sequence):
+def test_running_sum_identities_hold():
+    rng = np.random.default_rng(1234)
     env = NitrogenEnv(iowa_scenario())
     state = env.reset(seed=11)
     sums = dict(fert=0.0, leach=0.0, nox=0.0, uptake=0.0)
     prev = state
     while not env.done:
-        rec = env.step(random_action_sequence(prev))
+        rec = env.step(float(rng.choice(DISCRETE_ACTIONS_KG)))
         state = rec.state
         sums["fert"] += rec.action_applied
         sums["leach"] += state.tleachd

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from croprl import harness
-from croprl.agents import DqnHyper, SacHyper
+from croprl.agents import AgentHyper
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
 from croprl.errors import ConfigError
 from croprl.harness import (ExperimentConfig, _dose_key, _pct_delta,
@@ -167,26 +169,28 @@ def test_dose_keys_are_exact_without_a_trailing_zero(amount, key):
     assert _dose_key(amount) == key
 
 
-@pytest.mark.parametrize("kind,hyper", [("sac", DqnHyper()),
-                                        ("dqn", SacHyper())])
-def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
-    out = tmp_path / "out"
-    with pytest.raises(ConfigError,
-                       match=f"'{kind}' does not take a {type(hyper).__name__}"):
-        run_training(ExperimentConfig(iowa_scenario(), agent_kind=kind,
-                                      hyper=hyper, trials=1, seeds=(1,),
-                                      out_dir=out))
-    assert not out.exists()
+@pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
+def test_dqn_explores_at_its_presets_decay(tmp_path, preset):
+    """Iowa decays at 0.992 and Florida at 0.994, as in the paper."""
+    scenario = preset()
+    run_training(ExperimentConfig(scenario, hyper=AgentHyper(episodes=2),
+                                  trials=1, seeds=(4,), baseline_grid=(0.0,),
+                                  out_dir=tmp_path))
+    with open(tmp_path / "trial_4_curve.csv") as fh:
+        epsilons = [float(row["epsilon"]) for row in csv.DictReader(fh)]
+    assert epsilons == [1.0, scenario.epsilon_decay]
 
 
 @pytest.mark.parametrize("name,build", [
     ("action_frequency", lambda: iowa_scenario(action_frequency=2.5)),
     ("start_doy", lambda: iowa_scenario(start_doy=100.5)),
     ("latest_harvest_doy", lambda: iowa_scenario(latest_harvest_doy=290.0)),
-    ("n_layers", lambda: SoilProfile(depth_cm=150.0, n_layers=3.0)),
+    ("n_layers", lambda: SoilProfile(depth_cm=150.0, field_capacity=0.30,
+                                     saturation=0.42, wilting_point=0.13,
+                                     drain_coef=0.4, n_layers=3.0)),
     ("seeds", lambda: ExperimentConfig(iowa_scenario(), trials=1,
                                        seeds=(1.5,))),
-    ("batch_size", lambda: DqnHyper(batch_size=8.0)),
+    ("batch_size", lambda: AgentHyper(batch_size=8.0)),
     ("n_episodes", lambda: evaluate_policy(
         baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),
         n_episodes=2.5)),
@@ -194,7 +198,7 @@ def test_a_hyper_of_the_other_agent_kind_is_refused(tmp_path, kind, hyper):
     # trial_True, a batch of 1 and one episode
     pytest.param("seeds", lambda: ExperimentConfig(
         iowa_scenario(), trials=1, seeds=(True,)), id="seeds-True"),
-    pytest.param("batch_size", lambda: DqnHyper(batch_size=True, warmup=0),
+    pytest.param("batch_size", lambda: AgentHyper(batch_size=True, warmup=0),
                  id="batch_size-True"),
     pytest.param("n_episodes", lambda: evaluate_policy(
         baseline_policy(0.0), iowa_scenario(), ObservationMask.full(),

@@ -22,7 +22,7 @@ from croprl.weather import DailyWeather
 
 PROFILE = SoilProfile(depth_cm=150.0, field_capacity=0.30, saturation=0.36,
                       wilting_point=0.13, drain_coef=0.4)
-CROP = CropParams()
+CROP = CropParams(780.0, 930.0, 1580.0)
 PLTPOP = 7.6
 
 
