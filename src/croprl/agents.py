@@ -150,7 +150,7 @@ class DqnAgent:
             (obs_dim, *HIDDEN, len(DISCRETE_ACTIONS_KG)), self.rng,
             dtype=self.dtype)
         self.target_params = self.params.copy()
-        self.adam = AdamState.for_params(self.params, lr=LR)
+        self.adam = AdamState(self.params, lr=LR)
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
         self.epsilon = 1.0
         # what each update overwrites: the gradient, and dL/dQ, which is
@@ -246,29 +246,25 @@ class SacAgent:
                                     dtype=self.dtype)
                         for _ in range(2)]
         self.targets = [c.copy() for c in self.critics]
-        self.actor_adam = AdamState.for_params(self.actor, lr=LR)
-        self.critic_adams = [AdamState.for_params(c, lr=LR)
-                             for c in self.critics]
+        self.actor_adam = AdamState(self.actor, lr=LR)
+        self.critic_adams = [AdamState(c, lr=LR) for c in self.critics]
         self.log_alpha = 0.0
         self._log_alpha_m = 0.0
         self._log_alpha_v = 0.0
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
         # what each update overwrites: one gradient per net, the critics'
-        # inputs at the next state, the stored action and the fresh action,
-        # and the upstream gradient of Q's input gradient
+        # inputs at the next state and at the batch's state (its action
+        # column holds the stored action, then the fresh one), and the
+        # upstream gradient of Q's input gradient
         self._actor_grads = self.actor.like(np.empty_like(self.actor.flat))
         self._critic_grads = [c.like(np.empty_like(c.flat))
                               for c in self.critics]
-        self._xin_next, self._xin, self._xin_pi = (
+        self._xin_next, self._xin = (
             np.empty((hyper.batch_size, obs_dim + 1), dtype=self.dtype)
-            for _ in range(3))
+            for _ in range(2))
         self._ones = np.ones((hyper.batch_size, 1), dtype=self.dtype)
 
     # -- policy --------------------------------------------------------------
-
-    @property
-    def alpha(self) -> float:
-        return math.exp(self.log_alpha)
 
     def act(self, state, obs: np.ndarray) -> tuple[float, float]:
         """The stochastic policy: the dose nearest a raw continuous action
@@ -300,14 +296,6 @@ class SacAgent:
                 - np.log(_HALF * one_m_t2 + 1e-6))
         return t, logp, xi, std, one_m_t2
 
-    @staticmethod
-    def _critic_input(out: np.ndarray, obs: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-        """The critic input [obs, t] of each row, written into ``out``."""
-        out[:, :-1] = obs
-        out[:, -1] = t
-        return out
-
     def update(self):
         h = self.hyper
         if self.buffer.size < max(h.batch_size, h.warmup):
@@ -316,12 +304,14 @@ class SacAgent:
         obs, raw_actions, rewards, next_obs, dones = self.buffer.sample(
             h.batch_size, rng)
         t_stored = np.clip((raw_actions - _MID) / _HALF, -1.0, 1.0)
-        alpha = self.alpha
+        alpha = math.exp(self.log_alpha)
 
         # soft targets from fresh next-state actions
         t2, logp2, *_ = self._squashed_sample(
             forward(self.actor, next_obs), rng)
-        xin2 = self._critic_input(self._xin_next, next_obs, t2)
+        xin2 = self._xin_next
+        xin2[:, :-1] = next_obs
+        xin2[:, -1] = t2
         q_next = np.minimum(
             forward(self.targets[0], xin2)[:, 0],
             forward(self.targets[1], xin2)[:, 0])
@@ -329,7 +319,9 @@ class SacAgent:
                                            q_next - alpha * logp2)
 
         # critic regression
-        xin = self._critic_input(self._xin, obs, t_stored)
+        xin = self._xin
+        xin[:, :-1] = obs
+        xin[:, -1] = t_stored
         critic_mse = []
         for i in range(2):
             q, cache = forward_cached(self.critics[i], xin)
@@ -347,9 +339,10 @@ class SacAgent:
                      & (out[:, 1] < LOG_STD_MAX)).astype(float)
 
         # d(minQ)/d(action input) is the smaller critic's, the first on ties;
-        # each row's input gradient reads only that row
-        xin_pi = self._critic_input(self._xin_pi, obs, t)
-        (q0, c0), (q1, c1) = (forward_cached(c, xin_pi) for c in self.critics)
+        # each row's input gradient reads only that row. The critics' caches
+        # are spent, so the fresh action overwrites the stored one
+        xin[:, -1] = t
+        (q0, c0), (q1, c1) = (forward_cached(c, xin) for c in self.critics)
         ones = self._ones
         dq_da = np.where(q0[:, 0] <= q1[:, 0],
                          input_gradient(self.critics[0], c0, ones)[:, -1],

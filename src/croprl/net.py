@@ -17,7 +17,8 @@ shape (fan_in, fan_out)), and the (W, b) pairs, which are views into it.
 ``backward`` writes its gradients in the same layout, and Adam's first and
 second moments are flat vectors in that layout too. The optimizer, the DQN
 target copy and the SAC Polyak average therefore each run a few ufuncs over
-one array.
+one array. A forward pass's cache holds each layer's input only: the batch,
+then each hidden layer's ReLU output.
 
 In place. Neither the gradient nor Adam's scratch is allocated per update.
 ``backward(params, cache, grad_out, out)`` overwrites every value of
@@ -27,11 +28,12 @@ and returns it. ``adam_step`` writes the new values into ``params.flat``,
 ``state.m`` and ``state.v``, advances ``state.step`` and returns the same
 two objects. Take ``params.copy()`` first to keep the old values. A
 non-finite gradient raises ``FloatingPointError`` before anything changes.
-The step's scratch vectors ``tmp`` and ``denom``, and the bool ``mask`` of
-the subnormal flush, belong to the ``AdamState``; ``for_params`` allocates
-them beside the moments. Within a pass, ``forward_cached`` adds each bias
-into the matmul's result and the reverse pass applies each ReLU mask to the
-gradient in place, so neither makes a second batch-sized array.
+``AdamState(params, lr)`` allocates the moments and the step's scratch:
+the vectors ``tmp`` and ``denom``, and the bool ``mask`` of the subnormal
+flush. Within a pass, ``forward_cached`` adds each bias into the matmul's
+result, and each ReLU writes over its pre-activation: ``h > 0`` exactly
+where ``z > 0``, so the reverse pass masks with ``h``, applying each mask
+to the gradient in place. Neither pass makes a second batch-sized array.
 
 Subnormal flush. After each step, every first moment smaller in magnitude
 than ``np.finfo(dtype).tiny`` becomes +0.0. A unit whose gradient is exactly
@@ -59,8 +61,6 @@ any other key, such as the Adam moments that earlier version-1 files carry.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class ParamSet(tuple):
 
     def copy(self) -> "ParamSet":
         return self.like(self.flat.copy())
-
-    def __getnewargs__(self):  # lets pickle and deepcopy rebuild the views
-        return self.flat, [w.shape for w, _ in self]
 
 
 def _check_sizes(sizes) -> None:
@@ -146,17 +143,14 @@ def forward(params: ParamSet, x: np.ndarray) -> np.ndarray:
 
 def forward_cached(params: ParamSet, x: np.ndarray
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping layer inputs and pre-activations for backward."""
-    h = _check_input(params, x)
-    cache = [h]
-    last = len(params) - 1
+    """Forward pass keeping each layer's input for backward."""
+    z = _check_input(params, x)
+    cache = []
     for i, (w, b) in enumerate(params):
+        h = np.maximum(z, 0.0, out=z) if i else z
+        cache.append(h)
         z = h @ w
         z += b
-        cache.append(z)
-        if i != last:
-            h = np.maximum(z, 0.0)
-            cache.append(h)
     return z, cache
 
 
@@ -174,7 +168,7 @@ def _below(params: ParamSet, cache: list[np.ndarray], delta: np.ndarray,
     w = params[i][0]
     # matmul is slow on this outer product; + 0.0 gives zeros matmul's sign
     up = delta * w[:, 0] + 0.0 if w.shape[1] == 1 else delta @ w.T
-    return np.multiply(up, cache[2 * i - 1] > 0.0, out=up)
+    return np.multiply(up, cache[i] > 0.0, out=up)
 
 
 def backward(params: ParamSet, cache: list[np.ndarray],
@@ -189,7 +183,7 @@ def backward(params: ParamSet, cache: list[np.ndarray],
     delta = _upstream(params, cache, grad_out)
     for i in range(len(params) - 1, -1, -1):
         gw, gb = out[i]
-        np.matmul(cache[2 * i].T, delta, out=gw)
+        np.matmul(cache[i].T, delta, out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
             delta = _below(params, cache, delta, i)
@@ -214,24 +208,16 @@ def input_gradient(params: ParamSet, cache: list[np.ndarray],
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class AdamState:
     """Adam's learning rate, step count, and flat moments in the params'
     layout, with the scratch vectors each step overwrites."""
-    lr: float
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    tmp: np.ndarray | None = field(default=None, repr=False)
-    denom: np.ndarray | None = field(default=None, repr=False)
-    mask: np.ndarray | None = field(default=None, repr=False)
 
-    @classmethod
-    def for_params(cls, params: ParamSet, lr: float) -> "AdamState":
+    def __init__(self, params: ParamSet, lr: float):
         x = params.flat
-        return cls(lr=lr, step=0, m=np.zeros_like(x), v=np.zeros_like(x),
-                   tmp=np.empty_like(x), denom=np.empty_like(x),
-                   mask=np.empty(x.shape, dtype=bool))
+        self.lr, self.step = lr, 0
+        self.m, self.v = np.zeros_like(x), np.zeros_like(x)
+        self.tmp, self.denom = np.empty_like(x), np.empty_like(x)
+        self.mask = np.empty(x.shape, dtype=bool)
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
