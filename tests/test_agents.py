@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -407,6 +408,47 @@ def test_sac_update_returns_the_critics_regression_loss(monkeypatch):
     assert agent.update() == pytest.approx(expected, rel=1e-5)
 
 
+def test_sac_actor_gradient_matches_central_differences(monkeypatch):
+    """In float64, the actor gradient an update steps by is the gradient of
+    mean(alpha * log pi - min(Q0, Q1)) over its batch, at the update's own
+    noise draw, the critics after their step and alpha before its step."""
+    set_constants(monkeypatch, LR=1e-3, HIDDEN=(16, 16))
+    monkeypatch.setattr(SacAgent, "dtype", np.float64)
+    agent = SacAgent(3, AgentHyper(batch_size=16, warmup=16), seed=2)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        agent.observe(rng.uniform(size=3), float(rng.uniform(0.0, 200.0)),
+                      float(rng.normal()), rng.uniform(size=3), False)
+    batches, draws = [], []
+    sample, squash = agent.buffer.sample, agent._squashed_sample
+
+    def recorded(calls, fn):
+        return lambda *args: calls.append(fn(*args)) or calls[-1]
+
+    monkeypatch.setattr(agent.buffer, "sample", recorded(batches, sample))
+    monkeypatch.setattr(agent, "_squashed_sample", recorded(draws, squash))
+    actor, alpha = agent.actor.copy(), math.exp(agent.log_alpha)
+    assert agent.update() is not None
+    # the second draw is the actor's; xi is its noise
+    obs, xi = batches[0][0], draws[1][2]
+
+    def actor_loss(flat):
+        out = forward(actor.like(flat), obs)
+        log_std = np.clip(out[:, 1], agents.LOG_STD_MIN, agents.LOG_STD_MAX)
+        t = np.tanh(out[:, 0] + np.exp(log_std) * xi)
+        logp = (-0.5 * xi ** 2 - log_std - 0.5 * math.log(2.0 * math.pi)
+                - np.log(agents._HALF * (1.0 - t ** 2) + 1e-6))
+        xin = np.column_stack([obs, t])
+        q = np.minimum(*(forward(c, xin)[:, 0] for c in agent.critics))
+        return float(np.mean(alpha * logp - q))
+
+    grads, h = agent._actor_grads.flat, 1e-6
+    picked = rng.choice(actor.flat.size, size=60, replace=False)
+    fd = [(actor_loss(actor.flat + h * e) - actor_loss(actor.flat - h * e))
+          / (2 * h) for e in np.eye(actor.flat.size)[picked]]
+    assert np.max(np.abs(fd - grads[picked])) <= 1e-6 * np.max(np.abs(grads))
+
+
 @pytest.mark.parametrize("kind", ["dqn", "sac"])
 def test_loading_a_checkpoint_builds_no_learner(tmp_path, monkeypatch, kind):
     """With the replay buffer and Adam state unbuildable, a checkpoint still
@@ -524,3 +566,65 @@ def test_one_update_allocates_no_per_update_temporaries(kind):
         tracemalloc.stop()
     net_bytes = sum(p.flat.nbytes for p in nets)
     assert peak <= PEAK_PER_NET_BYTE[kind] * net_bytes, (peak, net_bytes)
+
+
+# ---------------------------------------------------------------------------
+# learner fingerprints
+# ---------------------------------------------------------------------------
+
+def platform_rounding() -> str:
+    """sha256 of float32 matmuls at the learners' shapes and of the exp, log
+    and tanh that SAC calls: the arithmetic whose rounding the BLAS kernel
+    and numpy's SIMD dispatch choose, not croprl."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(64, 129)).astype(np.float32)
+    x = rng.normal(size=64)
+    parts = [a[:, :28] @ a[:28, 1:], a[:, :29] @ a[:29, 1:],
+             a[:, 1:] @ a[1:, :128].T, a[:, 1:].T @ a[:, :5],
+             a[0, :28] @ a[:28, :128], a[:, 0] @ a[:, 1]]
+    for v in (x, x.astype(np.float32)):
+        parts += [np.exp(v), np.log(np.abs(v)), np.tanh(v)]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+#: ``platform_rounding()`` where the fingerprints below were recorded
+PLATFORM_ROUNDING = (
+    "ecb38ecbaac059f1897829e3f8c76f082523e0a4b933cf070d2e9c7e59835c2e")
+#: sha256 of each learner's parameters after ``learner_fingerprint``'s run:
+#: DQN's Q-net and target; SAC's actor, critics, targets and repr(log_alpha)
+LEARNER_FINGERPRINTS = {
+    "dqn": "79e03fd3d4a8dd84e748b8a5de4ae164020092522a5a564bdcc0baf89a00b5d1",
+    "sac": "e84504da0bcc005496f5b9fbf8f774eaf659794e98ce5a8071edfbed1682ad67",
+}
+
+
+@pytest.mark.parametrize("kind", ["dqn", "sac"])
+def test_learner_fingerprints(kind):
+    """Default widths, one fixed transition stream and 270 updates: DQN's
+    target syncs at 200, and both learners cross many of Adam's flush
+    steps. A learner change that keeps every parameter bit keeps these
+    hashes; Adam's moments are not hashed. Where matmul, exp, log or tanh
+    round differently from the machine the hashes were recorded on, they
+    cannot hold, and the test is skipped."""
+    rounding = platform_rounding()
+    if rounding != PLATFORM_ROUNDING:
+        pytest.skip(f"this BLAS and numpy round differently: {rounding}")
+    rng = np.random.default_rng(31)
+    cls = DqnAgent if kind == "dqn" else SacAgent
+    agent = cls(28, AgentHyper(warmup=64), seed=5)
+    for i in range(64 + 269):
+        action = (int(rng.integers(5)) if kind == "dqn"
+                  else float(rng.uniform(0.0, 200.0)))
+        agent.observe(rng.uniform(size=28), action,
+                      float(rng.normal(scale=100.0)), rng.uniform(size=28),
+                      i % 50 == 49)
+    if kind == "dqn":
+        assert agent.adam.step == 270
+        parts = [agent.params.flat, agent.target_params.flat]
+    else:
+        assert agent.actor_adam.step == 270
+        parts = [n.flat for n in (agent.actor, *agent.critics,
+                                  *agent.targets)]
+        parts.append(np.frombuffer(repr(agent.log_alpha).encode(), np.uint8))
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+    assert digest == LEARNER_FINGERPRINTS[kind]

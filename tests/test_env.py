@@ -202,6 +202,18 @@ def test_non_finite_dose_rejected(iowa_env, dose):
     assert iowa_env.step(0.0).dap == 0  # the rejected dose left no trace
 
 
+@pytest.mark.parametrize("dose", [40, np.int64(40), np.float32(40.0)])
+def test_a_real_dose_that_is_not_a_float_steps_as_its_float(iowa_env, dose):
+    iowa_env.reset(seed=0)
+    want = iowa_env.step(40.0)
+    iowa_env.reset(seed=0)
+    got = iowa_env.step(dose)
+    assert got == want and type(got.action_requested) is float
+    for refused in (True, np.True_):
+        with pytest.raises(ValueError, match="must be a number"):
+            iowa_env.step(refused)
+
+
 @pytest.mark.parametrize("preset", [iowa_scenario, florida_scenario])
 def test_largest_dose_every_day_stays_finite(preset, monkeypatch):
     # under reward weights far above any price ratio, every dose an overage
