@@ -1,4 +1,14 @@
-"""Surrogate crop environment and RL agents for nitrogen management."""
+"""Surrogate crop environment and RL agents for nitrogen management.
+
+Unless already set, ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` become
+1 on import, so that side-by-side runs share the cores instead of
+oversubscribing them. If numpy was imported first this does nothing; for
+more BLAS threads, set either variable before importing croprl.
+"""
+
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .agents import (AgentHyper, DqnAgent, SacAgent, discretize_action,
                      epsilon_schedule)

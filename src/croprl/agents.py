@@ -12,7 +12,8 @@ Two trainable agents:
   toward the entropy ``TARGET_ENTROPY``. The actor's log-std is clamped to
   [LOG_STD_MIN, LOG_STD_MAX]. The continuous action is snapped to the
   discrete set at the environment boundary only; the stored and regressed
-  action stays continuous.
+  action stays continuous. The two critics are the halves of one vector, as
+  are their targets, so one Adam step and one Polyak update move both.
 
 Every net is a ReLU MLP held as a ``net.ParamSet``, its widths read from
 its weights. Both agents build their nets with the hidden widths ``HIDDEN``,
@@ -242,23 +243,24 @@ class SacAgent:
         self.actor = init_params((obs_dim, *HIDDEN, 2), self.rng,
                                  dtype=self.dtype)
         # a critic reads the observation and the squashed action
-        self.critics = [init_params((obs_dim + 1, *HIDDEN, 1), self.rng,
-                                    dtype=self.dtype)
-                        for _ in range(2)]
-        self.targets = [c.copy() for c in self.critics]
+        critics = [init_params((obs_dim + 1, *HIDDEN, 1), self.rng,
+                               dtype=self.dtype) for _ in range(2)]
+        pair = ParamSet(np.concatenate([c.flat for c in critics]),
+                        [w.shape for c in critics for w, _ in c])
+        self._critic_pair, self._target_pair = pair, pair.copy()
+        self._critic_grads = pair.like(np.empty_like(pair.flat))
+        self.critics, self.targets, self._critic_grad_halves = (
+            [critics[0].like(f) for f in np.split(p.flat, 2)]
+            for p in (pair, self._target_pair, self._critic_grads))
         self.actor_adam = AdamState(self.actor, lr=LR)
-        self.critic_adams = [AdamState(c, lr=LR) for c in self.critics]
-        self.log_alpha = 0.0
-        self._log_alpha_m = 0.0
-        self._log_alpha_v = 0.0
+        self.critic_adam = AdamState(pair, lr=LR)
+        self.log_alpha = self._log_alpha_m = self._log_alpha_v = 0.0
         self.buffer = ReplayBuffer(BUFFER_CAPACITY, obs_dim, dtype=self.dtype)
-        # what each update overwrites: one gradient per net, the critics'
+        # what each update overwrites: the actor's gradient, the critics'
         # inputs at the next state and at the batch's state (its action
         # column holds the stored action, then the fresh one), and the
         # upstream gradient of Q's input gradient
         self._actor_grads = self.actor.like(np.empty_like(self.actor.flat))
-        self._critic_grads = [c.like(np.empty_like(c.flat))
-                              for c in self.critics]
         self._xin_next, self._xin = (
             np.empty((hyper.batch_size, obs_dim + 1), dtype=self.dtype)
             for _ in range(2))
@@ -318,19 +320,17 @@ class SacAgent:
         y = rewards + SAC_GAMMA * np.where(dones, 0.0,
                                            q_next - alpha * logp2)
 
-        # critic regression
+        # critic regression: both backward passes, then one step of both
         xin = self._xin
         xin[:, :-1] = obs
         xin[:, -1] = t_stored
         critic_mse = []
-        for i in range(2):
-            q, cache = forward_cached(self.critics[i], xin)
+        for critic, grads in zip(self.critics, self._critic_grad_halves):
+            q, cache = forward_cached(critic, xin)
             err = q[:, 0] - y
             critic_mse.append(float(err @ err) / len(y))
-            gout = 2.0 * err[:, None] / len(y)
-            grads = backward(self.critics[i], cache, gout,
-                             self._critic_grads[i])
-            adam_step(self.critics[i], grads, self.critic_adams[i])
+            backward(critic, cache, 2.0 * err[:, None] / len(y), grads)
+        adam_step(self._critic_pair, self._critic_grads, self.critic_adam)
 
         # actor: reparameterized gradient of alpha*logpi - min Q
         out, actor_cache = forward_cached(self.actor, obs)
@@ -364,11 +364,10 @@ class SacAgent:
         vhat = self._log_alpha_v / (1 - 0.999 ** self.actor_adam.step)
         self.log_alpha -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
 
-        # Polyak-averaged targets; each critic's gradient, which its Adam
+        # Polyak-averaged targets; the critics' gradient, which their Adam
         # step has read, is the scratch
-        for i in range(2):
-            polyak_update(self.targets[i], self.critics[i], TAU,
-                          self._critic_grads[i].flat)
+        polyak_update(self._target_pair, self._critic_pair, TAU,
+                      self._critic_grads.flat)
         # the critics' regression loss, before their step
         return float(np.mean(critic_mse))
 

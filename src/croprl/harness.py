@@ -313,7 +313,6 @@ def convergence_episode(rewards, window: int = 50, rel_tol: float = 0.01):
     for i, value in enumerate(trail):
         if abs(value - final) <= rel_tol * denom:
             return i + window - 1
-    return len(rewards) - 1
 
 
 def sweep_baselines(scenario: ScenarioConfig, grid, mask: ObservationMask

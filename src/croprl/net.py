@@ -27,23 +27,25 @@ allocates once, for instance as ``params.like(np.empty_like(params.flat))``,
 and returns it. ``adam_step`` writes the new values into ``params.flat``,
 ``state.m`` and ``state.v``, advances ``state.step`` and returns the same
 two objects. Take ``params.copy()`` first to keep the old values. A
-non-finite gradient raises ``FloatingPointError`` before anything changes.
-``AdamState(params, lr)`` allocates the moments and the step's scratch:
-the vectors ``tmp`` and ``denom``, and the bool ``mask`` of the subnormal
-flush. Within a pass, ``forward_cached`` adds each bias into the matmul's
-result, and each ReLU writes over its pre-activation: ``h > 0`` exactly
-where ``z > 0``, so the reverse pass masks with ``h``, applying each mask
-to the gradient in place. Neither pass makes a second batch-sized array.
+non-finite entry, or a squared norm that overflows the dtype, raises
+``FloatingPointError`` before anything changes. ``AdamState(params, lr)``
+allocates the moments and the step's scratch. Within a pass,
+``forward_cached`` adds each bias into the matmul's result, and each ReLU
+writes over its pre-activation: ``h > 0`` exactly where ``z > 0``, so the
+reverse pass masks with ``h``, applying each mask to the gradient in place.
+Neither pass makes a second batch-sized array.
 
-Subnormal flush. After each step, every first moment smaller in magnitude
-than ``np.finfo(dtype).tiny`` becomes +0.0. A unit whose gradient is exactly
-zero (a dead relu) sees its moment decay by BETA1 a step; after roughly 700
-steps it is subnormal, and on x86 every operation that reads a subnormal
-takes a microcode assist. Without the flush, the Adam step of a 20-episode
-DQN run grew about 3x slower from the first tenth of the run to the last.
-It is branch-free, ``m *= |m| >= tiny; m += 0.0`` (+0.0 for -0.0), since a
-masked write took 3x as long over the mixed masks that dead units leave.
-The flush leaves parameter bits unchanged in practice: the step it drops is
+Subnormal flush. On each step that is a multiple of ``FLUSH_EVERY``, first
+moments smaller in magnitude than ``np.finfo(dtype).tiny`` become +0.0, so
+none stays subnormal for more than FLUSH_EVERY - 1 steps. A dead relu's
+gradient is exactly zero, so its moment decays by BETA1 a step and is
+subnormal after about 700 steps; on x86 every operation that reads a
+subnormal takes a microcode assist. Without the flush, the Adam step of a
+20-episode DQN run grew about 3x slower from the first tenth of the run to
+the last. It is branch-free, ``m *= |m| >= tiny; m += 0.0`` (+0.0 for -0.0),
+since a masked write took 3x as long over the mixed masks that dead units
+leave; it is six passes, hence the cadence. Parameter bits hold in practice:
+a step that a subnormal moment makes, or that the flush drops, is
 lr * |m| / (c1 * denom) with |m| < tiny, c1 >= 1 - BETA1 and denom >= EPS,
 so below lr * tiny / ((1 - BETA1) * EPS), about 6e-34 for float32 at the
 default lr. That is under half an ulp of any parameter larger in magnitude
@@ -206,6 +208,8 @@ def input_gradient(params: ParamSet, cache: list[np.ndarray],
 
 #: Adam's moment decay rates and denominator floor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+#: Adam flushes subnormal moments on the steps that are multiples of this
+FLUSH_EVERY = 8
 
 
 class AdamState:
@@ -230,17 +234,15 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     if not (isinstance(params, ParamSet) and isinstance(grads, ParamSet)):
         raise TypeError("adam_step updates a ParamSet by a ParamSet of "
                         "gradients")
-    g = grads.flat
-    x, m, v = params.flat, state.m, state.v
+    g, x, m, v = grads.flat, params.flat, state.m, state.v
     if g.shape != x.shape:
         raise ShapeError(f"gradient of {g.size} values for {x.size} params")
-    # a NaN or paired-infinity anywhere poisons the sum
-    if not np.isfinite(g.sum()):
+    # one dot: a NaN or inf anywhere, or a sum of squares past the dtype
+    if not np.isfinite(g @ g):
         raise FloatingPointError("non-finite gradient in adam_step")
     state.step += 1
     b1, b2 = BETA1, BETA2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     tmp, denom, mask = state.tmp, state.denom, state.mask
     # m*b1 + (1-b1)*g; v*b2 + (1-b2)*g^2; x + (-lr)*(m/c1)/(sqrt(v/c2) + eps)
     m *= b1
@@ -256,11 +258,11 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     tmp /= denom
     tmp *= -state.lr
     x += tmp
-    # flush subnormal moments (see the module docstring)
-    tiny = np.finfo(m.dtype).tiny
-    m *= np.greater_equal(np.abs(m, out=tmp), tiny, out=mask)
-    m += 0.0
-    v *= np.greater_equal(v, tiny, out=mask)
+    if state.step % FLUSH_EVERY == 0:  # see the module docstring
+        tiny = np.finfo(m.dtype).tiny
+        m *= np.greater_equal(np.abs(m, out=tmp), tiny, out=mask)
+        m += 0.0
+        v *= np.greater_equal(v, tiny, out=mask)
     return params, state
 
 

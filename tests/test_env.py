@@ -202,7 +202,8 @@ def test_non_finite_dose_rejected(iowa_env, dose):
     assert iowa_env.step(0.0).dap == 0  # the rejected dose left no trace
 
 
-@pytest.mark.parametrize("dose", [40, np.int64(40), np.float32(40.0)])
+@pytest.mark.parametrize("dose", [40, np.int64(40), np.float32(40.0)],
+                         ids=["int", "int64", "float32"])
 def test_a_real_dose_that_is_not_a_float_steps_as_its_float(iowa_env, dose):
     iowa_env.reset(seed=0)
     want = iowa_env.step(40.0)

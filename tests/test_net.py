@@ -1,11 +1,12 @@
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
 from croprl.errors import ConfigError, ShapeError
-from croprl.net import (BETA1, BETA2, EPS, AdamState, ParamSet, _below,
-                        adam_step, backward, forward, forward_cached,
+from croprl.net import (BETA1, BETA2, EPS, FLUSH_EVERY, AdamState, ParamSet,
+                        _below, adam_step, backward, forward, forward_cached,
                         init_params, input_gradient, net_from_dict,
                         net_to_dict)
 
@@ -292,6 +293,21 @@ class TestAdam:
         assert np.array_equal(self.params.flat, before.flat)
         assert not np.any(self.state.m) and not np.any(self.state.v)
 
+    @pytest.mark.parametrize("over", ["ignore", "warn", "raise"])
+    def test_finite_gradients_whose_squared_norm_overflows_raise(self, over):
+        """Each entry is finite, but their sum of squares is not: under
+        every overflow setting the step raises before anything changes."""
+        before = self.params.copy()
+        grads = self.params.like(np.full_like(before.flat, 1e160))
+        assert np.isfinite(grads.flat).all()
+        warns = (pytest.warns(RuntimeWarning, match="overflow")
+                 if over == "warn" else contextlib.nullcontext())
+        with np.errstate(over=over), pytest.raises(FloatingPointError), warns:
+            adam_step(self.params, grads, self.state)
+        assert self.state.step == 0
+        assert np.array_equal(self.params.flat, before.flat)
+        assert not np.any(self.state.m) and not np.any(self.state.v)
+
     def test_gradients_of_another_type_or_size_are_refused(self):
         with pytest.raises(TypeError, match="ParamSet"):
             adam_step(self.params, np.zeros_like(self.params.flat),
@@ -338,7 +354,9 @@ def _subnormal(a: np.ndarray) -> np.ndarray:
 def test_flat_adam_matches_per_array_reference_without_subnormals():
     """Coordinates whose gradient is zero after the first step let the
     reference's first moments decay into subnormals; the flat step flushes
-    them and still reproduces the reference's parameters bit for bit."""
+    them every FLUSH_EVERY steps, so that none stays subnormal for
+    FLUSH_EVERY steps, and still reproduces the reference's parameters bit
+    for bit."""
     rng = np.random.default_rng(8)
     params = init_params((6, 16, 3), rng, dtype=np.float32)
     state = AdamState(params, lr=1e-3)
@@ -349,6 +367,9 @@ def test_flat_adam_matches_per_array_reference_without_subnormals():
     scale = 10.0 ** rng.uniform(-3.0, 1.0, size=n)
     dead = rng.random(n) < 0.3
     reference_had_subnormals = False
+    # steps each moment has been subnormal for, up to this one
+    runs = {"m": np.zeros(n, dtype=int), "v": np.zeros(n, dtype=int)}
+    longest = 0
     for t in range(1, 1501):
         g = (rng.normal(size=n) * scale).astype(np.float32)
         if t > 1:
@@ -363,17 +384,24 @@ def test_flat_adam_matches_per_array_reference_without_subnormals():
                 1e-8, c1, c2)
         expected = np.concatenate([a.ravel() for a in ref_x])
         assert params.flat.tobytes() == expected.tobytes(), f"step {t}"
-        assert not np.any(_subnormal(state.m)), f"step {t}"
+        if t % FLUSH_EVERY == 0:
+            assert not np.any(_subnormal(state.m)), f"step {t}"
+        for name, run in runs.items():
+            run[:] = np.where(_subnormal(getattr(state, name)), run + 1, 0)
+            longest = max(longest, run.max())
         reference_had_subnormals |= any(np.any(_subnormal(m)) for m in ref_m)
     assert reference_had_subnormals
+    # some moments were subnormal between flushes, none for FLUSH_EVERY steps
+    assert 0 < longest < FLUSH_EVERY
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_subnormal_flush_equals_a_masked_write_of_zero(dtype):
-    """Every first moment below ``tiny`` in magnitude, signed zeros and
-    subnormals alike, becomes +0.0, and so does every second moment below
-    ``tiny``; every other one keeps its bits. The next step, which reads the
-    flushed moments, gives the parameters of the step without the flush."""
+    """On a flush step, every first moment below ``tiny`` in magnitude,
+    signed zeros and subnormals alike, becomes +0.0, and so does every second
+    moment below ``tiny``; every other one keeps its bits. The next step,
+    which reads the flushed moments, gives the parameters of the step
+    without the flush."""
     tiny = np.finfo(dtype).tiny
     # moments that decay onto tiny or just beside it
     values = [0.0, tiny / 4, tiny / 1024, tiny, 2 * tiny, 1.5, 3e-20]
@@ -386,19 +414,20 @@ def test_subnormal_flush_equals_a_masked_write_of_zero(dtype):
     state = AdamState(params, lr=1e-3)
     state.m[:] = m0
     state.v[:] = v0
+    state.step = FLUSH_EVERY - 1  # the next step flushes
+    c1, c2 = ([1.0 - b ** t for t in (FLUSH_EVERY, FLUSH_EVERY + 1)]
+              for b in (BETA1, BETA2))
     # a gradient of -0.0 leaves m * BETA1 and v * BETA2 as they are, -0.0
     # included
     g = np.full(m0.size, -0.0, dtype=dtype)
     x1, want, want_v = _reference_update_array(
-        params.flat, g, m0, v0, 1e-3, BETA1, BETA2, EPS, 1.0 - BETA1,
-        1.0 - BETA2)
+        params.flat, g, m0, v0, 1e-3, BETA1, BETA2, EPS, c1[0], c2[0])
     assert np.any(want == tiny) and np.any(want == -tiny)
     assert np.any((want != 0) & (np.abs(want) < tiny))
     assert np.any(np.signbit(want) & (want == 0))
     assert np.any(want_v == tiny) and np.any(_subnormal(want_v))
     want_x = _reference_update_array(
-        x1, g, want, want_v, 1e-3, BETA1, BETA2, EPS, 1.0 - BETA1 ** 2,
-        1.0 - BETA2 ** 2)[0]
+        x1, g, want, want_v, 1e-3, BETA1, BETA2, EPS, c1[1], c2[1])[0]
     np.copyto(want, 0.0, where=np.abs(want) < tiny)
     np.copyto(want_v, 0.0, where=want_v < tiny)
     adam_step(params, params.like(g), state)
