@@ -590,7 +590,7 @@ def platform_rounding() -> str:
 #: ``platform_rounding()`` where the fingerprints below were recorded
 PLATFORM_ROUNDING = (
     "ecb38ecbaac059f1897829e3f8c76f082523e0a4b933cf070d2e9c7e59835c2e")
-#: sha256 of each learner's parameters after ``learner_fingerprint``'s run:
+#: sha256 of the parameters after ``test_learner_fingerprints``' updates:
 #: DQN's Q-net and target; SAC's actor, critics, targets and repr(log_alpha)
 LEARNER_FINGERPRINTS = {
     "dqn": "79e03fd3d4a8dd84e748b8a5de4ae164020092522a5a564bdcc0baf89a00b5d1",
