@@ -24,6 +24,9 @@ in an Adam state's ``step``. Each agent's ``act`` is a policy in
 ``policy_from_dict`` builds the greedy policy that ``to_dict`` writes in that
 shape, without a learner: a run scores it and a checkpoint loads it. The
 fixed single-dose reference policy is ``harness.baseline_policy``.
+Before drawing or storing anything, ``act`` refuses an observation with a NaN
+or inf, and ``observe`` such an observation or reward, by FloatingPointError
+as ``adam_step`` does, and an action outside the agent's range by ConfigError.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .env import DISCRETE_ACTIONS_KG
-from .errors import (ConfigError, ShapeError, check_fields, is_integer,
-                     is_real)
+from .errors import (ConfigError, ShapeError, check_fields, check_finite,
+                     check_integer, check_real, is_real)
 from .net import (AdamState, ParamSet, adam_step, backward, forward,
                   forward_cached, init_params, input_gradient, net_from_dict,
                   net_to_dict)
@@ -44,12 +47,9 @@ from .replay import ReplayBuffer
 
 def epsilon_schedule(episode: int, decay: float) -> float:
     """Exploration rate decay^episode; starts at 1 and decays geometrically."""
-    if not is_integer(episode):
-        raise ConfigError(f"episode index must be an integer: {episode!r}")
-    if episode < 0:
-        raise ConfigError("episode index must be >= 0")
-    if not 0.0 < decay <= 1.0:
-        raise ConfigError("decay must lie in (0, 1]")
+    check_integer(episode, "episode index")
+    if not (is_real(decay) and 0.0 < decay <= 1.0):
+        raise ConfigError(f"decay must lie in (0, 1]: {decay!r}")
     return decay ** episode
 
 
@@ -60,16 +60,11 @@ def discretize_action(a: float) -> float:
     exact midpoints resolve to the smaller amount; NaN, and anything not a
     real number (a bool or a string too), raises ValueError.
     """
-    if (type(a) is not float and not is_real(a)) or math.isnan(a := float(a)):
+    if not is_real(a) or math.isnan(a := float(a)):
         raise ValueError(f"fertilizer amount must be a number: {a!r}")
     a = min(max(a, DISCRETE_ACTIONS_KG[0]), DISCRETE_ACTIONS_KG[-1])
-    best = DISCRETE_ACTIONS_KG[0]
-    best_d = abs(a - best)
-    for cand in DISCRETE_ACTIONS_KG[1:]:
-        d = abs(a - cand)
-        if d < best_d:
-            best, best_d = cand, d
-    return best
+    # min keeps the first of equals, and the amounts ascend
+    return min(DISCRETE_ACTIONS_KG, key=lambda cand: abs(a - cand))
 
 
 #: the discount factor of DQN's TD targets, and of SAC's soft targets
@@ -80,6 +75,8 @@ LR = 5e-5
 HIDDEN = (128, 128)
 #: transitions each agent's replay buffer holds
 BUFFER_CAPACITY = 100_000
+#: the most episodes that one training run or one evaluation plays
+MAX_EPISODES = 1_000_000
 #: DQN's gradient steps between hard target syncs
 TARGET_UPDATE_INTERVAL = 200
 #: SAC's target-network smoothing constant
@@ -108,7 +105,8 @@ class AgentHyper:
     def __post_init__(self):
         # the buffer holds a batch and the warm-up before the first update
         check_fields(self, batch_size=f"[1, {BUFFER_CAPACITY}]",
-                     episodes="[0, inf)", warmup=f"[0, {BUFFER_CAPACITY}]")
+                     episodes=f"[0, {MAX_EPISODES}]",
+                     warmup=f"[0, {BUFFER_CAPACITY}]")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ class DqnAgent:
     def __init__(self, obs_dim: int, hyper: AgentHyper = AgentHyper(),
                  seed: int = 0):
         self.hyper = hyper
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(check_integer(seed, "seed"))
         self.params = init_params(
             (obs_dim, *HIDDEN, len(DISCRETE_ACTIONS_KG)), self.rng,
             dtype=self.dtype)
@@ -170,10 +168,13 @@ class DqnAgent:
     def act(self, state, obs: np.ndarray) -> tuple[float, int]:
         """The epsilon-greedy policy: the dose of the chosen index, and the
         index."""
+        check_finite(obs @ obs, "observation")
         i = dqn_select_action(self.params, obs, self.epsilon, self.rng)
         return DISCRETE_ACTIONS_KG[i], i
 
     def observe(self, obs, action_index, reward, next_obs, done) -> None:
+        check_integer(action_index, "action index", 0,
+                      len(DISCRETE_ACTIONS_KG) - 1)
         self.buffer.push(obs, action_index, reward, next_obs, done)
         self.update()
 
@@ -238,7 +239,7 @@ class SacAgent:
     def __init__(self, obs_dim: int, hyper: AgentHyper = AgentHyper(),
                  seed: int = 0):
         self.hyper = hyper
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(check_integer(seed, "seed"))
         # the actor outputs the Gaussian's mean and log-std
         self.actor = init_params((obs_dim, *HIDDEN, 2), self.rng,
                                  dtype=self.dtype)
@@ -271,6 +272,7 @@ class SacAgent:
     def act(self, state, obs: np.ndarray) -> tuple[float, float]:
         """The stochastic policy: the dose nearest a raw continuous action
         drawn from the squashed Gaussian, and that raw action."""
+        check_finite(obs @ obs, "observation")
         out = forward(self.actor, obs)
         log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
         xi = self.rng.standard_normal()
@@ -278,6 +280,7 @@ class SacAgent:
         return discretize_action(raw), raw
 
     def observe(self, obs, raw_action, reward, next_obs, done) -> None:
+        check_real(raw_action, "raw action", *SAC_ACTION_RANGE_KG)
         self.buffer.push(obs, raw_action, reward, next_obs, done)
         self.update()
 

@@ -17,8 +17,9 @@ import argparse
 import json
 import sys
 
+from .agents import MAX_EPISODES
 from .config import apply_overrides, build_experiment, load_config
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .harness import (ABLATIONS, baseline_policy, evaluate_policy,
                       load_checkpoint, output_dir, run_ablation, run_training)
 
@@ -93,8 +94,7 @@ def _cmd_evaluate(args) -> int:
     else:
         policy = baseline_policy(args.baseline)
         label = f"baseline:{args.baseline:g}"
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1: {args.episodes}")
+    check_integer(args.episodes, "--episodes", 1, MAX_EPISODES)
     out = output_dir(config.out_dir) if "run.out_dir" in settings else None
     mean, per_episode = evaluate_policy(policy, config.scenario, config.mask,
                                         n_episodes=args.episodes)

@@ -19,7 +19,7 @@ Recognized keys (defaults in parentheses):
 
 [agent] (AgentHyper)
     kind (dqn | sac)
-    episodes (1200), warmup      in [0, inf), [0, 100000]
+    episodes (1200), warmup      in [0, 1000000], [0, 100000]
     batch_size (64)              in [1, 100000]
 
 [run] (ExperimentConfig)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigError, EpisodeFinishedError, check_fields,
-                     is_integer, is_real)
+                     check_integer, check_real)
 from .reward import RewardBreakdown, daily_reward
 from .simulator import (CropParams, CropState, DailyFluxes, GrowthIndices,
                         SoilProfile, SOWN, MATURE, advance_day,
@@ -104,7 +104,7 @@ class ScenarioConfig:
 # adequate for exercising the simulator; not fitted to station records.
 def iowa_scenario(**overrides) -> ScenarioConfig:
     """Central-Iowa maize season: spring start, bounded harvest window."""
-    defaults = dict(
+    return ScenarioConfig(**dict(
         name="iowa",
         start_doy=day_of_year(4, 25),
         planting_doy=day_of_year(5, 27),
@@ -132,14 +132,12 @@ def iowa_scenario(**overrides) -> ScenarioConfig:
         plant_density=7.6,
         n_threshold=240.0,
         epsilon_decay=0.992,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+    ) | overrides)
 
 
 def florida_scenario(**overrides) -> ScenarioConfig:
     """North-Florida maize season: sandy soil, rain-fed, open harvest."""
-    defaults = dict(
+    return ScenarioConfig(**dict(
         name="florida",
         start_doy=day_of_year(1, 30),
         planting_doy=day_of_year(2, 26),
@@ -167,9 +165,7 @@ def florida_scenario(**overrides) -> ScenarioConfig:
         plant_density=7.2,
         n_threshold=160.0,
         epsilon_decay=0.994,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+    ) | overrides)
 
 
 SCENARIO_PRESETS = {"iowa": iowa_scenario, "florida": florida_scenario}
@@ -207,8 +203,7 @@ class NitrogenEnv:
 
     def reset(self, seed: int = 0) -> StateVector:
         """Start a fresh episode; identical (config, seed) gives identical state."""
-        if not is_integer(seed) or seed < 0:
-            raise ConfigError(f"episode seed must be an integer >= 0: {seed!r}")
+        check_integer(seed, "episode seed")
         cfg = self.config
         episode_seed = np.random.SeedSequence(
             [cfg.weather_seed, int(seed)]).generate_state(1)[0]
@@ -228,19 +223,10 @@ class NitrogenEnv:
         """Apply ``dose`` kg/ha of fertilizer to the current day, advance the
         simulation, and return the day's record (also appended to
         ``records``). A dose that is not a real number in [0, MAX_DOSE_KG]
-        (a bool or a string is not one) raises ValueError."""
+        (a bool or a string is not one) raises ConfigError, a ValueError."""
         if self._done:
             raise EpisodeFinishedError("episode is finished; call reset()")
-        # policies return floats: testing for one first keeps their cost
-        if type(dose) is float:
-            requested = dose
-        elif is_real(dose):
-            requested = float(dose)
-        else:
-            raise ValueError(f"fertilizer dose must be a number: {dose!r}")
-        if not 0.0 <= requested <= MAX_DOSE_KG:
-            raise ValueError(f"fertilizer dose must lie in [0, {MAX_DOSE_KG:g}]"
-                             f" kg/ha: {requested}")
+        requested = check_real(dose, "fertilizer dose", 0.0, MAX_DOSE_KG)
 
         cfg = self.config
         applied = requested if self._day % cfg.action_frequency == 0 else 0.0

@@ -36,9 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AgentHyper, DqnAgent, SacAgent, policy_from_dict
+from .agents import (MAX_EPISODES, AgentHyper, DqnAgent, SacAgent,
+                     policy_from_dict)
 from .env import MAX_DOSE_KG, DayRecord, NitrogenEnv, ScenarioConfig
-from .errors import ConfigError, check_fields, is_integer, is_real
+from .errors import ConfigError, check_fields, check_integer, check_real
 from .reward import daily_reward
 from .state import OBSERVATIONS, ObservationMask, normalize_observation, observe
 
@@ -65,9 +66,8 @@ class ExperimentConfig:
     out_dir: Path = Path("run_output")
 
     def __post_init__(self):
-        check_fields(self)  # integral trials and seeds
-        if self.trials < 1:
-            raise ConfigError(f"run.trials must be >= 1: {self.trials}")
+        check_fields(self, trials="[1, inf)",
+                     baseline_grid=f"[0, {MAX_DOSE_KG:g}]")
         if self.trials != len(self.seeds):
             raise ConfigError(
                 f"trials={self.trials} but {len(self.seeds)} seeds given")
@@ -77,14 +77,11 @@ class ExperimentConfig:
                               f"{self.seeds}")
         if self.observation not in OBSERVATIONS:
             raise ConfigError("run.observation must be full or partial")
-        if not self.baseline_grid or not all(
-                0.0 <= b <= MAX_DOSE_KG for b in self.baseline_grid):
-            raise ConfigError(f"run.baseline_grid needs one or more doses, "
-                              f"each in [0, {MAX_DOSE_KG:g}] kg/ha")
         # each dose writes one table row and manifest key; 0 and -0 are one
-        if len(set(self.baseline_grid)) != len(self.baseline_grid):
-            raise ConfigError(f"run.baseline_grid doses must be distinct: "
-                              f"{self.baseline_grid}")
+        if not self.baseline_grid or len(set(self.baseline_grid)) != len(
+                self.baseline_grid):
+            raise ConfigError(f"run.baseline_grid needs one or more doses, "
+                              f"each distinct: {self.baseline_grid}")
         if self.agent_kind not in AGENTS:
             raise ConfigError(f"unknown agent kind {self.agent_kind!r}")
 
@@ -134,18 +131,12 @@ class RunReport:
         good = self.successful()
         if not good:
             return []
-        n_eps = min(len(t.curve) for t in good)
         rows = []
-        for e in range(n_eps):
-            rewards = [t.curve[e][2] for t in good]
-            rows.append((
-                e,
-                float(np.mean(rewards)),
-                float(np.var(rewards)),
-                float(np.mean([t.curve[e][3] for t in good])),
-                float(np.mean([t.curve[e][4] for t in good])),
-                float(np.mean([t.curve[e][5] for t in good])),
-            ))
+        for e in range(min(len(t.curve) for t in good)):
+            reward, *rest = ([t.curve[e][c] for t in good]
+                             for c in (2, 3, 4, 5))
+            rows.append((e, float(np.mean(reward)), float(np.var(reward)),
+                         *(float(np.mean(c)) for c in rest)))
         return rows
 
 
@@ -221,10 +212,7 @@ def baseline_policy(amount: float):
     episodes. With an action frequency above one the dose lands on the first
     permitted day at or after V5; until then the env applies nothing.
     """
-    if not (is_real(amount) and 0.0 <= amount <= MAX_DOSE_KG):
-        raise ConfigError(f"baseline amount must be a number in "
-                          f"[0, {MAX_DOSE_KG:g}] kg/ha: {amount}")
-    amount = float(amount)
+    amount = check_real(amount, "baseline amount", 0.0, MAX_DOSE_KG)
 
     def call(state, obs):
         fires = state.vstage >= 5.0 and state.cumsumfert == 0.0
@@ -285,12 +273,9 @@ def train_trial(config: ExperimentConfig, seed: int
                            if config.agent_kind == "dqn" else 0.0)
                 summary, _ = run_episode(env, agent.act, mask, seed=ep,
                                          on_step=agent.observe)
-                total = summary.cumulative_reward
-                if not np.isfinite(total):
-                    raise FloatingPointError(
-                        f"non-finite return at episode {ep}")
-                trial.curve.append((ep, epsilon, total, summary.total_n,
-                                    summary.total_leach, summary.topwt))
+                trial.curve.append((ep, epsilon, summary.cumulative_reward,
+                                    summary.total_n, summary.total_leach,
+                                    summary.topwt))
     except FloatingPointError as exc:
         trial.failed = True
         trial.error = str(exc)
@@ -382,10 +367,12 @@ def evaluate_policy(policy, scenario: ScenarioConfig, mask: ObservationMask,
     ``policy`` is a function of the day's state and observation, as
     ``run_episode`` takes it; every episode calls the same one.
 
+    ``n_episodes`` must lie in [1, MAX_EPISODES], ``base_seed`` in [0, inf).
+
     Returns (``mean_summary`` of the episodes, per-episode summaries).
     """
-    if not is_integer(n_episodes) or n_episodes < 1:
-        raise ConfigError(f"n_episodes must be an integer >= 1: {n_episodes}")
+    check_integer(n_episodes, "n_episodes", 1, MAX_EPISODES)
+    check_integer(base_seed, "base_seed")
     per_episode = [summary for summary, _ in score_episodes(
         policy, scenario, mask, n_episodes, base_seed)]
     return mean_summary(per_episode), per_episode

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_finite
 
 CHECKPOINT_VERSION = 1
 
@@ -237,9 +237,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState
     g, x, m, v = grads.flat, params.flat, state.m, state.v
     if g.shape != x.shape:
         raise ShapeError(f"gradient of {g.size} values for {x.size} params")
-    # one dot: a NaN or inf anywhere, or a sum of squares past the dtype
-    if not np.isfinite(g @ g):
-        raise FloatingPointError("non-finite gradient in adam_step")
+    check_finite(g @ g, "gradient in adam_step")
     state.step += 1
     b1, b2 = BETA1, BETA2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite, is_real
 
 
 class ReplayBuffer:
@@ -32,7 +32,11 @@ class ReplayBuffer:
 
     def push(self, obs, action, reward, next_obs, done) -> None:
         """``action`` is the action index (DQN) or the raw continuous action
-        (SAC)."""
+        (SAC). A NaN, an inf or a reward that is no number is refused first."""
+        if not is_real(reward):
+            raise TypeError(f"reward must be a number: {reward!r}")
+        check_finite(obs @ obs + next_obs @ next_obs + action + reward,
+                     "transition")
         i = self._ptr
         self.obs[i] = obs
         self.actions[i] = action

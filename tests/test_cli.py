@@ -353,6 +353,8 @@ def bad_checkpoints(tmp_path):
     ["--checkpoint", "{dir}/inf_bias.json"],
     ["--checkpoint", "{dir}/huge_weight.json"],
     ["--baseline", "160", "--config", "{dir}/missing.ini"],  # the last wins
+    # past evaluate_policy's bound, refused before the directory is made too
+    ["--baseline", "160", "--episodes", "1000001"],
 ])
 def test_bad_evaluation_requests_are_configuration_errors(
         tiny_config, bad_checkpoints, tmp_path, capsys, argv):

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from croprl.agents import AgentHyper
+from croprl.env import iowa_scenario
 from croprl.errors import ConfigError, check_fields
+from croprl.harness import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,19 @@ def test_none_is_skipped():
     assert refused(Probe(day=None), day="[1, 366]") is None
     assert refused(Probe(day=0), day="[1, 366]") == \
         "day must lie in [1, 366]: 0"
+
+
+def test_only_an_optional_int_field_holds_none():
+    assert refused(Probe(n=None)) == "n must be integral: None"
+    # before, each was accepted and failed at its first use, or raised a
+    # TypeError from a comparison
+    for name, build in (
+            ("action_frequency", lambda: iowa_scenario(action_frequency=None)),
+            ("weather_seed", lambda: iowa_scenario(weather_seed=None)),
+            ("warmup", lambda: AgentHyper(warmup=None)),
+            ("trials", lambda: ExperimentConfig(iowa_scenario(), trials=None))):
+        with pytest.raises(ConfigError, match=f"{name} must be integral"):
+            build()
 
 
 def test_an_int_field_is_checked_only_when_listed():

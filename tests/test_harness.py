@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from croprl import harness
+from croprl import harness, reward
 from croprl.agents import AgentHyper
 from croprl.env import NitrogenEnv, florida_scenario, iowa_scenario
 from croprl.errors import ConfigError
@@ -212,6 +212,20 @@ def test_an_integer_setting_refuses_a_non_integer(name, build):
     # failed later with a bare TypeError
     with pytest.raises(ConfigError, match=f"{name} must be"):
         build()
+
+
+def test_a_non_finite_reward_fails_only_its_trial(monkeypatch, tmp_path):
+    """An infinite harvest reward reaches replay, which refuses it with the
+    FloatingPointError that marks the trial failed: the run goes on."""
+    monkeypatch.setattr(reward, "W1", float("inf"))
+    config = ExperimentConfig(iowa_scenario(), hyper=AgentHyper(episodes=2),
+                              trials=1, seeds=(1,), out_dir=tmp_path)
+    trial, agent = harness.train_trial(config, seed=1)
+    assert trial.failed and trial.error == "non-finite transition"
+    assert trial.curve == []  # the first episode ended at its harvest
+    # every day before the harvest was stored, and nothing after it
+    stored = agent.buffer.rewards[:agent.buffer.size]
+    assert stored.size > 100 and np.isfinite(stored).all()
 
 
 def test_an_unknown_ablation_axis_is_refused_before_any_directory(tmp_path):
